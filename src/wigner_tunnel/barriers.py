@@ -677,12 +677,11 @@ def _newton_pole_search(barrier, count):
     return out
 
 
-def find_poles(barrier, count, p=None):
+def find_poles(barrier, count):
     """S-matrix poles (zeros of a) sorted by ascending |Im kappa|.
 
-    ``p`` is accepted for interface symmetry with the kernel expansion;
-    the residue factors on the returned PoleData are momentum-resolved
-    callables, so it only triggers an eager sanity evaluation when given.
+    The residue factors on the returned PoleData are momentum-resolved
+    callables.
     """
     if not barrier.is_meromorphic:
         raise NonMeromorphicError("eikonal amplitude is not meromorphic")
@@ -692,11 +691,6 @@ def find_poles(barrier, count, p=None):
     for pd in poles:
         if pd.kappa.imag >= 0:
             raise PoleSearchError(f"pole {pd.kappa} not in the lower half-plane")
-    if p is not None:
-        for pd in poles:
-            val = pd.residue_factor(float(p))
-            if not np.isfinite(val.real) or not np.isfinite(val.imag):
-                raise PoleSearchError(f"residue factor not finite at pole {pd.kappa}")
     return poles
 
 

@@ -4,9 +4,11 @@ CSV/JSON for external plotting.
 
 Exit codes: 0 success, 2 config error, 3 method/barrier incompatibility,
 4 validation failure. Output is byte-stable for a fixed config: no
-timestamps, no seeded randomness, deterministic quadrature orders. The
-environment variable WIGNER_TUNNEL_THREADS caps worker threads for the
-embarrassingly parallel per-point loops.
+timestamps, no seeded randomness, deterministic quadrature orders. Every
+number in a CSV file is printed with ``%.17g``, so it reads back to the
+same float; ``evolve`` writes its rows in q-major order, p varying
+fastest. The environment variable WIGNER_TUNNEL_THREADS caps worker
+threads for the embarrassingly parallel per-point loops.
 """
 
 from __future__ import annotations
@@ -63,16 +65,33 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
+_NUM = "%.17g"
+
+
 def _fmt(x):
-    return format(float(x), ".17g")
+    return _NUM % float(x)
 
 
-def _write_csv(path, header_lines, columns, rows):
-    lines = list(header_lines)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, str) else _fmt(c) for c in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path, header_lines, names, *columns):
+    """Write equal-length columns as CSV rows below the header lines.
+
+    A column of str is written as it is, any other column as floats with
+    %.17g. The rows are filled from one %-template in a single pass.
+    """
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError("CSV columns differ in length")
+    k = len(columns)
+    specs, cells = [], [None] * (n * k)
+    for j, col in enumerate(columns):
+        if n and isinstance(col[0], str):
+            specs.append("%s")
+            cells[j::k] = col
+        else:
+            specs.append(_NUM)
+            cells[j::k] = np.asarray(col, dtype=float).tolist()
+    head = "".join(line + "\n" for line in header_lines) + ",".join(names) + "\n"
+    _atomic_write(path, head + ((",".join(specs) + "\n") * n) % tuple(cells))
 
 
 def _write_json(path, payload):
@@ -156,7 +175,7 @@ def cmd_amplitudes(cfg, out_dir, args):
                [UNITS_NOTE, f"# barrier: {json.dumps(barrier.descriptor())[:160]}"],
                ["kappa", "re_a", "im_a", "re_b", "im_b",
                 "unitarity", "T", "R"],
-               rows)
+               *zip(*rows))
     return EXIT_OK
 
 
@@ -219,14 +238,13 @@ def cmd_kernel(cfg, out_dir, args):
         t_d, r_d, trunc, flags = _kernel_one_method(barrier, m, p, r_grid,
                                                     n_poles, tol)
         results[m] = (t_d, r_d)
-        cols = ["r", "T_density", "R_density", "method", "truncation_error"]
-        rows = [(r_grid[i], t_d[i], r_d[i], m, trunc[i])
-                for i in range(len(r_grid))]
+        names = ["r", "T_density", "R_density", "method", "truncation_error"]
+        cols = [r_grid, t_d, r_d, [m] * len(r_grid), trunc]
         if flags is not None:
-            cols.append("regime_ok")
-            rows = [row + (flags[i],) for i, row in enumerate(rows)]
+            names.append("regime_ok")
+            cols.append(flags)
         _write_csv(os.path.join(out_dir, f"kernel_{m}.csv"),
-                   [UNITS_NOTE, f"# p = {_fmt(p)}"], cols, rows)
+                   [UNITS_NOTE, f"# p = {_fmt(p)}"], names, *cols)
 
     if method == "all":
         per_r = np.zeros_like(r_grid)
@@ -275,16 +293,17 @@ def cmd_evolve(cfg, out_dir, args):
             "total": m_t + m_r,
             "accounting_error": abs(m_t + m_r - initial) / initial,
         })
-        rows = []
-        for i, qv in enumerate(gt.q):
-            for j, pv in enumerate(gt.p):
-                rows.append((qv, pv, gt.values[i, j]))
+        # rows in q-major order: each axis value is formatted once
+        q_txt = [_NUM % v for v in gt.q.tolist()]
+        p_txt = [_NUM % v for v in gt.p.tolist()]
         _write_csv(os.path.join(out_dir, f"evolve_t{idx}.csv"),
                    [UNITS_NOTE,
                     f"# t = {_fmt(t)}",
                     f"# q_axis: min={_fmt(gt.q[0])} max={_fmt(gt.q[-1])} n={len(gt.q)}",
                     f"# p_axis: min={_fmt(gt.p[0])} max={_fmt(gt.p[-1])} n={len(gt.p)}"],
-                   ["q", "p", "value"], rows)
+                   ["q", "p", "value"],
+                   [qs for qs in q_txt for _ in p_txt], p_txt * len(q_txt),
+                   gt.values.ravel())
     _write_json(os.path.join(out_dir, "mass_accounting.json"), accounting)
     return EXIT_OK
 
@@ -304,7 +323,7 @@ def cmd_probe(cfg, out_dir, args):
 
     rows = _parallel_map(one, list(times))
     _write_csv(os.path.join(out_dir, "probe.csv"),
-               [UNITS_NOTE], ["t", "w_total", "w_t", "w_r", "w_s"], rows)
+               [UNITS_NOTE], ["t", "w_total", "w_t", "w_r", "w_s"], *zip(*rows))
     try:
         t_star = ev.arrival_time_estimate(init, det, barrier)
     except ZeroDivisionError:

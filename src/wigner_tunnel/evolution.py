@@ -183,8 +183,11 @@ def _kernel_row(barrier, p0, r_vals, tol=2e-7):
     return kt.density, kr.density
 
 
-def _kernel_ranges(barrier, p0):
-    """Lag supports (T: [0, R_t], R: [r_lo, R_r]) covering ~12 decay lengths."""
+def _kernel_ranges(barrier):
+    """Lag supports (T: [0, R_t], R: [r_lo, R_r]) covering ~12 decay lengths.
+
+    They depend on the barrier alone, so one pole search serves every row.
+    """
     poles = _b.find_poles(barrier, 1)
     decay = 1.0 / (2.0 * abs(poles[0].kappa.imag))
     r_hi = 12.0 * decay
@@ -238,23 +241,36 @@ def barrier_propagate(grid, barrier, t, include_interference=False, refine=4,
     # rows carrying < 1e-10 of the peak contribute below every tolerance
     # here and would push the kernels into their p -> 0 blow-up
     floor = 1e-10 * float(np.max(np.abs(grid.values)))
+    p_zero = _zero_momentum(grid)
+    ranges = _kernel_ranges(barrier)
 
     for j, pj in enumerate(grid.p):
-        if pj > 0 and np.max(np.abs(grid.values[:, j])) > floor:
-            out[:, j] += _transmitted_row(grid, barrier, t, j, pj, dr, kernel_tol)
+        if pj > p_zero and np.max(np.abs(grid.values[:, j])) > floor:
+            out[:, j] += _transmitted_row(grid, barrier, t, j, pj, dr, kernel_tol,
+                                          ranges)
     for j, pj in enumerate(grid.p):
-        if pj >= 0:
+        if pj >= -p_zero:
             continue
         p0 = -pj
         src = _row_at_momentum(grid, p0)
         if src is None or np.max(np.abs(src)) <= floor:
             continue
-        out[:, j] += _reflected_row(grid, barrier, t, src, p0, dr, kernel_tol)
+        out[:, j] += _reflected_row(grid, barrier, t, src, p0, dr, kernel_tol,
+                                    ranges)
 
     if include_interference:
         out += _interference_grid(grid, barrier, t)
 
     return WignerGrid(grid.q, grid.p, out)
+
+
+def _zero_momentum(grid):
+    """|p| at or below which a node is the p = 0 node.
+
+    linspace can round the middle node of a symmetric axis to +-2e-16;
+    the kernels blow up there, so such a node gets what an exact 0.0 gets.
+    """
+    return 1e-9 * grid.dp
 
 
 def _warn_if_not_cleared(grid, barrier, t):
@@ -301,10 +317,10 @@ def _fine_lattice_eval(grid, row, start, n_fine, dr):
     return vals
 
 
-def _transmitted_row(grid, barrier, t, j, pj, dr, tol):
+def _transmitted_row(grid, barrier, t, j, pj, dr, tol, ranges):
     row = grid.values[:, j]
     shift = 2.0 * pj * t
-    r_hi, _ = _kernel_ranges(barrier, pj)
+    r_hi, _ = ranges
     # lags beyond the grid's reach only ever sample zeros
     r_hi = min(r_hi, (grid.q[-1] - grid.q[0]) + shift + grid.dq)
     dr_eff = min(dr, math.pi / (2.0 * pj) / 12.0)
@@ -313,8 +329,7 @@ def _transmitted_row(grid, barrier, t, j, pj, dr, tol):
     n_r = int(math.ceil(r_hi / dr_eff)) + 1
     w, n_r = _simpson_weights(n_r, dr_eff)
     r_vals = dr_eff * np.arange(n_r)
-    dens, _ = _kernel_row(barrier, pj, np.maximum(r_vals, 1e-12), tol), None
-    t_dens = dens[0]
+    t_dens, _ = _kernel_row(barrier, pj, np.maximum(r_vals, 1e-12), tol)
     # free (delta) part plus the lag integral on one shared fine lattice:
     # positions q_i - 2 p t + r_k = (q_min - 2 p t) + (i*refine + k) dr
     n_fine = (len(grid.q) - 1) * refine + n_r
@@ -325,9 +340,9 @@ def _transmitted_row(grid, barrier, t, j, pj, dr, tol):
     return free_part + smooth[:len(grid.q)]
 
 
-def _reflected_row(grid, barrier, t, src_row, p0, dr, tol):
+def _reflected_row(grid, barrier, t, src_row, p0, dr, tol, ranges):
     shift = 2.0 * p0 * t
-    r_hi, r_lo = _kernel_ranges(barrier, p0)
+    r_hi, r_lo = ranges
     r_hi = min(r_hi, 2.0 * (grid.q[-1] - grid.q[0]) + shift + grid.dq)
     dr_eff = min(dr, math.pi / (2.0 * p0) / 12.0)
     refine = max(1, int(round(grid.dq / dr_eff)))
@@ -508,15 +523,17 @@ def detector_propagate(grid, barrier, t, refine=4, kernel_tol=2e-7):
     dr = dq / refine
     n_q = len(grid.q)
     floor = 1e-10 * float(np.max(np.abs(grid.values)))
+    p_zero = _zero_momentum(grid)
+    ranges = _kernel_ranges(barrier)
 
     for j, pj in enumerate(grid.p):
-        if pj <= 0:
+        if pj <= p_zero:
             continue
         # transmitted: out(q0) = zeta(q0 + 2 p t) + int T(r) zeta(q0 + 2pt - r) dr
         row = grid.values[:, j]
         if np.max(np.abs(row)) > floor:
             shift = 2.0 * pj * t
-            r_hi, _ = _kernel_ranges(barrier, pj)
+            r_hi, _ = ranges
             r_hi = min(r_hi, (grid.q[-1] - grid.q[0]) + shift + grid.dq)
             dr_eff = min(dr, math.pi / (2.0 * pj) / 12.0)
             refine_j = max(1, int(round(dq / dr_eff)))
@@ -538,7 +555,7 @@ def detector_propagate(grid, barrier, t, refine=4, kernel_tol=2e-7):
         src = _row_at_momentum(grid, -pj)
         if src is not None and np.max(np.abs(src)) > floor:
             shift = 2.0 * pj * t
-            r_hi, r_lo = _kernel_ranges(barrier, pj)
+            r_hi, r_lo = ranges
             r_hi = min(r_hi, 2.0 * (grid.q[-1] - grid.q[0]) + shift + grid.dq)
             dr_eff = min(dr, math.pi / (2.0 * pj) / 12.0)
             refine_j = max(1, int(round(dq / dr_eff)))

@@ -1,12 +1,15 @@
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from wigner_tunnel import cli
+from wigner_tunnel import evolution as ev
 from wigner_tunnel import validate as wt_validate
-from wigner_tunnel.barriers import PoschlTellerBarrier
+from wigner_tunnel.barriers import DeltaBarrier, PoschlTellerBarrier
 
 
 def run(args):
@@ -26,10 +29,56 @@ def read_csv(path):
     return list(reader)
 
 
+def g17(x):
+    return format(float(x), ".17g")
+
+
+def frozen_row_csv(header_lines, names, rows):
+    """The row-tuple CSV writer the columnar one replaced, kept to pin bytes."""
+    lines = list(header_lines)
+    lines.append(",".join(names))
+    for row in rows:
+        lines.append(",".join(str(c) if isinstance(c, str) else g17(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(actual, expected):
+    # pytest's own diff of two multi-megabyte strings takes minutes
+    if actual != expected:
+        a, e = actual.split("\n"), expected.split("\n")
+        i = next((i for i, (x, y) in enumerate(zip(a, e)) if x != y), min(len(a), len(e)))
+        pytest.fail(f"text differs at line {i}: {a[i:i + 1]} != {e[i:i + 1]}")
+
+
 def delta_cfg(extra):
     cfg = {"barrier": {"kind": "delta", "v0": 2.0}}
     cfg.update(extra)
     return cfg
+
+
+class TestCsvWriter:
+    def test_matches_row_writer_on_edge_values(self, tmp_path):
+        x = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300,
+             np.float64(0.1), np.float32(1 / 3), 7, np.int64(-3)]
+        y = np.array([1e-300, -1e300, 0.0, -0.0, math.nan, 2.0 ** 0.5,
+                      -5e-324, 1.0, 123456789.123456789, -math.inf])
+        label = ["a", "b c", "-0", "nan", "", "x", "y", "z", "1e300", "q"]
+        head = ["# units line", "# p = 1"]
+        names = ["x", "label", "y"]
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), head, names, x, label, y)
+        expected = frozen_row_csv(head, names, zip(x, label, y))
+        assert_same_text(path.read_text(encoding="utf-8"), expected)
+        for line in ("-0,a,1e-300", "inf,-0,0", "-inf,nan,-0",
+                     "4.9406564584124654e-324,", "-3,q,-inf"):
+            assert f"\n{line}" in expected
+
+    def test_empty_and_ragged_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ["# h"], ["a", "b"], [], np.array([]))
+        assert path.read_text() == frozen_row_csv(["# h"], ["a", "b"], [])
+        with pytest.raises(ValueError):
+            cli._write_csv(str(path), [], ["a", "b"], [1.0], [1.0, 2.0])
 
 
 class TestAmplitudesCommand:
@@ -159,6 +208,38 @@ class TestEvolveCommand:
         assert entry["accounting_error"] < 1e-4
         assert entry["transmitted"] == pytest.approx(
             report["predicted_transmitted"], rel=1e-3)
+
+    def test_csv_matches_row_writer(self, tmp_path):
+        q = np.linspace(-150.0, 110.0, 650)
+        p = np.linspace(-1.9, 1.9, 96)
+        cfg = self._cfg(tmp_path, 2.0)
+        assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 0
+        grid0 = ev.gaussian_to_grid(ev.GaussianState(-40.0, 1.0, 25.0), q, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gt = ev.barrier_propagate(grid0, DeltaBarrier(2.0), 25.0)
+        rows = [(qv, pv, gt.values[i, j])
+                for i, qv in enumerate(gt.q) for j, pv in enumerate(gt.p)]
+        expected = frozen_row_csv(
+            [cli.UNITS_NOTE, "# t = 25",
+             f"# q_axis: min={g17(q[0])} max={g17(q[-1])} n=650",
+             f"# p_axis: min={g17(p[0])} max={g17(p[-1])} n=96"],
+            ["q", "p", "value"], rows)
+        assert_same_text((tmp_path / "evolve_t0.csv").read_text(encoding="utf-8"),
+                         expected)
+
+    def test_rounded_zero_momentum_node(self, tmp_path):
+        # the middle p node rounds to -2.2e-16; at P = 0.958 its mirrored
+        # row clears the propagation floor, which once failed the PT kernels
+        cfg = write_cfg(tmp_path, "e.json", {
+            "barrier": {"kind": "poschl_teller", "v0": 1.06, "s": 0.3866},
+            "state": {"Q": -40.0, "P": 0.958, "lambda": 25.0},
+            "q_axis": {"min": -160.0, "max": 120.0, "n": 800},
+            "p_axis": {"min": -1.9, "max": 1.9, "n": 61},
+            "times": [40.0]})
+        assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "mass_accounting.json").read_text())
+        assert report["times"][0]["accounting_error"] < 1e-4
 
 
 class TestProbeCommand:

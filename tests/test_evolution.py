@@ -181,6 +181,23 @@ class TestBarrierPropagate:
         assert abs(with_int.mass() - plain.mass()) < 1e-2 * plain.mass()
         assert np.max(np.abs(with_int.values - plain.values)) > 1e-6
 
+    def test_rounded_zero_momentum_node_is_zero(self):
+        # linspace puts the middle node at -2.2e-16; at P = 0.958 the row
+        # mirrored onto it clears the 1e-10 floor, and treated as a
+        # momentum it sent the Poschl-Teller kernels to p ~ 0
+        q = np.linspace(-160.0, 120.0, 800)
+        p = np.linspace(-1.9, 1.9, 61)
+        assert -1e-15 < p[30] < 0.0
+        p_exact = p.copy()
+        p_exact[30] = 0.0
+        bar = PoschlTellerBarrier(1.06, 0.3866)
+        g = gaussian_to_grid(GaussianState(-40.0, 0.958, 25.0), q, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rounded = barrier_propagate(g, bar, 40.0)
+            exact = barrier_propagate(WignerGrid(q, p_exact, g.values), bar, 40.0)
+        np.testing.assert_array_equal(rounded.values, exact.values)
+
 
 class TestDetect:
     def test_uniform_acceptance_gives_mass(self):
