@@ -232,7 +232,7 @@ class PoschlTellerBarrier(Barrier):
             raise ZeroDivisionError("amplitudes undefined at kappa = 0")
         x, g1, g2, g3 = self._gamma_args(kappa)
         out = np.empty_like(x)
-        right = ((g1.real > 0.05) & (g2.real > 0.05) & (g3.real > 0.05)
+        right = ((g1.real > 0.0) & (g2.real > 0.0) & (g3.real > 0.0)
                  & (np.abs(x) > 1e-8))
         if np.any(right):
             lg = (2.0 * log_gamma_right(g1[right]) - log_gamma_right(g2[right])
@@ -266,7 +266,7 @@ class PoschlTellerBarrier(Barrier):
         px = np.pi * x
         w = self.omega
         out = np.empty_like(x)
-        right = ((g1.real > 0.05) & (g2.real > 0.05) & (g3.real > 0.05)
+        right = ((g1.real > 0.0) & (g2.real > 0.0) & (g3.real > 0.0)
                  & (np.abs(x) > 1e-8))
         if np.any(right):
             lg = (log_gamma_right(g2[right]) + log_gamma_right(g3[right])
@@ -474,6 +474,9 @@ class EikonalBarrier(Barrier):
         if np.ndim(kappa) == 0:
             return 0j
         return np.zeros(np.shape(kappa), dtype=complex)
+
+    # b is identically 0, so b/a needs no action integral
+    ba_ratio = amplitude_b
 
     def kappa_scale(self):
         return max(math.sqrt(self.table.v_max), 1.0 / (self.table.q_max - self.table.q_min))

@@ -165,10 +165,14 @@ def cmd_amplitudes(cfg, out_dir, args):
         raise ConfigError("kappa_grid: kappa = 0 is not evaluable")
 
     def one(k):
-        a, b = barrier.amplitudes(complex(k))
-        t_tot, r_tot = _k.total_probabilities(barrier, float(k))
-        return (k, a.real, a.imag, b.real, b.imag,
-                abs(a) ** 2 - abs(b) ** 2, t_tot, r_tot)
+        a, b = barrier.amplitude_a(complex(k)), barrier.amplitude_b(complex(k))
+        try:
+            t_tot, r_tot = _k.total_probabilities(barrier, float(k), a)
+            return (k, a.real, a.imag, b.real, b.imag,
+                    abs(a) ** 2 - abs(b) ** 2, t_tot, r_tot)
+        except OverflowError as exc:
+            raise ConfigError(f"kappa_grid: |a|^2 overflows at kappa = {float(k)!r}; "
+                              "kappa is too close to 0") from exc
 
     rows = _parallel_map(one, list(ks))
     _write_csv(os.path.join(out_dir, "amplitudes.csv"),

@@ -164,11 +164,15 @@ def free_propagate(grid, t, mass_tol=1e-8):
     return WignerGrid(grid.q, grid.p, out)
 
 
-def _kernel_row(barrier, p0, r_vals, tol=2e-7):
-    """(T density, R density) for one momentum on an arbitrary lag grid."""
+def _kernel_row(barrier, p0, r_vals, tol=2e-7, which="TR"):
+    """(T density, R density) for one momentum on an arbitrary lag grid.
+
+    Only the kernels named in ``which`` ("T", "R" or "TR") are returned;
+    the other comes back as None, and quadrature does not compute it.
+    """
     if isinstance(barrier, _b.DeltaBarrier):
-        return _k.delta_kernels(barrier.v0, p0, r_vals)
-    if isinstance(barrier, _b.PoschlTellerBarrier):
+        t_out, r_out = _k.delta_kernels(barrier.v0, p0, r_vals)
+    elif isinstance(barrier, _b.PoschlTellerBarrier):
         s = barrier.s
         band = np.abs(r_vals) <= _k.PT_SERIES_RMIN_FACTOR * s * 1.0000001
         t_out = np.zeros_like(r_vals)
@@ -176,11 +180,17 @@ def _kernel_row(barrier, p0, r_vals, tol=2e-7):
         if np.any(~band):
             t_out[~band], r_out[~band] = _k.pt_kernels(barrier.v0, s, p0, r_vals[~band])
         if np.any(band):
-            kt, kr = _k.kernel_by_quadrature(barrier, p0, r_vals[band], tol=tol)
-            t_out[band], r_out[band] = kt.density, kr.density
-        return t_out, r_out
-    kt, kr = _k.kernel_by_quadrature(barrier, p0, r_vals, tol=tol)
-    return kt.density, kr.density
+            kt, kr = _k.kernel_by_quadrature(barrier, p0, r_vals[band], tol=tol,
+                                             which=which)
+            if kt is not None:
+                t_out[band] = kt.density
+            if kr is not None:
+                r_out[band] = kr.density
+    else:
+        kt, kr = _k.kernel_by_quadrature(barrier, p0, r_vals, tol=tol, which=which)
+        t_out = kt.density if kt is not None else None
+        r_out = kr.density if kr is not None else None
+    return (t_out if "T" in which else None), (r_out if "R" in which else None)
 
 
 def _kernel_ranges(barrier):
@@ -329,7 +339,7 @@ def _transmitted_row(grid, barrier, t, j, pj, dr, tol, ranges):
     n_r = int(math.ceil(r_hi / dr_eff)) + 1
     w, n_r = _simpson_weights(n_r, dr_eff)
     r_vals = dr_eff * np.arange(n_r)
-    t_dens, _ = _kernel_row(barrier, pj, np.maximum(r_vals, 1e-12), tol)
+    t_dens, _ = _kernel_row(barrier, pj, np.maximum(r_vals, 1e-12), tol, "T")
     # free (delta) part plus the lag integral on one shared fine lattice:
     # positions q_i - 2 p t + r_k = (q_min - 2 p t) + (i*refine + k) dr
     n_fine = (len(grid.q) - 1) * refine + n_r
@@ -351,7 +361,7 @@ def _reflected_row(grid, barrier, t, src_row, p0, dr, tol, ranges):
     w, n_r = _simpson_weights(n_r, dr_eff)
     r_vals = r_lo + dr_eff * np.arange(n_r)
     r_vals = np.where(np.abs(r_vals) < 1e-12, 1e-12, r_vals)
-    _, r_dens = _kernel_row(barrier, p0, r_vals, tol)
+    _, r_dens = _kernel_row(barrier, p0, r_vals, tol, "R")
     # out(q_i) = sum_k w_k R(r_k) rho0(r_k - 2 p0 t - q_i); one fine lattice
     # starting at r_lo - 2 p0 t - q_max, reversed in i.
     n_fine = (len(grid.q) - 1) * refine + n_r
@@ -541,7 +551,7 @@ def detector_propagate(grid, barrier, t, refine=4, kernel_tol=2e-7):
             n_r = int(math.ceil(r_hi / dr_eff)) + 1
             w, n_r = _simpson_weights(n_r, dr_eff)
             r_vals = np.maximum(dr_eff * np.arange(n_r), 1e-12)
-            t_dens, _ = _kernel_row(barrier, pj, r_vals, kernel_tol)
+            t_dens, _ = _kernel_row(barrier, pj, r_vals, kernel_tol, "T")
             n_fine = (n_q - 1) * refine_j + n_r
             # positions q0_i + 2pt - r_k = (q_min + 2pt - r_max) + (i*refine + (n_r-1-k)) dr
             fine = _fine_lattice_eval(grid, row,
@@ -564,7 +574,7 @@ def detector_propagate(grid, barrier, t, refine=4, kernel_tol=2e-7):
             w, n_r = _simpson_weights(n_r, dr_eff)
             r_vals = r_lo + dr_eff * np.arange(n_r)
             r_vals = np.where(np.abs(r_vals) < 1e-12, 1e-12, r_vals)
-            _, r_dens = _kernel_row(barrier, pj, r_vals, kernel_tol)
+            _, r_dens = _kernel_row(barrier, pj, r_vals, kernel_tol, "R")
             # out(q0_i) = sum_k w_k R(r_k) zeta(r_k - 2 p0 t - q0_i, -p0)
             n_fine = (n_q - 1) * refine_j + n_r
             fine = _fine_lattice_eval(grid, src, r_lo - shift - grid.q[-1],

@@ -30,6 +30,7 @@ from .errors import (
     KernelAccuracyError,
     MethodCompatibilityError,
     NonMeromorphicError,
+    PoleSearchError,
 )
 from .quadrature import adaptive_complex_quad, fourier_halfline, fourier_symmetric
 from .specfun import airy_ai, gamma_cx, hyp4f3_coefficients
@@ -83,41 +84,46 @@ def _sigma_feature(barrier, p):
     return max(min(2.0 * barrier.kappa_scale(), 4.0 * math.pi / (hi - lo)), 0.05)
 
 
-def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7):
+def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7, which="TR"):
     """Transmission and reflection kernels by oscillatory quadrature.
 
     The transmission integrand is taken as 1/(a+ a-) - 1 so the constant
     part carries the free delta spike exactly; for asymmetric barriers the
     reflection gains the one-sided correction integral over sigma > 2p,
-    which vanishes identically for symmetric potentials.
+    which vanishes identically for symmetric potentials. ``which`` names
+    the kernels to compute ("T", "R" or "TR"); a kernel not asked for is
+    returned as None.
     """
     if p <= 0:
         raise ValueError("kernel quadrature requires p > 0")
+    if which not in ("T", "R", "TR"):
+        raise ValueError(f"which must be 'T', 'R' or 'TR', not {which!r}")
     r_grid = np.asarray(r_grid, dtype=float)
     fs = _sigma_feature(barrier, p)
     sigma0 = max(64.0 * fs, 16.0 * p + 32.0 * barrier.kappa_scale())
-    w = barrier.integral_strength()
+    kd_t = kd_r = None
 
-    def g_t(sig):
-        a_plus = barrier.amplitude_a(0.5 * sig + p)
-        a_minus = barrier.amplitude_a(0.5 * sig - p)
-        return 1.0 / (a_plus * a_minus) - 1.0
+    if "T" in which:
+        def g_t(sig):
+            a_plus = barrier.amplitude_a(0.5 * sig + p)
+            a_minus = barrier.amplitude_a(0.5 * sig - p)
+            return 1.0 / (a_plus * a_minus) - 1.0
 
-    t_vals, t_err = fourier_symmetric(g_t, r_grid, feature_scale=fs,
-                                      c1=-2j * w, tol=tol, sigma0=sigma0)
+        t_vals, t_err = fourier_symmetric(g_t, r_grid, feature_scale=fs,
+                                          c1=-2j * barrier.integral_strength(),
+                                          tol=tol, sigma0=sigma0)
+        kd_t = KernelDensity(r_grid, t_vals, 1.0, "quadrature", t_err)
 
-    def g_r(sig):
-        return barrier.ba_ratio(0.5 * sig + p) * barrier.ba_ratio(0.5 * sig - p)
+    if "R" in which:
+        def g_r(sig):
+            return barrier.ba_ratio(0.5 * sig + p) * barrier.ba_ratio(0.5 * sig - p)
 
-    # b falls off at least like 1/sigma, so the product has no 1/sigma tail
-    r_vals, r_err = fourier_symmetric(g_r, r_grid, feature_scale=fs,
-                                      c1=0.0, tol=tol, sigma0=sigma0)
-
-    if not barrier.symmetric:
-        corr = _reflection_correction(barrier, p, r_grid, tol)
-        r_vals = r_vals + corr
-    kd_t = KernelDensity(r_grid, t_vals, 1.0, "quadrature", t_err)
-    kd_r = KernelDensity(r_grid, r_vals, 0.0, "quadrature", r_err)
+        # b falls off at least like 1/sigma, so the product has no 1/sigma tail
+        r_vals, r_err = fourier_symmetric(g_r, r_grid, feature_scale=fs,
+                                          c1=0.0, tol=tol, sigma0=sigma0)
+        if not barrier.symmetric:
+            r_vals = r_vals + _reflection_correction(barrier, p, r_grid, tol)
+        kd_r = KernelDensity(r_grid, r_vals, 0.0, "quadrature", r_err)
     return kd_t, kd_r
 
 
@@ -165,7 +171,7 @@ def kernel_by_residues(barrier, p, r_grid, n_poles):
     try:
         poles = _b.find_poles(barrier, n_poles + 1)
         bound_pole = poles[n_poles]
-    except Exception:
+    except PoleSearchError:   # fewer poles than asked: bound by the last one
         poles = _b.find_poles(barrier, n_poles)
         bound_pole = poles[-1]
     r_grid = np.asarray(r_grid, dtype=float)
@@ -320,11 +326,15 @@ def pt_kernels(v0, s, p, r, imag_tol=1e-8):
     return t_dens, r_dens
 
 
-def total_probabilities(barrier, p):
-    """(T, R) at momentum p, directly from the amplitudes: T = |a|^-2, R = |b/a|^2."""
+def total_probabilities(barrier, p, a=None):
+    """(T, R) at momentum p, directly from the amplitudes: T = |a|^-2, R = |b/a|^2.
+
+    A caller that already holds a(p) passes it as ``a``.
+    """
     if p == 0:
         raise ZeroDivisionError("total probabilities undefined at p = 0")
-    a = barrier.amplitude_a(p)
+    if a is None:
+        a = barrier.amplitude_a(p)
     ratio = barrier.ba_ratio(p)
     return 1.0 / abs(a) ** 2, abs(ratio) ** 2
 

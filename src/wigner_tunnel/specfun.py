@@ -1,9 +1,10 @@
 """Complex special functions used by the closed-form scattering formulas.
 
-Everything here is self-contained double-precision numerics: a rational
-(Lanczos) approximation for the complex Gamma function, a two-regime
-Faddeeva function, the Airy function Ai on the real line, and a direct
-summation of the generalized hypergeometric series 4F3.
+The complex Gamma and log-Gamma functions are thin wrappers over
+scipy.special that add the pole and branch contracts the scattering
+formulas rely on. The rest is self-contained double-precision numerics:
+a two-regime Faddeeva function, the Airy function Ai on the real line,
+and a direct summation of the generalized hypergeometric series 4F3.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma, loggamma
 
 from .errors import GammaPoleError, SeriesConvergenceError
 
@@ -27,38 +29,7 @@ __all__ = [
     "Hyp4F3Result",
 ]
 
-# Lanczos g = 607/128, 15 coefficients (Godfrey's set); relative accuracy
-# ~1e-14 on Re z >= 1/2, extended by reflection.
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = np.array([
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    3.3994649984811888699e-5,
-    4.6523628927048575665e-5,
-    -9.8374475304879564677e-5,
-    1.5808870322491248884e-4,
-    -2.1026444172410488319e-4,
-    2.1743961811521264320e-4,
-    -1.6431810653676389022e-4,
-    8.4418223983852743293e-5,
-    -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-])
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _ISQRT_PI = 1.0 / math.sqrt(math.pi)
-
-
-def _gamma_half_plane(z):
-    """Lanczos approximation, valid for Re z >= 0.5 (array input)."""
-    acc = np.full_like(z, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
-    return _SQRT_2PI * np.exp((z - 0.5) * np.log(t) - t) * acc
 
 
 def log_gamma_right(z):
@@ -67,27 +38,7 @@ def log_gamma_right(z):
     Overflow-free evaluation path for amplitude ratios whose individual
     Gamma factors leave the double-precision range.
     """
-    z = np.asarray(z, dtype=complex)
-    acc = np.full_like(z, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
-    return 0.5 * math.log(2.0 * math.pi) + (z - 0.5) * np.log(t) - t + np.log(acc)
-
-
-def _log_sin(z):
-    """log sin(pi z) up to 2 pi i, stable for large |Im z|."""
-    z = np.asarray(z, dtype=complex)
-    upper = z.imag >= 0.0
-    out = np.empty_like(z)
-    # sin(pi z) = -e^{-i pi z} (1 - e^{2 i pi z}) / (2i), dominant for Im z > 0
-    zu = z[upper]
-    out[upper] = -1j * np.pi * zu + np.log1p(-np.exp(2j * np.pi * zu)) + \
-        complex(math.log(0.5), 0.5 * math.pi)
-    zl = z[~upper]
-    out[~upper] = 1j * np.pi * zl + np.log1p(-np.exp(-2j * np.pi * zl)) + \
-        complex(math.log(0.5), -0.5 * math.pi)
-    return out
+    return loggamma(np.asarray(z, dtype=complex))
 
 
 def gamma_cx(z):
@@ -97,29 +48,10 @@ def gamma_cx(z):
     is exactly a non-positive integer.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-
     on_pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
     if np.any(on_pole):
         raise GammaPoleError(f"gamma pole at z={z[on_pole][0]}")
-
-    out = np.empty_like(z)
-    right = z.real >= 0.5
-    big = np.abs(z.imag) > 60.0
-    if np.any(right):
-        out[right] = _gamma_half_plane(z[right])
-    left = ~right & ~big
-    if np.any(left):
-        zl = z[left]
-        # Reflection: Gamma(z) = pi / (sin(pi z) Gamma(1-z)).
-        out[left] = np.pi / (np.sin(np.pi * zl) * _gamma_half_plane(1.0 - zl))
-    far = ~right & big
-    if np.any(far):
-        # log-space reflection: sin overflows but Gamma itself underflows
-        zf = z[far]
-        out[far] = np.exp(math.log(math.pi) - _log_sin(zf) - log_gamma_right(1.0 - zf))
-    return out[0] if scalar else out
+    return gamma(z)
 
 
 def _faddeeva_series(z):

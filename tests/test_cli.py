@@ -125,6 +125,38 @@ class TestAmplitudesCommand:
         assert run(["amplitudes", "--config", tmp_path / "nope.json",
                     "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("barrier", [{"kind": "delta", "v0": 2.0},
+                                         {"kind": "poschl_teller", "v0": 1.0, "s": 0.4}])
+    def test_kappa_near_zero_is_config_error(self, tmp_path, capsys, barrier):
+        # |a| ~ 1/kappa, so |a|^2 leaves the double range below kappa ~ 1e-154
+        cfg = write_cfg(tmp_path, "a.json", {"barrier": barrier,
+                                             "kappa_grid": {"values": [0.5, 1e-160]}})
+        assert run(["amplitudes", "--config", cfg, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "1e-160" in err
+
+    def test_one_eikonal_action_per_kappa(self, tmp_path, monkeypatch):
+        from wigner_tunnel import barriers
+        calls = []
+        action = barriers.eikonal_action
+
+        def counted(potential, kappa):
+            calls.append(kappa)
+            return action(potential, kappa)
+
+        monkeypatch.setattr(barriers, "eikonal_action", counted)
+        q = np.linspace(-4.8, 4.8, 241)
+        table = [[float(x), float(1.0 / np.cosh(x / 0.4) ** 2)] for x in q]
+        cfg = write_cfg(tmp_path, "a.json", {
+            "barrier": {"kind": "eikonal", "table": table},
+            "kappa_grid": {"values": [0.5, 1.5, 3.0]}})
+        assert run(["amplitudes", "--config", cfg, "--out", tmp_path]) == 0
+        assert len(calls) == 3
+        for row in read_csv(tmp_path / "amplitudes.csv"):
+            a = complex(float(row["re_a"]), float(row["im_a"]))
+            assert float(row["T"]) == 1.0 / abs(a) ** 2
+            assert float(row["R"]) == 0.0
+
 
 class TestKernelCommand:
     def test_method_all_agreement(self, tmp_path):

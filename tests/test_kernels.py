@@ -14,6 +14,7 @@ from wigner_tunnel.errors import (
     ConvergenceRegionError,
     MethodCompatibilityError,
     NonMeromorphicError,
+    PoleSearchError,
 )
 from wigner_tunnel.kernels import (
     classical_limit_lag,
@@ -150,6 +151,20 @@ class TestResidueRoute:
             lambda q: 1.0 / np.cosh(q / 0.4) ** 2, -6.8, 6.8, 801)
         with pytest.raises(NonMeromorphicError):
             kernel_by_residues(bar, 0.6, np.array([1.0]), 4)
+
+    def test_pole_search_failure_propagates(self):
+        # only "fewer poles than asked" falls back to one pole less
+        class BrokenSearch(DeltaBarrier):
+            def poles(self, count):
+                if count > 1:
+                    raise RuntimeError("pole search broke")
+                return super().poles(count)
+
+        r = np.linspace(0.0, 5.0, 11)
+        with pytest.raises(RuntimeError, match="pole search broke"):
+            kernel_by_residues(BrokenSearch(2.0), 1.0, r, 1)
+        with pytest.raises(PoleSearchError):
+            kernel_by_residues(DeltaBarrier(2.0), 1.0, r, 2)
 
 
 class TestPoschlTellerClosedForm:

@@ -1,0 +1,62 @@
+"""Property tests: invariants over randomly drawn barriers and arguments."""
+
+import math
+
+import mpmath
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wigner_tunnel.barriers import PoschlTellerBarrier
+from wigner_tunnel.kernels import kernel_by_quadrature
+from wigner_tunnel.specfun import log_gamma_right
+
+# derandomized, so a CI failure reproduces locally
+derandomized = settings(deadline=None, derandomize=True)
+
+# v0*s < 1/2 is a narrow barrier (omega real), > 1/2 a wide one (omega
+# imaginary); near 1/2 the two S-matrix pole families merge
+strength = st.one_of(st.floats(0.005, 0.49), st.floats(0.51, 5.0))
+width = st.floats(0.05, 5.0)
+# s*kappa from 1e-10 (the direct Gamma quotient, |s kappa| <= 1e-8) to 300
+# (the log-space quotient, past where single Gamma factors leave double range)
+scaled_kappa = st.builds(lambda e, sign: sign * 10.0 ** e,
+                         st.floats(-10.0, math.log10(300.0)), st.sampled_from([-1.0, 1.0]))
+
+
+@settings(derandomized, max_examples=300)
+@given(vs=strength, s=width, sk=scaled_kappa)
+def test_pt_amplitudes_unitary_schwarz_and_ratio(vs, s, sk):
+    bar = PoschlTellerBarrier(vs / s, s)
+    k = sk / s
+    a, b = bar.amplitude_a(k), bar.amplitude_b(k)
+    assert np.isfinite(a) and np.isfinite(b)
+    # |a|^2 - |b|^2 = 1, relative to |a|^2 (|a| ~ 1/kappa as kappa -> 0)
+    assert abs(abs(a) ** 2 - abs(b) ** 2 - 1.0) <= 1e-10 * abs(a) ** 2
+    assert abs(bar.amplitude_a(-k) - a.conjugate()) <= 1e-12 * abs(a)
+    assert abs(bar.ba_ratio(k) - b / a) <= 1e-10 * abs(b / a) + 1e-300
+
+
+@settings(derandomized, max_examples=300)
+@given(x=st.floats(1e-3, 1e3), y=st.floats(-3e3, 3e3))
+def test_log_gamma_right_matches_mpmath(x, y):
+    z = complex(x, y)
+    ref = complex(mpmath.loggamma(mpmath.mpc(x, y)))
+    diff = complex(log_gamma_right(z)) - ref
+    diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
+    assert abs(diff) <= 1e-13 * max(1.0, abs(ref))
+
+
+@settings(derandomized, max_examples=8)
+@given(vs=strength, s=st.floats(0.2, 1.0), p=st.floats(0.3, 2.0))
+def test_one_kernel_quadrature_equals_two_kernel_call(vs, s, p):
+    bar = PoschlTellerBarrier(vs / s, s)
+    r = np.linspace(-0.05 * s, 0.05 * s, 5)
+    both_t, both_r = kernel_by_quadrature(bar, p, r)
+    only_t, none_r = kernel_by_quadrature(bar, p, r, which="T")
+    none_t, only_r = kernel_by_quadrature(bar, p, r, which="R")
+    assert none_r is None and none_t is None
+    for one, both in ((only_t, both_t), (only_r, both_r)):
+        assert np.array_equal(one.density, both.density)
+        assert one.error_estimate == both.error_estimate
+        assert one.singular_weight == both.singular_weight
