@@ -276,6 +276,9 @@ def cmd_evolve(cfg, out_dir, args):
     p_axis = _grid_from_config(cfg["p_axis"], "p_axis", n_min=8)
     times = [float(t) for t in cfg["times"]]
     interference = bool(cfg.get("include_interference", False))
+    if not barrier.is_meromorphic:
+        raise MethodCompatibilityError(
+            f"evolve needs S-matrix poles; barrier kind {barrier.kind!r} is not meromorphic")
 
     grid0 = ev.gaussian_to_grid(state, q_axis, p_axis)
     marg = grid0.momentum_marginal()

@@ -7,6 +7,9 @@ momentum-diagonal transmission/reflection kernels as convolutions along q
 over the lag distance; the optional interference term is a full
 phase-space double integral and is off by default (it is negligible for
 packets prepared with a narrow momentum spread).
+Every propagator row, forward or adjoint, transmitted or reflected,
+is one primitive: a Simpson lag lattice (``_lag_lattice``) and an FFT
+correlation with the spline-resampled row (``_lag_convolve``).
 
 Gaussian packets follow the unnormalized convention
 rho = exp[-(q-Q)^2/lambda - lambda (p-P)^2] of mass pi; all detection
@@ -164,33 +167,37 @@ def free_propagate(grid, t, mass_tol=1e-8):
     return WignerGrid(grid.q, grid.p, out)
 
 
-def _kernel_row(barrier, p0, r_vals, tol=2e-7, which="TR"):
+# lag step dq / _REFINE (or finer at high p); band-quadrature tolerance
+_REFINE = 4
+_KERNEL_TOL = 2e-7
+
+
+def _kernel_row(barrier, p0, r_vals, tol=_KERNEL_TOL, which="TR"):
     """(T density, R density) for one momentum on an arbitrary lag grid.
 
     Only the kernels named in ``which`` ("T", "R" or "TR") are returned;
-    the other comes back as None, and quadrature does not compute it.
+    the other comes back as None and is not computed.
     """
     if isinstance(barrier, _b.DeltaBarrier):
-        t_out, r_out = _k.delta_kernels(barrier.v0, p0, r_vals)
+        dens = _k.delta_kernels(barrier.v0, p0, r_vals)
     elif isinstance(barrier, _b.PoschlTellerBarrier):
-        s = barrier.s
-        band = np.abs(r_vals) <= _k.PT_SERIES_RMIN_FACTOR * s * 1.0000001
-        t_out = np.zeros_like(r_vals)
-        r_out = np.zeros_like(r_vals)
+        # 4F3 series away from r = 0, quadrature inside the band
+        band = np.abs(r_vals) <= _k.PT_SERIES_RMIN_FACTOR * barrier.s * 1.0000001
+        dens = (np.zeros_like(r_vals), np.zeros_like(r_vals))
         if np.any(~band):
-            t_out[~band], r_out[~band] = _k.pt_kernels(barrier.v0, s, p0, r_vals[~band])
+            series = _k.pt_kernels(barrier.v0, barrier.s, p0, r_vals[~band], which=which)
+            for out, d in zip(dens, series):
+                if d is not None:
+                    out[~band] = d
         if np.any(band):
-            kt, kr = _k.kernel_by_quadrature(barrier, p0, r_vals[band], tol=tol,
-                                             which=which)
-            if kt is not None:
-                t_out[band] = kt.density
-            if kr is not None:
-                r_out[band] = kr.density
+            quad = _k.kernel_by_quadrature(barrier, p0, r_vals[band], tol=tol, which=which)
+            for out, k in zip(dens, quad):
+                if k is not None:
+                    out[band] = k.density
     else:
-        kt, kr = _k.kernel_by_quadrature(barrier, p0, r_vals, tol=tol, which=which)
-        t_out = kt.density if kt is not None else None
-        r_out = kr.density if kr is not None else None
-    return (t_out if "T" in which else None), (r_out if "R" in which else None)
+        quad = _k.kernel_by_quadrature(barrier, p0, r_vals, tol=tol, which=which)
+        dens = [None if k is None else k.density for k in quad]
+    return tuple(d if name in which else None for name, d in zip("TR", dens))
 
 
 def _kernel_ranges(barrier):
@@ -208,19 +215,7 @@ def _kernel_ranges(barrier):
     return r_hi, r_lo
 
 
-def _simpson_weights(n, dr):
-    if n < 3:
-        raise ValueError("need >= 3 kernel samples")
-    if n % 2 == 0:
-        n -= 1
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (dr / 3.0), n
-
-
-def barrier_propagate(grid, barrier, t, include_interference=False, refine=4,
-                      kernel_tol=2e-7):
+def barrier_propagate(grid, barrier, t, include_interference=False):
     """Apply the large-time barrier propagator to an incident-from-left state.
 
     The initial support must sit on p > 0 (incident convention). For each
@@ -244,9 +239,18 @@ def barrier_propagate(grid, barrier, t, include_interference=False, refine=4,
         return free_propagate(grid, t)
 
     _warn_if_not_cleared(grid, barrier, t)
+    out = _propagate_rows(grid, barrier, t, adjoint=False)
+    if include_interference:
+        out += _interference_grid(grid, barrier, t)
+    return WignerGrid(grid.q, grid.p, out)
 
-    dq = grid.dq
-    dr = dq / refine
+
+def _propagate_rows(grid, barrier, t, adjoint):
+    """Row walk of the propagator (adjoint=False) or of its adjoint.
+
+    Forward, p > 0 rows transmit the row at p and p < 0 rows reflect the
+    row at -p; adjoint, each p > 0 row gathers both.
+    """
     out = np.zeros_like(grid.values)
     # rows carrying < 1e-10 of the peak contribute below every tolerance
     # here and would push the kernels into their p -> 0 blow-up
@@ -255,23 +259,15 @@ def barrier_propagate(grid, barrier, t, include_interference=False, refine=4,
     ranges = _kernel_ranges(barrier)
 
     for j, pj in enumerate(grid.p):
-        if pj > p_zero and np.max(np.abs(grid.values[:, j])) > floor:
-            out[:, j] += _transmitted_row(grid, barrier, t, j, pj, dr, kernel_tol,
-                                          ranges)
+        row = grid.values[:, j]
+        if pj > p_zero and np.max(np.abs(row)) > floor:
+            out[:, j] += _transmitted_row(grid, barrier, t, row, pj, ranges, adjoint)
     for j, pj in enumerate(grid.p):
-        if pj >= -p_zero:
-            continue
-        p0 = -pj
-        src = _row_at_momentum(grid, p0)
-        if src is None or np.max(np.abs(src)) <= floor:
-            continue
-        out[:, j] += _reflected_row(grid, barrier, t, src, p0, dr, kernel_tol,
-                                    ranges)
-
-    if include_interference:
-        out += _interference_grid(grid, barrier, t)
-
-    return WignerGrid(grid.q, grid.p, out)
+        p0 = pj if adjoint else -pj
+        src = _row_at_momentum(grid, -pj) if p0 > p_zero else None
+        if src is not None and np.max(np.abs(src)) > floor:
+            out[:, j] += _reflected_row(grid, barrier, t, src, p0, ranges)
+    return out
 
 
 def _zero_momentum(grid):
@@ -318,57 +314,81 @@ def _row_at_momentum(grid, p0):
     return (1.0 - wgt) * grid.values[:, j - 1] + wgt * grid.values[:, j]
 
 
-def _fine_lattice_eval(grid, row, start, n_fine, dr):
+def _lag_lattice(grid, p, r_lo, r_hi):
+    """(r, Simpson weights, refine, dr) over [r_lo, r_hi] at momentum p.
+
+    dq = refine dr, and dr <= pi / (24 p) resolves the kernels' oscillation;
+    lags within 1e-12 of 0, where the kernels are singular, become 1e-12.
+    """
+    dr = min(grid.dq / _REFINE, math.pi / (2.0 * p) / 12.0)
+    refine = max(1, int(round(grid.dq / dr)))
+    dr = grid.dq / refine
+    # Simpson's rule takes an odd number of samples
+    n_r = 2 * (int(math.ceil((r_hi - r_lo) / dr)) // 2) + 1
+    if n_r < 3:
+        raise ValueError("need >= 3 kernel samples")
+    w = np.ones(n_r)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    r = r_lo + dr * np.arange(n_r)
+    return np.where(np.abs(r) < 1e-12, 1e-12, r), w * (dr / 3.0), refine, dr
+
+
+def _lag_convolve(grid, row, start, kernel, refine, dr):
+    """Correlate a weighted kernel row with the spline-resampled row.
+
+    Returns (fine, smooth): the row sampled on start + m dr (zero off the
+    grid) and smooth[i] = sum_k kernel[k] fine[i refine + k] per q node.
+    """
+    n_fine = (len(grid.q) - 1) * refine + len(kernel)
     spline = CubicSpline(grid.q, row, bc_type="natural")
     x = start + dr * np.arange(n_fine)
-    vals = np.zeros(n_fine)
+    fine = np.zeros(n_fine)
     m = (x >= grid.q[0]) & (x <= grid.q[-1])
-    vals[m] = spline(x[m])
-    return vals
-
-
-def _transmitted_row(grid, barrier, t, j, pj, dr, tol, ranges):
-    row = grid.values[:, j]
-    shift = 2.0 * pj * t
-    r_hi, _ = ranges
-    # lags beyond the grid's reach only ever sample zeros
-    r_hi = min(r_hi, (grid.q[-1] - grid.q[0]) + shift + grid.dq)
-    dr_eff = min(dr, math.pi / (2.0 * pj) / 12.0)
-    refine = max(1, int(round(grid.dq / dr_eff)))
-    dr_eff = grid.dq / refine
-    n_r = int(math.ceil(r_hi / dr_eff)) + 1
-    w, n_r = _simpson_weights(n_r, dr_eff)
-    r_vals = dr_eff * np.arange(n_r)
-    t_dens, _ = _kernel_row(barrier, pj, np.maximum(r_vals, 1e-12), tol, "T")
-    # free (delta) part plus the lag integral on one shared fine lattice:
-    # positions q_i - 2 p t + r_k = (q_min - 2 p t) + (i*refine + k) dr
-    n_fine = (len(grid.q) - 1) * refine + n_r
-    fine = _fine_lattice_eval(grid, row, grid.q[0] - shift, n_fine, dr_eff)
-    kernel = w * t_dens
+    fine[m] = spline(x[m])
     smooth = fftconvolve(fine, kernel[::-1], mode="valid")[::refine]
-    free_part = fine[0:(len(grid.q) - 1) * refine + 1:refine]
-    return free_part + smooth[:len(grid.q)]
+    return fine, smooth
 
 
-def _reflected_row(grid, barrier, t, src_row, p0, dr, tol, ranges):
+def _transmitted_row(grid, barrier, t, row, p, ranges, adjoint):
+    """Free spike plus the transmission lag integral for the row at p > 0.
+
+    Forward: out(q) = row(q - 2pt) + int T(r) row(q - 2pt + r) dr.
+    Adjoint: out(q) = row(q + 2pt) + int T(r) row(q + 2pt - r) dr.
+    """
+    shift = 2.0 * p * t
+    # lags beyond the grid's reach only ever sample zeros
+    r_hi = min(ranges[0], (grid.q[-1] - grid.q[0]) + shift + grid.dq)
+    r_vals, w, refine, dr = _lag_lattice(grid, p, 0.0, r_hi)
+    t_dens, _ = _kernel_row(barrier, p, r_vals, which="T")
+    kernel = w * t_dens
+    if adjoint:
+        # q_i + 2pt - r_k = (q_min + 2pt - r_max) + (i*refine + n_r-1-k) dr
+        spike = len(r_vals) - 1
+        start = grid.q[0] + shift - dr * spike
+        kernel = kernel[::-1]
+    else:
+        # q_i - 2pt + r_k = (q_min - 2pt) + (i*refine + k) dr
+        spike = 0
+        start = grid.q[0] - shift
+    fine, smooth = _lag_convolve(grid, row, start, kernel, refine, dr)
+    return fine[spike::refine][:len(grid.q)] + smooth
+
+
+def _reflected_row(grid, barrier, t, src_row, p0, ranges):
+    """Reflection lag integral of the row at +p0, forward and adjoint alike.
+
+    out(q_i) = sum_k w_k R(r_k) src(r_k - 2 p0 t - q_i): one fine lattice
+    from r_lo - 2 p0 t - q_max, reversed in i.
+    """
     shift = 2.0 * p0 * t
     r_hi, r_lo = ranges
     r_hi = min(r_hi, 2.0 * (grid.q[-1] - grid.q[0]) + shift + grid.dq)
-    dr_eff = min(dr, math.pi / (2.0 * p0) / 12.0)
-    refine = max(1, int(round(grid.dq / dr_eff)))
-    dr_eff = grid.dq / refine
-    n_r = int(math.ceil((r_hi - r_lo) / dr_eff)) + 1
-    w, n_r = _simpson_weights(n_r, dr_eff)
-    r_vals = r_lo + dr_eff * np.arange(n_r)
-    r_vals = np.where(np.abs(r_vals) < 1e-12, 1e-12, r_vals)
-    _, r_dens = _kernel_row(barrier, p0, r_vals, tol, "R")
-    # out(q_i) = sum_k w_k R(r_k) rho0(r_k - 2 p0 t - q_i); one fine lattice
-    # starting at r_lo - 2 p0 t - q_max, reversed in i.
-    n_fine = (len(grid.q) - 1) * refine + n_r
-    fine = _fine_lattice_eval(grid, src_row, r_lo - shift - grid.q[-1], n_fine, dr_eff)
-    kernel = w * r_dens
-    vals = fftconvolve(fine, kernel[::-1], mode="valid")[::refine]
-    return vals[:len(grid.q)][::-1]
+    r_vals, w, refine, dr = _lag_lattice(grid, p0, r_lo, r_hi)
+    _, r_dens = _kernel_row(barrier, p0, r_vals, which="R")
+    _, vals = _lag_convolve(grid, src_row, r_lo - shift - grid.q[-1], w * r_dens,
+                            refine, dr)
+    return vals[::-1]
 
 
 def _interference_grid(grid, barrier, t):
@@ -518,7 +538,7 @@ def arrival_time_estimate(init, det, barrier, rel_step=1e-5):
     return (det.Q - init.Q - dphi) / (2.0 * P_plus)
 
 
-def detector_propagate(grid, barrier, t, refine=4, kernel_tol=2e-7):
+def detector_propagate(grid, barrier, t):
     """Heisenberg-picture evolution of an acceptance function.
 
     Defined so that detect(barrier_propagate(rho, t), zeta) equals
@@ -528,61 +548,10 @@ def detector_propagate(grid, barrier, t, refine=4, kernel_tol=2e-7):
     """
     if t < 0:
         raise ValueError("detector propagation requires t >= 0")
-    out = np.zeros_like(grid.values)
-    dq = grid.dq
-    dr = dq / refine
-    n_q = len(grid.q)
-    floor = 1e-10 * float(np.max(np.abs(grid.values)))
-    p_zero = _zero_momentum(grid)
-    ranges = _kernel_ranges(barrier)
-
-    for j, pj in enumerate(grid.p):
-        if pj <= p_zero:
-            continue
-        # transmitted: out(q0) = zeta(q0 + 2 p t) + int T(r) zeta(q0 + 2pt - r) dr
-        row = grid.values[:, j]
-        if np.max(np.abs(row)) > floor:
-            shift = 2.0 * pj * t
-            r_hi, _ = ranges
-            r_hi = min(r_hi, (grid.q[-1] - grid.q[0]) + shift + grid.dq)
-            dr_eff = min(dr, math.pi / (2.0 * pj) / 12.0)
-            refine_j = max(1, int(round(dq / dr_eff)))
-            dr_eff = dq / refine_j
-            n_r = int(math.ceil(r_hi / dr_eff)) + 1
-            w, n_r = _simpson_weights(n_r, dr_eff)
-            r_vals = np.maximum(dr_eff * np.arange(n_r), 1e-12)
-            t_dens, _ = _kernel_row(barrier, pj, r_vals, kernel_tol, "T")
-            n_fine = (n_q - 1) * refine_j + n_r
-            # positions q0_i + 2pt - r_k = (q_min + 2pt - r_max) + (i*refine + (n_r-1-k)) dr
-            fine = _fine_lattice_eval(grid, row,
-                                      grid.q[0] + shift - dr_eff * (n_r - 1),
-                                      n_fine, dr_eff)
-            kernel = (w * t_dens)[::-1]
-            smooth = fftconvolve(fine, kernel[::-1], mode="valid")[::refine_j]
-            free_idx = np.arange(n_q) * refine_j + (n_r - 1)
-            out[:, j] += fine[free_idx] + smooth[:n_q]
-        # reflected: out(q0, p0) += int R(p0, q0 + 2 p0 t + q) zeta(q, -p0) dq
-        src = _row_at_momentum(grid, -pj)
-        if src is not None and np.max(np.abs(src)) > floor:
-            shift = 2.0 * pj * t
-            r_hi, r_lo = ranges
-            r_hi = min(r_hi, 2.0 * (grid.q[-1] - grid.q[0]) + shift + grid.dq)
-            dr_eff = min(dr, math.pi / (2.0 * pj) / 12.0)
-            refine_j = max(1, int(round(dq / dr_eff)))
-            dr_eff = dq / refine_j
-            n_r = int(math.ceil((r_hi - r_lo) / dr_eff)) + 1
-            w, n_r = _simpson_weights(n_r, dr_eff)
-            r_vals = r_lo + dr_eff * np.arange(n_r)
-            r_vals = np.where(np.abs(r_vals) < 1e-12, 1e-12, r_vals)
-            _, r_dens = _kernel_row(barrier, pj, r_vals, kernel_tol, "R")
-            # out(q0_i) = sum_k w_k R(r_k) zeta(r_k - 2 p0 t - q0_i, -p0)
-            n_fine = (n_q - 1) * refine_j + n_r
-            fine = _fine_lattice_eval(grid, src, r_lo - shift - grid.q[-1],
-                                      n_fine, dr_eff)
-            kernel = w * r_dens
-            vals = fftconvolve(fine, kernel[::-1], mode="valid")[::refine_j]
-            out[:, j] += vals[:n_q][::-1]
-    return WignerGrid(grid.q, grid.p, out)
+    if barrier.integral_strength() == 0.0:
+        # vanishing potential: the adjoint of the free shear q -> q + 2pt
+        return WignerGrid(grid.q, grid.p, _resample_rows(grid, -2.0 * t * grid.p))
+    return WignerGrid(grid.q, grid.p, _propagate_rows(grid, barrier, t, adjoint=True))
 
 
 def purity_bound(grid):

@@ -266,7 +266,7 @@ def _pt_f_s(v0, s, nu, om, r):
     return _pt_series(pref, (1j * nu + 2) / s, xi, lam, np.exp(2.0 * r / s), s, r)
 
 
-def pt_kernels(v0, s, p, r, imag_tol=1e-8):
+def pt_kernels(v0, s, p, r, imag_tol=1e-8, which="TR"):
     """Closed-form Poschl-Teller kernel densities via 4F3 sums.
 
     The transmission density sums four hypergeometric pieces over the two
@@ -276,10 +276,13 @@ def pt_kernels(v0, s, p, r, imag_tol=1e-8):
     Only |r| > 0.05 s is accepted (series argument away from the unit
     circle); callers fall back to quadrature inside that band. Imaginary
     parts of the symmetrized sums must cancel below ``imag_tol`` or
-    KernelAccuracyError is raised.
+    KernelAccuracyError is raised. Only the densities named in ``which``
+    ("T", "R" or "TR") are summed; the other comes back as None.
     """
     if v0 <= 0 or s <= 0 or p <= 0:
         raise ValueError("pt_kernels requires v0, s, p > 0")
+    if which not in ("T", "R", "TR"):
+        raise ValueError(f"which must be 'T', 'R' or 'TR', not {which!r}")
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
@@ -290,40 +293,38 @@ def pt_kernels(v0, s, p, r, imag_tol=1e-8):
 
     om = complex(cmath.sqrt(0.25 - (v0 * s) ** 2))
     nu = 2.0 * p * s
-    t_dens = np.zeros_like(r)
-    r_dens = np.zeros_like(r)
+    dens = {name: np.zeros_like(r) for name in which}
     pos = r > 0
     neg = r < 0
 
     if np.any(pos):
         rp = r[pos]
-        t_sum = np.zeros(len(rp), dtype=complex)
-        r_sum = np.zeros(len(rp), dtype=complex)
-        for nu_s in (nu, -nu):
-            for om_s in (om, -om):
-                t_sum += _pt_f_t(v0, s, nu_s, om_s, rp)
-                r_sum += _pt_f_r(v0, s, nu_s, om_s, rp)
-        for name, tot in (("T", t_sum), ("R", r_sum)):
+        terms = {"T": _pt_f_t, "R": _pt_f_r}
+        for name in dens:
+            tot = np.zeros(len(rp), dtype=complex)
+            for nu_s in (nu, -nu):
+                for om_s in (om, -om):
+                    tot += terms[name](v0, s, nu_s, om_s, rp)
             bad = np.max(np.abs(tot.imag) / np.maximum(1.0, np.abs(tot.real)))
             if bad > imag_tol:
                 raise KernelAccuracyError(
                     f"{name} sum imaginary residue {bad:.2e} exceeds {imag_tol}")
-        t_dens[pos] = t_sum.real
-        r_dens[pos] = r_sum.real
+            dens[name][pos] = tot.real
 
-    if np.any(neg):
+    # transmission is strictly causal: zeros of a are all below the axis
+    if "R" in dens and np.any(neg):
         rn = r[neg]
         s_sum = _pt_f_s(v0, s, nu, om, rn) + _pt_f_s(v0, s, -nu, -om, rn)
         bad = np.max(np.abs(s_sum.imag) / np.maximum(1.0, np.abs(s_sum.real)))
         if bad > imag_tol:
             raise KernelAccuracyError(
                 f"early-reflection sum imaginary residue {bad:.2e} exceeds {imag_tol}")
-        r_dens[neg] = s_sum.real
-        # transmission is strictly causal: zeros of a are all below the axis
+        dens["R"][neg] = s_sum.real
 
+    out = tuple(dens.get(name) for name in "TR")
     if scalar:
-        return float(t_dens[0]), float(r_dens[0])
-    return t_dens, r_dens
+        return tuple(None if d is None else float(d[0]) for d in out)
+    return out
 
 
 def total_probabilities(barrier, p, a=None):

@@ -1,20 +1,19 @@
 """Complex special functions used by the closed-form scattering formulas.
 
-The complex Gamma and log-Gamma functions are thin wrappers over
-scipy.special that add the pole and branch contracts the scattering
-formulas rely on. The rest is self-contained double-precision numerics:
-a two-regime Faddeeva function, the Airy function Ai on the real line,
-and a direct summation of the generalized hypergeometric series 4F3.
+The complex Gamma and log-Gamma functions, the Faddeeva function and
+the Airy function Ai are thin wrappers over scipy.special; the Gamma
+wrappers add the pole and branch contracts the scattering formulas rely
+on. scipy has no 4F3, so the generalized hypergeometric series is summed
+here directly.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, loggamma
+from scipy.special import airy, gamma, loggamma, wofz
 
 from .errors import GammaPoleError, SeriesConvergenceError
 
@@ -28,8 +27,6 @@ __all__ = [
     "hyp4f3_coefficients",
     "Hyp4F3Result",
 ]
-
-_ISQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
 def log_gamma_right(z):
@@ -54,109 +51,19 @@ def gamma_cx(z):
     return gamma(z)
 
 
-def _faddeeva_series(z):
-    """Maclaurin evaluation: w(z) = exp(-z^2) + i z * sum (-z^2)^m / Gamma(m+3/2)."""
-    mz2 = -z * z
-    term = 2.0j * z * _ISQRT_PI          # m = 0 term: i z / Gamma(3/2)
-    acc = term
-    for m in range(1, 300):
-        term *= mz2 / (m + 0.5)
-        acc += term
-        if abs(term) <= 1e-17 * abs(acc) + 1e-300:
-            break
-    return cmath.exp(mz2) + acc
-
-
-def _faddeeva_cf(z, depth):
-    """Laplace continued fraction, backward evaluation; Im z >= 0, |z| large."""
-    f = z
-    for k in range(depth, 0, -1):
-        f = z - (0.5 * k) / f
-    return 1j * _ISQRT_PI / f
-
-
 def faddeeva_w(z):
-    """Faddeeva function w(z) = exp(-z^2) erfc(-iz).
-
-    Series for |z| < 4, continued fraction beyond; full accuracy is
-    guaranteed for Im z >= 0 (the lower half-plane uses the reflection
-    w(z) = 2 exp(-z^2) - w(-z), which loses digits for strongly negative
-    Im z as the exponential dominates).
-    """
-    z = complex(z)
-    if z.imag < 0.0:
-        return 2.0 * cmath.exp(-z * z) - faddeeva_w(-z)
-    r = abs(z)
-    if r < 4.0:
-        return _faddeeva_series(z)
-    depth = 60 if r < 8.0 else (32 if r < 16.0 else 20)
-    if z.imag == 0.0:
-        # On the real axis the rational tail cannot represent exp(-x^2);
-        # take the exact real part and the continued-fraction imaginary part.
-        x = z.real
-        return complex(math.exp(-x * x), _faddeeva_cf(z, depth).imag)
-    return _faddeeva_cf(z, depth)
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) of one complex argument."""
+    return complex(wofz(complex(z)))
 
 
 def big_w(z):
     """W(z) = z w(z), the scaled Faddeeva combination used by transients."""
-    z = complex(z)
-    return z * faddeeva_w(z)
-
-
-# Ai(0) = 3^(-2/3)/Gamma(2/3) and -Ai'(0) = 3^(-1/3)/Gamma(1/3).
-_AI0 = 0.3550280538878172
-_AIP0 = 0.2588194037928068
-
-
-def _airy_series(x):
-    f_term = 1.0
-    f_sum = f_term
-    g_term = x
-    g_sum = g_term
-    x3 = x * x * x
-    for k in range(1, 80):
-        f_term *= x3 / ((3.0 * k) * (3.0 * k - 1.0))
-        g_term *= x3 / ((3.0 * k) * (3.0 * k + 1.0))
-        f_sum += f_term
-        g_sum += g_term
-        if abs(f_term) + abs(g_term) < 1e-18 * (abs(f_sum) + abs(g_sum)) + 1e-300:
-            break
-    return _AI0 * f_sum - _AIP0 * g_sum
-
-
-def _airy_u_terms(zeta, nmax=40):
-    """Asymptotic coefficients u_k / zeta^k, truncated before they grow."""
-    terms = [1.0]
-    u = 1.0
-    for k in range(nmax):
-        u *= (3.0 * k + 2.5) * (3.0 * k + 1.5) * (3.0 * k + 0.5) / (
-            54.0 * (k + 1.0) * (k + 0.5))
-        nxt = u / zeta ** (k + 1)
-        if abs(nxt) >= abs(terms[-1]):
-            break
-        terms.append(nxt)
-    return terms
+    return complex(z) * faddeeva_w(z)
 
 
 def airy_ai(x):
-    """Airy function Ai(x) on the real line (absolute accuracy ~1e-12 for |x| <= 20)."""
-    x = float(x)
-    if abs(x) <= 7.5:
-        return _airy_series(x)
-    if x > 0.0:
-        zeta = (2.0 / 3.0) * x ** 1.5
-        terms = _airy_u_terms(zeta)
-        s = sum(t * (-1) ** k for k, t in enumerate(terms))
-        return math.exp(-zeta) * s / (2.0 * math.sqrt(math.pi) * x ** 0.25)
-    ax = -x
-    zeta = (2.0 / 3.0) * ax ** 1.5
-    terms = _airy_u_terms(zeta)
-    even = sum(t * (-1) ** (k // 2) for k, t in enumerate(terms) if k % 2 == 0)
-    odd = sum(t * (-1) ** (k // 2) for k, t in enumerate(terms) if k % 2 == 1)
-    phase = zeta + 0.25 * math.pi
-    return (math.sin(phase) * even - math.cos(phase) * odd) / (
-        math.sqrt(math.pi) * ax ** 0.25)
+    """Airy function Ai(x) on the real line."""
+    return float(airy(float(x))[0])
 
 
 @dataclass(frozen=True)

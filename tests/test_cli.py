@@ -273,6 +273,21 @@ class TestEvolveCommand:
         report = json.loads((tmp_path / "mass_accounting.json").read_text())
         assert report["times"][0]["accounting_error"] < 1e-4
 
+    @pytest.mark.parametrize("n_p", [41, 40])
+    def test_eikonal_barrier_is_incompatible(self, tmp_path, capsys, n_p):
+        # n_p = 41 puts a node at kappa^2 = max V, where the eikonal
+        # amplitude has its branch point
+        cfg = write_cfg(tmp_path, "e.json", {
+            "barrier": {"kind": "eikonal",
+                        "table": [[-2, 0], [-1, 0.5], [0, 1], [1, 0.5], [2, 0]]},
+            "state": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+            "q_axis": {"min": -150.0, "max": 110.0, "n": 200},
+            "p_axis": {"min": 0.2, "max": 1.8, "n": n_p},
+            "times": [25.0]})
+        assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert "evolve" in err and "eikonal" in err
+
 
 class TestProbeCommand:
     def test_sweep_and_arrival(self, tmp_path):

@@ -322,35 +322,41 @@ class TestArrivalTime:
                                   DeltaBarrier(2.0))
 
 
+def _reciprocity(bar, det, q, p, t):
+    """(forward, adjoint) detection of the incident packet by det at t."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g0 = gaussian_to_grid(_incident(), q, p)
+        gd = gaussian_to_grid(det, q, p)
+        w_fwd = detect(barrier_propagate(g0, bar, t), gd)
+        w_bwd = detect(detector_propagate(gd, bar, t), g0)
+    return w_fwd, w_bwd
+
+
 class TestReciprocity:
-    def test_forward_equals_adjoint(self):
-        bar = DeltaBarrier(2.0)
-        init = _incident()
+    @pytest.mark.parametrize("bar, n_q, n_p", [
+        pytest.param(DeltaBarrier(2.0), 1200, 201, id="delta"),
+        pytest.param(PoschlTellerBarrier(1.0, 0.4), 800, 141, id="poschl_teller"),
+        # vanishing potential: both sides reduce to the free shear
+        pytest.param(NumericBarrier(np.linspace(-1.0, 1.0, 11), np.zeros(11)), 1200, 201,
+                     id="flat"),
+    ])
+    def test_forward_equals_adjoint(self, bar, n_q, n_p):
         det = GaussianState(40.0, 1.0, 25.0)
-        q = np.linspace(-160.0, 120.0, 1200)
-        p = np.linspace(-1.9, 1.9, 201)
-        t = 40.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g0 = gaussian_to_grid(init, q, p)
-            gd = gaussian_to_grid(det, q, p)
-            w_fwd = detect(barrier_propagate(g0, bar, t), gd)
-            w_bwd = detect(detector_propagate(gd, bar, t), g0)
+        q = np.linspace(-160.0, 120.0, n_q)
+        p = np.linspace(-1.9, 1.9, n_p)
+        w_fwd, w_bwd = _reciprocity(bar, det, q, p, 40.0)
         assert w_bwd == pytest.approx(w_fwd, rel=1e-4)
 
-    def test_adjoint_covers_reflection(self):
-        bar = DeltaBarrier(2.0)
-        init = _incident()
+    @pytest.mark.parametrize("bar, n_q, n_p", [
+        pytest.param(DeltaBarrier(2.0), 1300, 201, id="delta"),
+        pytest.param(PoschlTellerBarrier(1.0, 0.4), 800, 141, id="poschl_teller"),
+    ])
+    def test_adjoint_covers_reflection(self, bar, n_q, n_p):
         det = GaussianState(-90.0, -1.0, 25.0)   # reflected-side detector
-        q = np.linspace(-170.0, 120.0, 1300)
-        p = np.linspace(-1.9, 1.9, 201)
-        t = 65.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g0 = gaussian_to_grid(init, q, p)
-            gd = gaussian_to_grid(det, q, p)
-            w_fwd = detect(barrier_propagate(g0, bar, t), gd)
-            w_bwd = detect(detector_propagate(gd, bar, t), g0)
+        q = np.linspace(-170.0, 120.0, n_q)
+        p = np.linspace(-1.9, 1.9, n_p)
+        w_fwd, w_bwd = _reciprocity(bar, det, q, p, 65.0)
         assert w_fwd > 0.01
         assert w_bwd == pytest.approx(w_fwd, rel=1e-4)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wigner_tunnel.barriers import PoschlTellerBarrier
-from wigner_tunnel.kernels import kernel_by_quadrature
+from wigner_tunnel.kernels import kernel_by_quadrature, pt_kernels
 from wigner_tunnel.specfun import log_gamma_right
 
 # derandomized, so a CI failure reproduces locally
@@ -60,3 +60,10 @@ def test_one_kernel_quadrature_equals_two_kernel_call(vs, s, p):
         assert np.array_equal(one.density, both.density)
         assert one.error_estimate == both.error_estimate
         assert one.singular_weight == both.singular_weight
+    # the closed-form 4F3 sums outside the band, on both signs of the lag
+    r = np.array([-2.0, -0.3, 0.3, 2.0, 6.0]) * s
+    both_t, both_r = pt_kernels(vs / s, s, p, r)
+    only_t, none_r = pt_kernels(vs / s, s, p, r, which="T")
+    none_t, only_r = pt_kernels(vs / s, s, p, r, which="R")
+    assert none_r is None and none_t is None
+    assert np.array_equal(only_t, both_t) and np.array_equal(only_r, both_r)
