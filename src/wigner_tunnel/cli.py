@@ -7,8 +7,7 @@ Exit codes: 0 success, 2 config error, 3 method/barrier incompatibility,
 timestamps, no seeded randomness, deterministic quadrature orders. Every
 number in a CSV file is printed with ``%.17g``, so it reads back to the
 same float; ``evolve`` writes its rows in q-major order, p varying
-fastest. The environment variable WIGNER_TUNNEL_THREADS caps worker
-threads for the embarrassingly parallel per-point loops.
+fastest.
 """
 
 from __future__ import annotations
@@ -19,14 +18,13 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import barriers as _b
 from . import evolution as ev
 from . import kernels as _k
-from . import validate as _v  # noqa: F401  (imported for the validate command)
+from . import validate as _v
 from .errors import (
     ConfigError,
     MethodCompatibilityError,
@@ -40,22 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_VALIDATION = 4
-
-
-def _n_workers():
-    raw = os.environ.get("WIGNER_TUNNEL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = _n_workers()
-    if workers == 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _atomic_write(path, text):
@@ -145,6 +127,15 @@ def _grid_from_config(cfg, path, n_min=2):
     return arr
 
 
+def _times_from_config(raw, path):
+    """A list of finite numbers >= 0 -> list of float."""
+    if not isinstance(raw, list) or not all(
+            isinstance(t, (int, float)) and not isinstance(t, bool)
+            and 0.0 <= t < math.inf for t in raw):
+        raise ConfigError(f"{path}: expected a list of finite numbers >= 0")
+    return [float(t) for t in raw]
+
+
 def _state_from_config(cfg, path):
     _check_keys(cfg, ["Q", "P", "lambda"], [], path)
     try:
@@ -174,7 +165,7 @@ def cmd_amplitudes(cfg, out_dir, args):
             raise ConfigError(f"kappa_grid: |a|^2 overflows at kappa = {float(k)!r}; "
                               "kappa is too close to 0") from exc
 
-    rows = _parallel_map(one, list(ks))
+    rows = [one(k) for k in ks]
     _write_csv(os.path.join(out_dir, "amplitudes.csv"),
                [UNITS_NOTE, f"# barrier: {json.dumps(barrier.descriptor())[:160]}"],
                ["kappa", "re_a", "im_a", "re_b", "im_b",
@@ -200,8 +191,8 @@ def _kernel_one_method(barrier, method, p, r_grid, n_poles, tol):
             t_d, r_d = _k.delta_kernels(barrier.v0, p, r_grid)
         elif isinstance(barrier, _b.PoschlTellerBarrier):
             # closed 4F3 series away from r = 0, quadrature across the band
-            t_d, r_d = ev._kernel_row(barrier, p, np.where(r_grid == 0.0, 1e-12,
-                                                           r_grid), tol)
+            t_d, r_d = _k.kernel_row(barrier, p, np.where(r_grid == 0.0, 1e-12,
+                                                          r_grid), tol)
         else:
             raise MethodCompatibilityError(
                 "closed-form kernels exist for delta and poschl_teller only")
@@ -274,7 +265,7 @@ def cmd_evolve(cfg, out_dir, args):
     state = _state_from_config(cfg["state"], "state")
     q_axis = _grid_from_config(cfg["q_axis"], "q_axis", n_min=8)
     p_axis = _grid_from_config(cfg["p_axis"], "p_axis", n_min=8)
-    times = [float(t) for t in cfg["times"]]
+    times = _times_from_config(cfg["times"], "times")
     interference = bool(cfg.get("include_interference", False))
     if not barrier.is_meromorphic:
         raise MethodCompatibilityError(
@@ -328,7 +319,7 @@ def cmd_probe(cfg, out_dir, args):
             res = ev.gaussian_detection(init, det, barrier, float(t))
         return (t, res.w_total, res.w_t, res.w_r, res.w_s)
 
-    rows = _parallel_map(one, list(times))
+    rows = [one(t) for t in times]
     _write_csv(os.path.join(out_dir, "probe.csv"),
                [UNITS_NOTE], ["t", "w_total", "w_t", "w_r", "w_s"], *zip(*rows))
     try:
@@ -344,7 +335,12 @@ def cmd_validate(cfg, out_dir, args):
     cfg = cfg or {}
     _check_keys(cfg, [], ["suites", "fast"], "config")
     names = cfg.get("suites")
-    fast = bool(cfg.get("fast", True))
+    if names is not None and not (isinstance(names, list) and all(
+            isinstance(n, str) and n in _v.SUITES for n in names)):
+        raise ConfigError(f"suites: expected a list of names from {sorted(_v.SUITES)}")
+    fast = cfg.get("fast", True)
+    if not isinstance(fast, bool):
+        raise ConfigError("fast: expected true or false")
     report = _v.run_suites(names, fast=fast, tolerance_override=args.tol)
     _write_json(os.path.join(out_dir, "validate_report.json"), report)
     for rec in report["checks"]:

@@ -167,37 +167,8 @@ def free_propagate(grid, t, mass_tol=1e-8):
     return WignerGrid(grid.q, grid.p, out)
 
 
-# lag step dq / _REFINE (or finer at high p); band-quadrature tolerance
+# lag step dq / _REFINE (or finer at high p)
 _REFINE = 4
-_KERNEL_TOL = 2e-7
-
-
-def _kernel_row(barrier, p0, r_vals, tol=_KERNEL_TOL, which="TR"):
-    """(T density, R density) for one momentum on an arbitrary lag grid.
-
-    Only the kernels named in ``which`` ("T", "R" or "TR") are returned;
-    the other comes back as None and is not computed.
-    """
-    if isinstance(barrier, _b.DeltaBarrier):
-        dens = _k.delta_kernels(barrier.v0, p0, r_vals)
-    elif isinstance(barrier, _b.PoschlTellerBarrier):
-        # 4F3 series away from r = 0, quadrature inside the band
-        band = np.abs(r_vals) <= _k.PT_SERIES_RMIN_FACTOR * barrier.s * 1.0000001
-        dens = (np.zeros_like(r_vals), np.zeros_like(r_vals))
-        if np.any(~band):
-            series = _k.pt_kernels(barrier.v0, barrier.s, p0, r_vals[~band], which=which)
-            for out, d in zip(dens, series):
-                if d is not None:
-                    out[~band] = d
-        if np.any(band):
-            quad = _k.kernel_by_quadrature(barrier, p0, r_vals[band], tol=tol, which=which)
-            for out, k in zip(dens, quad):
-                if k is not None:
-                    out[band] = k.density
-    else:
-        quad = _k.kernel_by_quadrature(barrier, p0, r_vals, tol=tol, which=which)
-        dens = [None if k is None else k.density for k in quad]
-    return tuple(d if name in which else None for name, d in zip("TR", dens))
 
 
 def _kernel_ranges(barrier):
@@ -360,7 +331,7 @@ def _transmitted_row(grid, barrier, t, row, p, ranges, adjoint):
     # lags beyond the grid's reach only ever sample zeros
     r_hi = min(ranges[0], (grid.q[-1] - grid.q[0]) + shift + grid.dq)
     r_vals, w, refine, dr = _lag_lattice(grid, p, 0.0, r_hi)
-    t_dens, _ = _kernel_row(barrier, p, r_vals, which="T")
+    t_dens, _ = _k.kernel_row(barrier, p, r_vals, which="T")
     kernel = w * t_dens
     if adjoint:
         # q_i + 2pt - r_k = (q_min + 2pt - r_max) + (i*refine + n_r-1-k) dr
@@ -385,7 +356,7 @@ def _reflected_row(grid, barrier, t, src_row, p0, ranges):
     r_hi, r_lo = ranges
     r_hi = min(r_hi, 2.0 * (grid.q[-1] - grid.q[0]) + shift + grid.dq)
     r_vals, w, refine, dr = _lag_lattice(grid, p0, r_lo, r_hi)
-    _, r_dens = _kernel_row(barrier, p0, r_vals, which="R")
+    _, r_dens = _k.kernel_row(barrier, p0, r_vals, which="R")
     _, vals = _lag_convolve(grid, src_row, r_lo - shift - grid.q[-1], w * r_dens,
                             refine, dr)
     return vals[::-1]

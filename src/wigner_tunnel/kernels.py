@@ -41,6 +41,7 @@ __all__ = [
     "kernel_by_residues",
     "delta_kernels",
     "pt_kernels",
+    "kernel_row",
     "total_probabilities",
     "interference_eval",
     "semiclassical_kernel",
@@ -338,6 +339,38 @@ def total_probabilities(barrier, p, a=None):
         a = barrier.amplitude_a(p)
     ratio = barrier.ba_ratio(p)
     return 1.0 / abs(a) ** 2, abs(ratio) ** 2
+
+
+def kernel_row(barrier, p0, r_vals, tol=2e-7, which="TR"):
+    """(T density, R density) for one momentum on an arbitrary lag grid.
+
+    Each barrier gets its fastest exact route: the delta closed form; for
+    Poschl-Teller the 4F3 series, with Fourier quadrature inside the band
+    |r| <= PT_SERIES_RMIN_FACTOR * s; Fourier quadrature for every other
+    barrier. ``tol`` is the quadrature tolerance. Only the kernels named
+    in ``which`` ("T", "R" or "TR") are returned; the other comes back as
+    None and is not computed.
+    """
+    if isinstance(barrier, _b.DeltaBarrier):
+        dens = delta_kernels(barrier.v0, p0, r_vals)
+    elif isinstance(barrier, _b.PoschlTellerBarrier):
+        # 4F3 series away from r = 0, quadrature inside the band
+        band = np.abs(r_vals) <= PT_SERIES_RMIN_FACTOR * barrier.s * 1.0000001
+        dens = (np.zeros_like(r_vals), np.zeros_like(r_vals))
+        if np.any(~band):
+            series = pt_kernels(barrier.v0, barrier.s, p0, r_vals[~band], which=which)
+            for out, d in zip(dens, series):
+                if d is not None:
+                    out[~band] = d
+        if np.any(band):
+            quad = kernel_by_quadrature(barrier, p0, r_vals[band], tol=tol, which=which)
+            for out, k in zip(dens, quad):
+                if k is not None:
+                    out[band] = k.density
+    else:
+        quad = kernel_by_quadrature(barrier, p0, r_vals, tol=tol, which=which)
+        dens = [None if k is None else k.density for k in quad]
+    return tuple(d if name in which else None for name, d in zip("TR", dens))
 
 
 def interference_eval(barrier, q, p, q0, p0, t):

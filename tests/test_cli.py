@@ -288,6 +288,17 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert "evolve" in err and "eikonal" in err
 
+    @pytest.mark.parametrize("times", [40, "40", [-5.0], [None]],
+                             ids=["number", "string", "negative", "null"])
+    def test_bad_times_is_config_error(self, tmp_path, capsys, times):
+        cfg = write_cfg(tmp_path, "e.json", delta_cfg({
+            "state": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+            "q_axis": {"min": -150.0, "max": 110.0, "n": 200},
+            "p_axis": {"min": -1.9, "max": 1.9, "n": 41},
+            "times": times}))
+        assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 2
+        assert "config error: times" in capsys.readouterr().err
+
 
 class TestProbeCommand:
     def test_sweep_and_arrival(self, tmp_path):
@@ -318,6 +329,14 @@ class TestValidateCommand:
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert report["passed"]
         assert report["n_failed"] == 0
+
+    @pytest.mark.parametrize("payload", [
+        {"suites": ["unitarty"]}, {"suites": "unitarity"}, {"suites": [1]},
+        {"fast": "no"}], ids=["misspelt", "string", "number", "fast_string"])
+    def test_bad_config_is_config_error(self, tmp_path, capsys, payload):
+        cfg = write_cfg(tmp_path, "v.json", payload)
+        assert run(["validate", "--config", cfg, "--out", tmp_path]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_zero_tolerance_fails_everything(self, tmp_path):
         cfg = write_cfg(tmp_path, "v.json", {
