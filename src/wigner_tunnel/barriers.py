@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, solve_ivp
+from scipy.integrate import DOP853, IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -341,6 +341,9 @@ class _TabulatedPotential:
         if self.q_min > q[0] or self.q_max < q[-1]:
             raise SupportError("table extends outside the stated support")
         self._spline = CubicSpline(q, np.clip(v, 0.0, None), bc_type="natural")
+        # where the spline crosses 0, the clip below leaves a kink in V
+        roots = self._spline.roots()
+        self.kinks = np.unique(roots[(roots > self.q_min) & (roots < self.q_max)])
         dense = self(np.linspace(self.q_min, self.q_max, 4001))
         self.v_max = float(np.max(dense))
         self.strength = float(np.trapezoid(dense,
@@ -355,68 +358,16 @@ class _TabulatedPotential:
         return out if out.ndim else float(out)
 
 
-class NumericBarrier(Barrier):
-    """Arbitrary tabulated barrier; amplitudes from direct ODE integration.
+class _TabulatedBarrier(Barrier):
+    """A barrier given by a tabulated potential; ``kind`` names the model."""
 
-    The stationary equation is integrated from q_min (initialized on the
-    pure exp(-i kappa q) branch) to q_max with an adaptive high-order
-    explicit stepper; (a, b) are extracted from y and y' simultaneously,
-    so no differencing noise enters the matching.
-    """
-
-    kind = "numeric"
-    symmetric = False   # unknown in general; detected from the table
-
-    def __init__(self, q, v, q_min=None, q_max=None, rtol=1e-11, atol=1e-13):
+    def __init__(self, q, v, q_min=None, q_max=None):
         self.table = _TabulatedPotential(q, v, q_min, q_max)
-        self.rtol = rtol
-        self.atol = atol
-        self._cache = {}
-        qs = np.linspace(self.table.q_min, self.table.q_max, 801)
-        self.symmetric = bool(np.max(np.abs(self.table(qs) - self.table(-qs)))
-                              <= 1e-9 * max(self.table.v_max, 1e-300))
 
     @classmethod
-    def from_callable(cls, fn, q_min, q_max, n=1201, **kw):
+    def from_callable(cls, fn, q_min, q_max, n=1201):
         q = np.linspace(q_min, q_max, n)
-        return cls(q, np.asarray(fn(q), dtype=float), q_min, q_max, **kw)
-
-    def _solve(self, kappa):
-        kappa = complex(kappa)
-        if kappa == 0:
-            raise ZeroDivisionError("amplitudes undefined at kappa = 0")
-        key = kappa
-        if key in self._cache:
-            return self._cache[key]
-        qa, qb = self.table.q_min, self.table.q_max
-        k2 = kappa * kappa
-
-        def rhs(q, y):
-            return [y[1], (self.table(q) - k2) * y[0]]
-
-        y0 = [cmath.exp(-1j * kappa * qa), -1j * kappa * cmath.exp(-1j * kappa * qa)]
-        sol = solve_ivp(rhs, (qa, qb), y0, method="DOP853",
-                        rtol=self.rtol, atol=self.atol, dense_output=False)
-        if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-            raise ArithmeticError(f"ODE integration failed at kappa={kappa}: {sol.message}")
-        y, yp = sol.y[0, -1], sol.y[1, -1]
-        # y = a e^{-ik q} + b e^{ik q}; solve the 2x2 system with y and y'.
-        a = (1j * kappa * y - yp) * cmath.exp(1j * kappa * qb) / (2j * kappa)
-        b = (1j * kappa * y + yp) * cmath.exp(-1j * kappa * qb) / (2j * kappa)
-        self._cache[key] = (a, b)
-        return a, b
-
-    def amplitude_a(self, kappa):
-        if np.ndim(kappa) == 0:
-            return self._solve(kappa)[0]
-        return np.array([self._solve(k)[0] for k in np.asarray(kappa).ravel()]
-                        ).reshape(np.shape(kappa))
-
-    def amplitude_b(self, kappa):
-        if np.ndim(kappa) == 0:
-            return self._solve(kappa)[1]
-        return np.array([self._solve(k)[1] for k in np.asarray(kappa).ravel()]
-                        ).reshape(np.shape(kappa))
+        return cls(q, np.asarray(fn(q), dtype=float), q_min, q_max)
 
     def kappa_scale(self):
         return max(math.sqrt(self.table.v_max), 1.0 / (self.table.q_max - self.table.q_min))
@@ -433,16 +384,91 @@ class NumericBarrier(Barrier):
     def support(self):
         return self.table.q_min, self.table.q_max
 
-    def poles(self, count):
-        return _newton_pole_search(self, count)
-
     def descriptor(self):
         qs = np.linspace(self.table.q_min, self.table.q_max, 257)
-        return {"kind": "numeric", "table": [[float(q), float(v)]
+        return {"kind": self.kind, "table": [[float(q), float(v)]
                                              for q, v in zip(qs, self.table(qs))]}
 
 
-class EikonalBarrier(Barrier):
+# DOP853 tolerances of the tabulated-barrier ODE system
+ODE_RTOL = 1e-11
+ODE_ATOL = 1e-13
+
+
+class NumericBarrier(_TabulatedBarrier):
+    """Arbitrary tabulated barrier; amplitudes from direct ODE integration.
+
+    The stationary equation is integrated from q_min (initialized on the
+    pure exp(-i kappa q) branch) to q_max with an adaptive high-order
+    explicit stepper; (a, b) are extracted from y and y' simultaneously,
+    so no differencing noise enters the matching. Every kappa of one call
+    is integrated as one system of 2N complex components (y for each
+    kappa, then y' for each), so a call costs one solve whatever N is;
+    the shared step size follows the fastest-oscillating kappa.
+    """
+
+    kind = "numeric"
+    symmetric = False   # unknown in general; detected from the table
+
+    def __init__(self, q, v, q_min=None, q_max=None):
+        super().__init__(q, v, q_min, q_max)
+        qs = np.linspace(self.table.q_min, self.table.q_max, 801)
+        self.symmetric = bool(np.max(np.abs(self.table(qs) - self.table(-qs)))
+                              <= 1e-9 * max(self.table.v_max, 1e-300))
+
+    def _solve(self, kappa):
+        """(a, b) for a scalar kappa, or two arrays of kappa's shape."""
+        shape = np.shape(kappa)
+        k = np.asarray(kappa, dtype=complex).ravel()
+        if np.any(k == 0):
+            raise ZeroDivisionError("amplitudes undefined at kappa = 0")
+        qa, qb = self.table.q_min, self.table.q_max
+        n, k2 = k.size, k * k
+
+        def rhs(q, y):
+            return np.concatenate([y[n:], (self.table(q) - k2) * y[:n]])
+
+        y0 = np.exp(-1j * k * qa)
+        state = np.concatenate([y0, -1j * k * y0])
+        # DOP853's error estimate misses a kink inside a step (errors of 3e-5
+        # at rtol 1e-11), so the solve restarts at each one
+        edges = [qa, *self.table.kinks, qb]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            # stepped by hand: solve_ivp keeps every step's state, hundreds of
+            # MB for the thousands of kappa of one kernel quadrature call
+            stepper = DOP853(rhs, lo, state, hi, rtol=ODE_RTOL, atol=ODE_ATOL)
+            message = None
+            while stepper.status == "running":
+                message = stepper.step()
+            state = stepper.y
+            if stepper.status == "failed" or not np.all(np.isfinite(state)):
+                raise ArithmeticError(f"ODE integration failed at kappa={kappa}: {message}")
+        y, yp = state[:n], state[n:]
+        # y = a e^{-ik q} + b e^{ik q}; solve the 2x2 system with y and y'.
+        a = (1j * k * y - yp) * np.exp(1j * k * qb) / (2j * k)
+        b = (1j * k * y + yp) * np.exp(-1j * k * qb) / (2j * k)
+        if not shape:
+            return complex(a[0]), complex(b[0])
+        return a.reshape(shape), b.reshape(shape)
+
+    def amplitude_a(self, kappa):
+        return self._solve(kappa)[0]
+
+    def amplitude_b(self, kappa):
+        return self._solve(kappa)[1]
+
+    def amplitudes(self, kappa):
+        return self._solve(kappa)
+
+    def ba_ratio(self, kappa):
+        a, b = self._solve(kappa)
+        return b / a
+
+    def poles(self, count):
+        return _newton_pole_search(self, count)
+
+
+class EikonalBarrier(_TabulatedBarrier):
     """Semiclassical amplitude a = exp(i S(kappa)) of a numeric potential.
 
     The approximate a(kappa) has a branch point at kappa^2 = max V and is
@@ -452,14 +478,6 @@ class EikonalBarrier(Barrier):
 
     kind = "eikonal"
     is_meromorphic = False
-
-    def __init__(self, q, v, q_min=None, q_max=None):
-        self.table = _TabulatedPotential(q, v, q_min, q_max)
-
-    @classmethod
-    def from_callable(cls, fn, q_min, q_max, n=1201):
-        q = np.linspace(q_min, q_max, n)
-        return cls(q, np.asarray(fn(q), dtype=float), q_min, q_max)
 
     def action(self, kappa):
         return eikonal_action(self, kappa)
@@ -478,28 +496,8 @@ class EikonalBarrier(Barrier):
     # b is identically 0, so b/a needs no action integral
     ba_ratio = amplitude_b
 
-    def kappa_scale(self):
-        return max(math.sqrt(self.table.v_max), 1.0 / (self.table.q_max - self.table.q_min))
-
-    def integral_strength(self):
-        return self.table.strength
-
-    def potential(self, q):
-        return self.table(q)
-
-    def max_potential(self):
-        return self.table.v_max
-
-    def support(self):
-        return self.table.q_min, self.table.q_max
-
     def poles(self, count):
         raise NonMeromorphicError("eikonal amplitude has a branch point; no pole expansion")
-
-    def descriptor(self):
-        qs = np.linspace(self.table.q_min, self.table.q_max, 257)
-        return {"kind": "eikonal", "table": [[float(q), float(v)]
-                                             for q, v in zip(qs, self.table(qs))]}
 
 
 # ---------------------------------------------------------------------------
@@ -518,25 +516,24 @@ def pt_amplitudes(v0, s, kappa):
     return bar.amplitude_a(kappa), bar.amplitude_b(kappa)
 
 
-def numeric_amplitudes(potential, kappa, q_min=None, q_max=None, **kw):
+def numeric_amplitudes(potential, kappa, q_min=None, q_max=None):
     """(a, b) for a tabulated potential by ODE integration.
 
     ``potential`` is a NumericBarrier, an (q, V) pair of arrays, or a
     list of [q, V] rows.
     """
-    bar = _as_numeric_barrier(potential, q_min, q_max, **kw)
-    return bar.amplitude_a(kappa), bar.amplitude_b(kappa)
+    return _as_numeric_barrier(potential, q_min, q_max).amplitudes(kappa)
 
 
-def _as_numeric_barrier(potential, q_min=None, q_max=None, **kw):
+def _as_numeric_barrier(potential, q_min=None, q_max=None):
     if isinstance(potential, NumericBarrier):
         return potential
     if isinstance(potential, (tuple, list)) and len(potential) == 2 \
             and np.ndim(potential[0]) == 1:
-        return NumericBarrier(potential[0], potential[1], q_min, q_max, **kw)
+        return NumericBarrier(potential[0], potential[1], q_min, q_max)
     rows = np.asarray(potential, dtype=float)
     if rows.ndim == 2 and rows.shape[1] == 2:
-        return NumericBarrier(rows[:, 0], rows[:, 1], q_min, q_max, **kw)
+        return NumericBarrier(rows[:, 0], rows[:, 1], q_min, q_max)
     raise ValueError("cannot interpret potential table")
 
 
@@ -546,12 +543,10 @@ def _potential_info(potential):
         # effective support: tails below 1e-14 of the peak
         half = potential.s * 17.0
         return potential.potential, -half, half, potential.max_potential()
-    if isinstance(potential, (NumericBarrier, EikonalBarrier)):
-        lo, hi = potential.support()
-        return potential.potential, lo, hi, potential.max_potential()
     if isinstance(potential, _TabulatedPotential):
         return potential, potential.q_min, potential.q_max, potential.v_max
-    bar = _as_numeric_barrier(potential)
+    bar = potential if isinstance(potential, _TabulatedBarrier) \
+        else _as_numeric_barrier(potential)
     lo, hi = bar.support()
     return bar.potential, lo, hi, bar.max_potential()
 
@@ -657,7 +652,9 @@ def _newton_pole_search(barrier, count):
             z = z - step
             if z.imag > -1e-9 or abs(z.real) > 2.5 * K or abs(z.imag) > 2.0 * depth:
                 break
-            if abs(step) < 1e-11 * max(1.0, abs(z)):
+            # ODE noise keeps steps near a zero at 1e-10..1e-8; the test stays
+            # inside the de-duplication radius and the |a| < 1e-7 acceptance
+            if abs(step) < 1e-7 * max(1.0, abs(z)):
                 ok = True
                 break
         if not ok:

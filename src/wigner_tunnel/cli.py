@@ -155,17 +155,19 @@ def cmd_amplitudes(cfg, out_dir, args):
     if np.any(ks == 0):
         raise ConfigError("kappa_grid: kappa = 0 is not evaluable")
 
-    def one(k):
-        a, b = barrier.amplitude_a(complex(k)), barrier.amplitude_b(complex(k))
+    # Python complex, not numpy: |a|^2 must raise OverflowError, not give inf
+    def one(k, a, b, ratio):
+        a, b = complex(a), complex(b)
         try:
-            t_tot, r_tot = _k.total_probabilities(barrier, float(k), a)
+            t_tot, r_tot = _k.total_probabilities(barrier, float(k), a, complex(ratio))
             return (k, a.real, a.imag, b.real, b.imag,
                     abs(a) ** 2 - abs(b) ** 2, t_tot, r_tot)
         except OverflowError as exc:
             raise ConfigError(f"kappa_grid: |a|^2 overflows at kappa = {float(k)!r}; "
                               "kappa is too close to 0") from exc
 
-    rows = [one(k) for k in ks]
+    rows = [one(*row) for row in zip(ks, barrier.amplitude_a(ks), barrier.amplitude_b(ks),
+                                     barrier.ba_ratio(ks))]
     _write_csv(os.path.join(out_dir, "amplitudes.csv"),
                [UNITS_NOTE, f"# barrier: {json.dumps(barrier.descriptor())[:160]}"],
                ["kappa", "re_a", "im_a", "re_b", "im_b",
@@ -367,10 +369,10 @@ def build_parser():
         p.add_argument("--config", required=needs_cfg,
                        help="JSON configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--method", default=None,
-                       help="kernel method override (kernel command)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override")
+        if name == "kernel":
+            p.add_argument("--method", default=None, help="kernel method override")
+        if name in ("kernel", "validate"):
+            p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.set_defaults(fn=fn)
     return ap
 

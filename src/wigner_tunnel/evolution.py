@@ -31,7 +31,7 @@ from scipy.special import erf
 from . import barriers as _b
 from . import kernels as _k
 from .errors import AxisMismatchError, GridCoverageError, QuadratureError
-from .quadrature import _gl
+from .quadrature import _panel_nodes
 
 __all__ = [
     "WignerGrid",
@@ -423,12 +423,8 @@ def _oscillatory_gauss_quad(fun, center, sig, t, q_shift, tol=1e-10):
     n_panels = max(8, int(math.ceil((hi - lo) / panel)))
     prev = None
     for order in (12, 24):
-        x, w = _gl(order)
-        edges = np.linspace(lo, hi, n_panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        nodes = (mids[:, None] + half * x[None, :]).ravel()
-        val = complex(np.sum(half * np.tile(w, n_panels) * fun(nodes)))
+        nodes, weights = _panel_nodes(lo, hi, n_panels, order)
+        val = complex(np.sum(weights * fun(nodes)))
         if prev is not None and abs(val - prev) < tol * max(1.0, abs(val)):
             return val
         prev = val

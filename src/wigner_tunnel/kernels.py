@@ -147,10 +147,8 @@ def _reflection_correction(barrier, p, r_grid, tol):
     for i, r in enumerate(r_grid):
         def f(s_arr):
             s_arr = np.asarray(s_arr)
-            bp = np.asarray([barrier.amplitude_b(0.5 * s + p) for s in s_arr])
-            bm = np.asarray([barrier.amplitude_b(0.5 * s - p) for s in s_arr])
-            ap = np.asarray([barrier.amplitude_a(0.5 * s + p) for s in s_arr])
-            am = np.asarray([barrier.amplitude_a(0.5 * s - p) for s in s_arr])
+            ap, bp = barrier.amplitudes(0.5 * s_arr + p)
+            am, bm = barrier.amplitudes(0.5 * s_arr - p)
             ph = np.exp(-1j * s_arr * r)
             return (2.0 * bp.real) * 2.0 * (bm * ph).real / (ap * am)
         val = adaptive_complex_quad(f, 2.0 * p + 1e-9, sig, tol=tol)
@@ -328,16 +326,18 @@ def pt_kernels(v0, s, p, r, imag_tol=1e-8, which="TR"):
     return out
 
 
-def total_probabilities(barrier, p, a=None):
+def total_probabilities(barrier, p, a=None, ratio=None):
     """(T, R) at momentum p, directly from the amplitudes: T = |a|^-2, R = |b/a|^2.
 
-    A caller that already holds a(p) passes it as ``a``.
+    A caller that already holds a(p) or b(p)/a(p) passes it as ``a`` or
+    ``ratio``.
     """
     if p == 0:
         raise ZeroDivisionError("total probabilities undefined at p = 0")
     if a is None:
         a = barrier.amplitude_a(p)
-    ratio = barrier.ba_ratio(p)
+    if ratio is None:
+        ratio = barrier.ba_ratio(p)
     return 1.0 / abs(a) ** 2, abs(ratio) ** 2
 
 

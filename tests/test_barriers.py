@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from wigner_tunnel.barriers import (
+    Barrier,
     DeltaBarrier,
     EikonalBarrier,
     NumericBarrier,
@@ -16,6 +17,7 @@ from wigner_tunnel.barriers import (
     numeric_amplitudes,
     pt_amplitudes,
     tunneling_integral,
+    _newton_pole_search,
 )
 from wigner_tunnel.errors import (
     BranchAmbiguityError,
@@ -275,6 +277,32 @@ class TestPoles:
         poles = find_poles(bar, 1)
         assert poles[0].kappa == pytest.approx(-0.5j, abs=1e-6)
         assert poles[0].kappa.imag < 0
+
+    def test_newton_search_settles_on_a_noise_floor(self):
+        # a(kappa) = kappa - kappa0 plus a 1e-9 error whose sign follows the
+        # side of the zero, as ODE noise does near a zero of a numeric barrier:
+        # Newton then steps by ~2e-9 for ever and must still accept the zero
+        class NoisyZero(Barrier):
+            kappa0 = -0.5j
+
+            def amplitude_a(self, kappa):
+                d = complex(kappa) - self.kappa0
+                return d + (1e-9 if d.real >= 0.0 else -1e-9)
+
+            def kappa_scale(self):
+                return 1.0
+
+            def max_potential(self):
+                return 1.0
+
+            def support(self):
+                return -2.0, 2.0
+
+            def poles(self, count):
+                return _newton_pole_search(self, count)
+
+        poles = find_poles(NoisyZero(), 1)
+        assert poles[0].kappa == pytest.approx(-0.5j, abs=1e-8)
 
 
 class TestDescriptors:

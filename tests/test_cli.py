@@ -81,6 +81,35 @@ class TestCsvWriter:
             cli._write_csv(str(path), [], ["a", "b"], [1.0], [1.0, 2.0])
 
 
+# a small valid config per command, so that only the flag can fail the call
+FLAG_CONFIGS = {
+    "amplitudes": delta_cfg({"kappa_grid": {"min": 0.5, "max": 1.0, "n": 3}}),
+    "evolve": delta_cfg({
+        "state": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+        "q_axis": {"min": -150.0, "max": 110.0, "n": 200},
+        "p_axis": {"min": -1.9, "max": 1.9, "n": 41}, "times": [25.0]}),
+    "probe": delta_cfg({
+        "init": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+        "detector": {"Q": 40.0, "P": 1.0, "lambda": 25.0},
+        "times": {"min": 38.0, "max": 42.0, "n": 3}}),
+    "validate": {"suites": ["probability"], "fast": True},
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("amplitudes", "--method", "all"), ("amplitudes", "--tol", 1e-3),
+    ("evolve", "--method", "all"), ("evolve", "--tol", 1e-3),
+    ("probe", "--method", "all"), ("probe", "--tol", 1e-3),
+    ("validate", "--method", "all")])
+def test_flag_a_command_does_not_read_is_rejected(tmp_path, capsys, command, flag, value):
+    cfg = write_cfg(tmp_path, "c.json", FLAG_CONFIGS[command])
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", cfg, "--out", tmp_path / "out", flag, value])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestAmplitudesCommand:
     def test_unitarity_column(self, tmp_path):
         cfg = write_cfg(tmp_path, "a.json", delta_cfg(
@@ -134,6 +163,24 @@ class TestAmplitudesCommand:
         assert run(["amplitudes", "--config", cfg, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "1e-160" in err
+
+    def test_numeric_runs_one_ode_system_per_amplitude_call(self, tmp_path, monkeypatch):
+        from wigner_tunnel import barriers
+        sizes = []
+        solve = barriers.NumericBarrier._solve
+
+        def counted(self, kappa):
+            sizes.append(np.size(kappa))
+            return solve(self, kappa)
+
+        monkeypatch.setattr(barriers.NumericBarrier, "_solve", counted)
+        q = np.linspace(-4.8, 4.8, 241)
+        table = [[float(x), float(1.0 / np.cosh(x / 0.4) ** 2)] for x in q]
+        cfg = write_cfg(tmp_path, "a.json", {
+            "barrier": {"kind": "numeric", "table": table},
+            "kappa_grid": {"min": 0.2, "max": 3.0, "n": 10}})
+        assert run(["amplitudes", "--config", cfg, "--out", tmp_path]) == 0
+        assert sizes == [10, 10, 10]   # a, b and b/a
 
     def test_one_eikonal_action_per_kappa(self, tmp_path, monkeypatch):
         from wigner_tunnel import barriers

@@ -1,13 +1,14 @@
 """Property tests: invariants over randomly drawn barriers and arguments."""
 
 import math
+import pickle
 
 import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigner_tunnel.barriers import PoschlTellerBarrier
+from wigner_tunnel.barriers import NumericBarrier, PoschlTellerBarrier
 from wigner_tunnel.kernels import kernel_by_quadrature, pt_kernels
 from wigner_tunnel.specfun import log_gamma_right
 
@@ -67,3 +68,40 @@ def test_one_kernel_quadrature_equals_two_kernel_call(vs, s, p):
     none_t, only_r = pt_kernels(vs / s, s, p, r, which="R")
     assert none_r is None and none_t is None
     assert np.array_equal(only_t, both_t) and np.array_equal(only_r, both_r)
+
+
+# small non-negative tables: 4 to 41 rows on [-L, L], heights up to 1.5
+tables = st.builds(
+    lambda half, v: NumericBarrier(np.linspace(-half, half, len(v)), np.array(v)),
+    st.floats(0.5, 2.0),
+    st.lists(st.floats(0.0, 1.5), min_size=4, max_size=41))
+real_kappas = st.lists(st.floats(0.2, 4.0), min_size=1, max_size=6, unique=True)
+
+
+@settings(derandomized, max_examples=30)
+@given(bar=tables, ks=real_kappas)
+def test_numeric_array_call_matches_scalar_calls(bar, ks):
+    a, b = bar.amplitudes(np.array(ks))
+    for k, ak, bk in zip(ks, a, b):
+        a1, b1 = bar.amplitudes(k)
+        assert isinstance(a1, complex) and isinstance(b1, complex)
+        assert abs(ak - a1) <= 1e-7 * abs(a1)
+        assert abs(bk - b1) <= 1e-7 * abs(a1)
+
+
+@settings(derandomized, max_examples=30)
+@given(bar=tables, ks=real_kappas)
+def test_numeric_amplitudes_unitary_and_schwarz(bar, ks):
+    ks = np.array(ks)
+    a, b = bar.amplitudes(ks)
+    assert np.all(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0) <= 1e-6)
+    assert np.all(np.abs(bar.amplitude_a(-ks) - np.conj(a)) <= 1e-7 * np.abs(a))
+
+
+def test_numeric_barrier_holds_no_per_call_state():
+    bar = NumericBarrier.from_callable(lambda q: 1.0 / np.cosh(q / 0.4) ** 2,
+                                       -2.0, 2.0, 41)
+    size = len(pickle.dumps(bar))
+    bar.amplitudes(np.linspace(0.2, 3.0, 99))
+    bar.ba_ratio(3.5)
+    assert len(pickle.dumps(bar)) == size
