@@ -9,8 +9,8 @@ a(-conj(kappa)) = conj(a(kappa)). All zeros of a for V >= 0 lie in the
 lower half-plane; they drive the exponential tails of the kernels.
 
 Supported barriers: delta spike, modified Poschl-Teller v0^2/cosh^2(q/s),
-tabulated numeric potentials (solved by ODE integration), and the eikonal
-approximation exp(i S(kappa)) of a numeric potential.
+tabulated numeric potentials (solved by a transfer-matrix product), and the
+eikonal approximation exp(i S(kappa)) of a numeric potential.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -341,9 +341,10 @@ class _TabulatedPotential:
         if self.q_min > q[0] or self.q_max < q[-1]:
             raise SupportError("table extends outside the stated support")
         self._spline = CubicSpline(q, np.clip(v, 0.0, None), bc_type="natural")
-        # where the spline crosses 0, the clip below leaves a kink in V
+        # V is smooth between edges: support ends, knots, and the clip's kinks at zeros
         roots = self._spline.roots()
-        self.kinks = np.unique(roots[(roots > self.q_min) & (roots < self.q_max)])
+        roots = roots[(roots > self.q_min) & (roots < self.q_max)]
+        self.edges = np.unique(np.concatenate([[self.q_min, self.q_max], q, roots]))
         dense = self(np.linspace(self.q_min, self.q_max, 4001))
         self.v_max = float(np.max(dense))
         self.strength = float(np.trapezoid(dense,
@@ -390,21 +391,19 @@ class _TabulatedBarrier(Barrier):
                                              for q, v in zip(qs, self.table(qs))]}
 
 
-# DOP853 tolerances of the tabulated-barrier ODE system
-ODE_RTOL = 1e-11
-ODE_ATOL = 1e-13
+# steps <= MAGNUS_STEP / sqrt(max(max V, 1)); 0.01 left errors of 2.5e-7 |a| on jagged tables
+MAGNUS_STEP = 0.005
 
 
 class NumericBarrier(_TabulatedBarrier):
-    """Arbitrary tabulated barrier; amplitudes from direct ODE integration.
+    """Arbitrary tabulated barrier; amplitudes from a transfer-matrix product.
 
-    The stationary equation is integrated from q_min (initialized on the
-    pure exp(-i kappa q) branch) to q_max with an adaptive high-order
-    explicit stepper; (a, b) are extracted from y and y' simultaneously,
-    so no differencing noise enters the matching. Every kappa of one call
-    is integrated as one system of 2N complex components (y for each
-    kappa, then y' for each), so a call costs one solve whatever N is;
-    the shared step size follows the fastest-oscillating kappa.
+    (y, y') starts at q_min on the exp(-i kappa q) branch and is carried to
+    q_max by a fourth-order Magnus product, vectorised over every kappa of a
+    call: each fixed step is the closed-form exponential of a traceless 2x2
+    matrix from V at two Gauss points, and the knots and clip kinks are step
+    edges (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151). (a, b)
+    follow from y and y' together, with no differencing noise.
     """
 
     kind = "numeric"
@@ -415,6 +414,15 @@ class NumericBarrier(_TabulatedBarrier):
         qs = np.linspace(self.table.q_min, self.table.q_max, 801)
         self.symmetric = bool(np.max(np.abs(self.table(qs) - self.table(-qs)))
                               <= 1e-9 * max(self.table.v_max, 1e-300))
+        lengths = np.diff(self.table.edges)
+        n = np.ceil(lengths * math.sqrt(max(self.table.v_max, 1.0)) / MAGNUS_STEP).astype(int)
+        h = np.repeat(lengths / n, n)
+        q0 = self.table.q_min + np.concatenate([[0.0], np.cumsum(h)[:-1]])
+        g = math.sqrt(3.0) / 6.0   # Gauss points at 1/2 -+ g of each step
+        v1, v2 = self.table(q0 + (0.5 - g) * h), self.table(q0 + (0.5 + g) * h)
+        # per step: length h, commutator term c and Gauss-mean potential
+        c = 0.5 * g * h * h * (v1 - v2)
+        self._steps = list(zip(h.tolist(), c.tolist(), (0.5 * (v1 + v2)).tolist()))
 
     def _solve(self, kappa):
         """(a, b) for a scalar kappa, or two arrays of kappa's shape."""
@@ -423,27 +431,16 @@ class NumericBarrier(_TabulatedBarrier):
         if np.any(k == 0):
             raise ZeroDivisionError("amplitudes undefined at kappa = 0")
         qa, qb = self.table.q_min, self.table.q_max
-        n, k2 = k.size, k * k
-
-        def rhs(q, y):
-            return np.concatenate([y[n:], (self.table(q) - k2) * y[:n]])
-
-        y0 = np.exp(-1j * k * qa)
-        state = np.concatenate([y0, -1j * k * y0])
-        # DOP853's error estimate misses a kink inside a step (errors of 3e-5
-        # at rtol 1e-11), so the solve restarts at each one
-        edges = [qa, *self.table.kinks, qb]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            # stepped by hand: solve_ivp keeps every step's state, hundreds of
-            # MB for the thousands of kappa of one kernel quadrature call
-            stepper = DOP853(rhs, lo, state, hi, rtol=ODE_RTOL, atol=ODE_ATOL)
-            message = None
-            while stepper.status == "running":
-                message = stepper.step()
-            state = stepper.y
-            if stepper.status == "failed" or not np.all(np.isfinite(state)):
-                raise ArithmeticError(f"ODE integration failed at kappa={kappa}: {message}")
-        y, yp = state[:n], state[n:]
+        k2 = k * k
+        y = np.exp(-1j * k * qa)
+        yp = -1j * k * y
+        for h, c, vbar in self._steps:
+            # exp([[c, h], [w, -c]]) = cosh(th) + sinh(th)/th [[c, h], [w, -c]]
+            w = h * (vbar - k2)
+            th = np.sqrt(c * c + h * w)
+            ch = np.cosh(th)
+            sh = np.divide(np.sinh(th), th, out=np.ones_like(th), where=th != 0)
+            y, yp = ch * y + sh * (c * y + h * yp), ch * yp + sh * (w * y - c * yp)
         # y = a e^{-ik q} + b e^{ik q}; solve the 2x2 system with y and y'.
         a = (1j * k * y - yp) * np.exp(1j * k * qb) / (2j * k)
         b = (1j * k * y + yp) * np.exp(-1j * k * qb) / (2j * k)
@@ -517,7 +514,7 @@ def pt_amplitudes(v0, s, kappa):
 
 
 def numeric_amplitudes(potential, kappa, q_min=None, q_max=None):
-    """(a, b) for a tabulated potential by ODE integration.
+    """(a, b) for a tabulated potential by a transfer-matrix product.
 
     ``potential`` is a NumericBarrier, an (q, V) pair of arrays, or a
     list of [q, V] rows.
@@ -628,44 +625,39 @@ def tunneling_integral(potential, p):
 
 
 def _newton_pole_search(barrier, count):
-    """Zeros of a(kappa) in the lower half-plane by seeded Newton iteration."""
+    """Zeros of a(kappa) in the lower half-plane by Newton iteration on all
+    seeds at once: one ``amplitude_a`` call on [z, z + h, z - h] per step."""
     K = 4.0 * math.sqrt(max(barrier.max_potential(), 1e-12))
     width = barrier.support()[1] - barrier.support()[0]
-    # conditioning of the ODE matching degrades once |Im kappa| * width ~ 25
+    # conditioning of the matching degrades once |Im kappa| * width ~ 25
     depth = min(K, 22.0 / max(width, 1e-9))
-    seeds = [complex(re, im)
-             for re in np.linspace(-K, K, 9)
-             for im in np.linspace(-depth, -depth / 30.0, 6)]
-    found = []
-    for seed in seeds:
-        z = seed
-        ok = False
+    z = (np.linspace(-K, K, 9)[:, None]
+         + 1j * np.linspace(-depth, -depth / 30.0, 6)[None, :]).ravel()
+    running = np.arange(z.size)
+    converged = np.zeros(z.size, dtype=bool)
+    with np.errstate(all="ignore"):
         for _ in range(40):
-            try:
-                az = barrier.amplitude_a(z)
-                der = barrier.amplitude_a_prime(z, h=1e-7 * max(1.0, abs(z)))
-            except (ZeroDivisionError, ArithmeticError):
+            if not running.size:
                 break
-            if der == 0:
-                break
-            step = az / der
-            z = z - step
-            if z.imag > -1e-9 or abs(z.real) > 2.5 * K or abs(z.imag) > 2.0 * depth:
-                break
-            # ODE noise keeps steps near a zero at 1e-10..1e-8; the test stays
+            zr = z[running]
+            h = 1e-7 * np.maximum(1.0, np.abs(zr))
+            az, ap, am = np.split(barrier.amplitude_a(np.concatenate([zr, zr + h, zr - h])), 3)
+            step = az / ((ap - am) / (2.0 * h))
+            zr = zr - step
+            z[running] = zr
+            inside = (np.isfinite(zr) & (zr.imag <= -1e-9) & (np.abs(zr.real) <= 2.5 * K)
+                      & (np.abs(zr.imag) <= 2.0 * depth))
+            # noise keeps steps near a zero at 1e-10..1e-8; the test stays
             # inside the de-duplication radius and the |a| < 1e-7 acceptance
-            if abs(step) < 1e-7 * max(1.0, abs(z)):
-                ok = True
-                break
-        if not ok:
-            continue
-        if any(abs(z - zf) < 1e-6 * max(1.0, K) for zf in found):
-            continue
-        try:
-            if abs(barrier.amplitude_a(z)) < 1e-7:
-                found.append(z)
-        except (ZeroDivisionError, ArithmeticError):
-            continue
+            done = inside & (np.abs(step) < 1e-7 * np.maximum(1.0, np.abs(zr)))
+            converged[running[done]] = True
+            running = running[inside & ~done]
+        z = z[converged]
+        z = z[np.abs(barrier.amplitude_a(z)) < 1e-7]
+    found = []
+    for zn in z:
+        if not any(abs(zn - zf) < 1e-6 * max(1.0, K) for zf in found):
+            found.append(complex(zn))
     if not found:
         raise PoleSearchError("no S-matrix poles located in the search window")
     found.sort(key=lambda z: (abs(z.imag), z.real))
@@ -677,21 +669,26 @@ def _newton_pole_search(barrier, count):
     return out
 
 
+def _poles_below_axis(barrier, count, least):
+    """Up to ``count`` poles from one search, at least ``least``, all below the axis."""
+    if not barrier.is_meromorphic:
+        raise NonMeromorphicError("eikonal amplitude is not meromorphic")
+    poles = barrier.poles(count)
+    if len(poles) < least:
+        raise PoleSearchError(f"requested {least} poles, located {len(poles)}")
+    for pd in poles:
+        if pd.kappa.imag >= 0:
+            raise PoleSearchError(f"pole {pd.kappa} not in the lower half-plane")
+    return poles
+
+
 def find_poles(barrier, count):
     """S-matrix poles (zeros of a) sorted by ascending |Im kappa|.
 
     The residue factors on the returned PoleData are momentum-resolved
     callables.
     """
-    if not barrier.is_meromorphic:
-        raise NonMeromorphicError("eikonal amplitude is not meromorphic")
-    poles = barrier.poles(count)
-    if len(poles) < count:
-        raise PoleSearchError(f"requested {count} poles, located {len(poles)}")
-    for pd in poles:
-        if pd.kappa.imag >= 0:
-            raise PoleSearchError(f"pole {pd.kappa} not in the lower half-plane")
-    return poles
+    return _poles_below_axis(barrier, count, count)
 
 
 def barrier_from_dict(d):

@@ -24,8 +24,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve
 from scipy.special import erf
 
 from . import barriers as _b
@@ -303,6 +303,18 @@ def _lag_lattice(grid, p, r_lo, r_hi):
     w[2:-1:2] = 2.0
     r = r_lo + dr * np.arange(n_r)
     return np.where(np.abs(r) < 1e-12, 1e-12, r), w * (dr / 3.0), refine, dr
+
+
+def fftconvolve(in1, in2, mode="valid"):
+    """scipy.signal.fftconvolve(in1, in2, "valid") without importing scipy.signal."""
+    if mode != "valid":
+        raise ValueError(f"only mode='valid' is supported, not {mode!r}")
+    if len(in2) > len(in1):   # as scipy does; the spectral product then matches bit for bit
+        in1, in2 = in2, in1
+    n = len(in1) + len(in2) - 1
+    nfft = next_fast_len(n, True)
+    full = irfft(rfft(in1, nfft) * rfft(in2, nfft), nfft)[:n]
+    return full[len(in2) - 1:len(in1)]
 
 
 def _lag_convolve(grid, row, start, kernel, refine, dr):

@@ -29,8 +29,6 @@ from .errors import (
     ConvergenceRegionError,
     KernelAccuracyError,
     MethodCompatibilityError,
-    NonMeromorphicError,
-    PoleSearchError,
 )
 from .quadrature import adaptive_complex_quad, fourier_halfline, fourier_symmetric
 from .specfun import airy_ai, gamma_cx, hyp4f3_coefficients
@@ -136,13 +134,11 @@ def _reflection_correction(barrier, p, r_grid, tol):
     full correction is required to keep the integrated reflection
     non-negative (violations are reported, never silently adjusted).
     """
-    # locate a cutoff where b has decayed away
-    sig = 2.0 * p + 8.0 * barrier.kappa_scale()
-    for _ in range(20):
-        bv = abs(barrier.amplitude_b(0.5 * sig + p)) * abs(barrier.amplitude_b(0.5 * sig - p))
-        if bv < 1e-14:
-            break
-        sig *= 1.6
+    # the first of 20 growing cutoffs where b has decayed away, else the 21st
+    sig = np.cumprod(np.r_[2.0 * p + 8.0 * barrier.kappa_scale(), np.full(20, 1.6)])
+    bv = (np.abs(barrier.amplitude_b(0.5 * sig[:20] + p))
+          * np.abs(barrier.amplitude_b(0.5 * sig[:20] - p)))
+    sig = sig[np.argmax(np.append(bv < 1e-14, True))]
     out = np.empty_like(r_grid)
     for i, r in enumerate(r_grid):
         def f(s_arr):
@@ -163,16 +159,11 @@ def kernel_by_residues(barrier, p, r_grid, n_poles):
     exactly 0 for r < 0; A_n(p) = 4i / (a'(kappa_n) a(kappa_n - 2p)).
     The returned truncation error is the first omitted term's envelope.
     """
-    if not barrier.is_meromorphic:
-        raise NonMeromorphicError("pole expansion needs meromorphic amplitudes")
     if n_poles < 1:
         raise ValueError("n_poles must be >= 1")
-    try:
-        poles = _b.find_poles(barrier, n_poles + 1)
-        bound_pole = poles[n_poles]
-    except PoleSearchError:   # fewer poles than asked: bound by the last one
-        poles = _b.find_poles(barrier, n_poles)
-        bound_pole = poles[-1]
+    # one search; with only n_poles found, the last one bounds the error
+    poles = _b._poles_below_axis(barrier, n_poles + 1, n_poles)
+    bound_pole = poles[-1]
     r_grid = np.asarray(r_grid, dtype=float)
     pos = r_grid >= 0.0
     density = np.zeros_like(r_grid)

@@ -1,12 +1,15 @@
 """Independent high-precision oracles used by the tests.
 
-Everything here is mpmath-based and deliberately avoids the package's own
-evaluation paths: series/quadrature oracles for the special functions,
-direct Fourier quadrature of the kernel integrals, and the resolvent
-contour integral for the finite-time transient.
+Everything here deliberately avoids the package's own evaluation paths:
+mpmath series/quadrature oracles for the special functions, direct
+Fourier quadrature of the kernel integrals, the resolvent contour
+integral for the finite-time transient, and a tight adaptive ODE solve
+for tabulated barriers.
 """
 
 import mpmath as mp
+import numpy as np
+from scipy.integrate import solve_ivp
 
 mp.mp.dps = 30
 
@@ -162,3 +165,24 @@ def gaussian_overlap(lam0, lamd, Q0, Qd, dq_extra=0.0):
     lam_sum = lam0 + lamd
     pref = mp.pi * mp.sqrt(lam0 * lamd) / lam_sum
     return float(pref * mp.e ** (-(Q0 - Qd + dq_extra) ** 2 / lam_sum))
+
+
+def numeric_amplitudes_dop853(barrier, kappa):
+    """(a, b) of a NumericBarrier by DOP853 at rtol 1e-13, one kappa at a time.
+
+    The solve restarts at every edge of the table (support ends, knots and
+    clip kinks), so no step straddles a jump in a derivative of V.
+    """
+    k = complex(kappa)
+    qa, qb = barrier.support()
+
+    def rhs(q, y):
+        return [y[1], (barrier.potential(q) - k * k) * y[0]]
+
+    y = np.exp(-1j * k * qa) * np.array([1.0, -1j * k])
+    edges = barrier.table.edges
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        y = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
+    a = (1j * k * y[0] - y[1]) * np.exp(1j * k * qb) / (2j * k)
+    b = (1j * k * y[0] + y[1]) * np.exp(-1j * k * qb) / (2j * k)
+    return complex(a), complex(b)

@@ -286,8 +286,8 @@ class TestPoles:
             kappa0 = -0.5j
 
             def amplitude_a(self, kappa):
-                d = complex(kappa) - self.kappa0
-                return d + (1e-9 if d.real >= 0.0 else -1e-9)
+                d = np.asarray(kappa, dtype=complex) - self.kappa0
+                return d + np.where(d.real >= 0.0, 1e-9, -1e-9)
 
             def kappa_scale(self):
                 return 1.0

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from wigner_tunnel import cli
 from wigner_tunnel import evolution as ev
 from wigner_tunnel import validate as wt_validate
 from wigner_tunnel.barriers import DeltaBarrier, PoschlTellerBarrier
+from wigner_tunnel.kernels import pt_kernels
 
 
 def run(args):
@@ -245,6 +247,24 @@ class TestKernelCommand:
             "p": 1.0, "r_grid": {"min": 0.1, "max": 2.0, "n": 5},
             "method": "residues"})
         assert run(["kernel", "--config", cfg, "--out", tmp_path]) == 3
+
+    def test_numeric_quadrature_matches_pt_closed_form(self, tmp_path):
+        # a 41-row sech^2 table on [-2, 2] samples the PT barrier (1.0, 0.4);
+        # the Fourier quadrature needs amplitudes out to kappa of a few hundred
+        q = np.linspace(-2.0, 2.0, 41)
+        table = [[float(x), float(1.0 / np.cosh(x / 0.4) ** 2)] for x in q]
+        cfg = write_cfg(tmp_path, "k.json", {
+            "barrier": {"kind": "numeric", "table": table},
+            "p": 1.0, "r_grid": {"min": -0.95, "max": 4.55, "n": 12},
+            "method": "quadrature"})
+        start = time.perf_counter()
+        assert run(["kernel", "--config", cfg, "--out", tmp_path]) == 0
+        assert time.perf_counter() - start < 30.0
+        rows = read_csv(tmp_path / "kernel_quadrature.csv")
+        r = np.array([float(row["r"]) for row in rows])
+        t_pt, r_pt = pt_kernels(1.0, 0.4, 1.0, r)
+        assert np.max(np.abs([float(row["T_density"]) for row in rows] - t_pt)) < 1e-3
+        assert np.max(np.abs([float(row["R_density"]) for row in rows] - r_pt)) < 1e-3
 
     def test_byte_stable_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, "k.json", delta_cfg({

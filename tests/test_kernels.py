@@ -166,6 +166,24 @@ class TestResidueRoute:
         with pytest.raises(PoleSearchError):
             kernel_by_residues(DeltaBarrier(2.0), 1.0, r, 2)
 
+    def test_one_pole_search_per_call(self):
+        # the delta barrier has one pole, fewer than the n_poles + 1 asked for
+        class CountedSearch(DeltaBarrier):
+            searches = 0
+
+            def poles(self, count):
+                self.searches += 1
+                return super().poles(count)
+
+        bar = CountedSearch(2.0)
+        r = np.linspace(0.0, 5.0, 11)
+        kd = kernel_by_residues(bar, 1.0, r, 1)
+        assert bar.searches == 1
+        assert np.max(np.abs(kd.density - delta_kernels(2.0, 1.0, r)[0])) < 1e-12
+        with pytest.raises(PoleSearchError):
+            kernel_by_residues(bar, 1.0, r, 2)
+        assert bar.searches == 2
+
 
 class TestPoschlTellerClosedForm:
     def test_triangulation_positive_lag(self):

@@ -5,10 +5,13 @@ import pickle
 
 import mpmath
 import numpy as np
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import numeric_amplitudes_dop853
 from wigner_tunnel.barriers import NumericBarrier, PoschlTellerBarrier
+from wigner_tunnel.evolution import fftconvolve
 from wigner_tunnel.kernels import kernel_by_quadrature, pt_kernels
 from wigner_tunnel.specfun import log_gamma_right
 
@@ -98,6 +101,28 @@ def test_numeric_amplitudes_unitary_and_schwarz(bar, ks):
     assert np.all(np.abs(bar.amplitude_a(-ks) - np.conj(a)) <= 1e-7 * np.abs(a))
 
 
+# fractions of the Newton pole search's seed box: Re kappa in [-K, K],
+# Im kappa in [-depth, -depth/30]
+window_points = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1.0 / 30.0, 1.0)),
+                         min_size=1, max_size=3)
+
+
+@settings(derandomized, max_examples=20)
+@given(bar=tables, ks=real_kappas, zs=window_points)
+def test_numeric_amplitudes_match_dop853_oracle(bar, ks, zs):
+    # the transfer-matrix product keeps |a|^2 - |b|^2 = 1 whatever its step,
+    # so accuracy is checked against an independent tight ODE solve
+    lo, hi = bar.support()
+    K = 4.0 * math.sqrt(max(bar.max_potential(), 1e-12))
+    depth = min(K, 22.0 / (hi - lo))
+    kappa = np.array(ks + [K * x - 1j * depth * y for x, y in zs])
+    a, b = bar.amplitudes(kappa)
+    for k, ak, bk in zip(kappa, a, b):
+        a_ref, b_ref = numeric_amplitudes_dop853(bar, k)
+        assert abs(ak - a_ref) <= 1e-7 * abs(a_ref)
+        assert abs(bk - b_ref) <= 1e-7 * abs(a_ref)
+
+
 def test_numeric_barrier_holds_no_per_call_state():
     bar = NumericBarrier.from_callable(lambda q: 1.0 / np.cosh(q / 0.4) ** 2,
                                        -2.0, 2.0, 41)
@@ -105,3 +130,15 @@ def test_numeric_barrier_holds_no_per_call_state():
     bar.amplitudes(np.linspace(0.2, 3.0, 99))
     bar.ba_ratio(3.5)
     assert len(pickle.dumps(bar)) == size
+
+
+signals = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=300)
+
+
+@settings(derandomized, max_examples=200)
+@given(in1=signals, in2=signals)
+def test_fftconvolve_matches_scipy_signal(in1, in2):
+    # bit for bit, so propagator outputs keep their bytes
+    in1, in2 = np.array(in1), np.array(in2)
+    assert np.array_equal(fftconvolve(in1, in2, mode="valid"),
+                          scipy.signal.fftconvolve(in1, in2, mode="valid"))
