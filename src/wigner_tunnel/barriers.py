@@ -308,12 +308,13 @@ class PoschlTellerBarrier(Barrier):
         return self.v0 ** 2
 
     def poles(self, count):
-        """Zeros s*kappa_n = -i(n + 1/2 +- omega), sorted by |Im kappa|."""
+        """Zeros s*kappa_n = -i(n + 1/2 +- omega), sorted by |Im kappa|.
+
+        Near v0*s = 1/2 each pair merges into a double zero. The locations
+        still stand, but the residue factors then raise PoleSearchError.
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
-        if abs(self.omega) < 1e-4:
-            raise PoleSearchError(
-                "pole pair nearly degenerate (v0*s ~ 1/2); residues ill-conditioned")
         raw = []
         n = 0
         while len(raw) < count + 2:
@@ -324,6 +325,9 @@ class PoschlTellerBarrier(Barrier):
         out = []
         for idx, kap in enumerate(raw[:count]):
             def factor(p, kn=kap):
+                if abs(self.omega) < 1e-4:
+                    raise PoleSearchError("pole pair nearly degenerate (v0*s ~ 1/2); "
+                                          "residues ill-conditioned")
                 return 4j / (self.amplitude_a_prime(kn, h=1e-7 / self.s)
                              * self.amplitude_a(kn - 2.0 * p))
             out.append(PoleData(kap, idx, factor))

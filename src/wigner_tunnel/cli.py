@@ -192,8 +192,9 @@ def _kernel_one_method(barrier, method, p, r_grid, n_poles, tol):
         if isinstance(barrier, _b.DeltaBarrier):
             t_d, r_d = _k.delta_kernels(barrier.v0, p, r_grid)
         elif isinstance(barrier, _b.PoschlTellerBarrier):
-            # closed 4F3 series away from r = 0, quadrature across the band
-            t_d, r_d = _k.kernel_row(barrier, p, np.where(r_grid == 0.0, 1e-12,
+            # 4F3 series away from r = 0; across the band, R interpolated
+            # and T exact at 0+ (r = 0 is read as 0+), by quadrature past it
+            t_d, r_d = _k.kernel_row(barrier, p, np.where(r_grid == 0.0, _k.ZERO_LAG,
                                                           r_grid), tol)
         else:
             raise MethodCompatibilityError(

@@ -292,7 +292,8 @@ def _lag_lattice(grid, p, r_lo, r_hi):
     """(r, Simpson weights, refine, dr) over [r_lo, r_hi] at momentum p.
 
     dq = refine dr, and dr <= pi / (24 p) resolves the kernels' oscillation;
-    lags within 1e-12 of 0, where the kernels are singular, become 1e-12.
+    lags within ZERO_LAG of 0, where T jumps, become ZERO_LAG, which
+    ``kernel_row`` reads as r = 0+.
     """
     dr = min(grid.dq / _REFINE, math.pi / (2.0 * p) / 12.0)
     refine = max(1, int(round(grid.dq / dr)))
@@ -305,7 +306,7 @@ def _lag_lattice(grid, p, r_lo, r_hi):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     r = r_lo + dr * np.arange(n_r)
-    return np.where(np.abs(r) < 1e-12, 1e-12, r), w * (dr / 3.0), refine, dr
+    return np.where(np.abs(r) < _k.ZERO_LAG, _k.ZERO_LAG, r), w * (dr / 3.0), refine, dr
 
 
 def fftconvolve(in1, in2, mode="valid"):

@@ -48,11 +48,30 @@ __all__ = [
     "classical_limit_lag",
     "ClassicalLag",
     "PT_SERIES_RMIN_FACTOR",
+    "ZERO_LAG",
 ]
 
 # Below this fraction of the width s the 4F3 argument is too close to the
-# unit circle; callers fall back to quadrature.
+# unit circle. Inside that band kernel_row interpolates R through lags on
+# both sides of it and keeps the quadrature only for T at lags past 0+.
 PT_SERIES_RMIN_FACTOR = 0.05
+
+# Lags in (0, ZERO_LAG] stand in for r = 0+, where T jumps by exactly -2w.
+ZERO_LAG = 1e-12
+
+# R across the band is the degree-7 polynomial through these lags, in
+# units of the band half-width. PT's b/a decays like e^{-pi s kappa}, so R
+# is analytic at r = 0.
+_R_BAND_NODES = np.array([-3.0, -2.35, -1.7, -1.05, 1.05, 1.7, 2.35, 3.0])
+
+# 4F3 power tables are built over chunks of lags that keep each table
+# at or below 2^19 float64 entries (4 MB)
+_SERIES_TABLE_ENTRIES = 1 << 19
+
+# Gamma(2 omega) has a pole at omega = 0 that cancels between the
+# +-omega terms. Below this |omega| the late-branch sum, analytic in
+# omega^2, is interpolated linearly in omega^2 between +-_PT_OMEGA_MIN^2.
+_PT_OMEGA_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -181,7 +200,12 @@ def delta_kernels(v0, p, r):
 
 
 def _pt_series(rate, xi, lam, z, lag):
-    """(exp(rate * lag), 4F3(xi; lam; z)) vectorized over the lag grid."""
+    """(exp(rate * lag), 4F3(xi; lam; z)) vectorized over the lag grid.
+
+    The argument z is real, in [0, 1). The sum over n of c_n z^n is a
+    (lags x terms) table of powers of z, built by a cumulative product and
+    multiplied by the coefficient vector, chunk by chunk over the lags.
+    """
     if np.any(np.abs(z) >= 1.0):
         raise ConvergenceRegionError("4F3 argument on or outside the unit circle")
     zmax = float(np.max(np.abs(z))) if z.size else 0.0
@@ -194,7 +218,19 @@ def _pt_series(rate, xi, lam, z, lag):
     if tail > 1e-10:
         raise ConvergenceRegionError(
             f"4F3 series tail {tail:.2e} too large at |z|={zmax:.6f}")
-    return np.exp(rate * lag), np.polynomial.polynomial.polyval(z, coeff)
+    series = np.empty(len(z), dtype=complex)
+    step = max(1, _SERIES_TABLE_ENTRIES // n_terms)
+    for lo in range(0, len(z), step):
+        zc = z[lo:lo + step]
+        powers = np.empty((len(zc), n_terms))
+        powers[:, 0] = 1.0
+        powers[:, 1:] = zc[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        # real matrix-vector products: each lag's sum then does not depend
+        # on how many lags share its chunk
+        series.real[lo:lo + step] = powers @ coeff.real
+        series.imag[lo:lo + step] = powers @ coeff.imag
+    return np.exp(rate * lag), series
 
 
 def _pt_f_late(s, nu, om, r, which):
@@ -217,6 +253,16 @@ def _pt_f_late(s, nu, om, r, which):
     return {name: (pref[name] * e) * series for name in which}
 
 
+def _pt_late_sum(s, nu, om, r, which):
+    """T and R (r > 0) summed over the four (+-nu, +-omega) branches."""
+    tots = {name: np.zeros(len(r), dtype=complex) for name in which}
+    for nu_s in (nu, -nu):
+        for om_s in (om, -om):
+            for name, term in _pt_f_late(s, nu_s, om_s, r, which).items():
+                tots[name] += term
+    return tots
+
+
 def _pt_f_s(v0, s, nu, om, r):
     """Early-reflection branch (r < 0), resummed over the poles of b."""
     g = gamma_cx
@@ -237,9 +283,10 @@ def pt_kernels(v0, s, p, r, imag_tol=1e-8, which="TR"):
     nu = 2 p s). Reflection has support on both signs of the lag: a
     smooth barrier turns the packet around early, so R extends to r < 0.
     Only |r| > 0.05 s is accepted (series argument away from the unit
-    circle); callers fall back to quadrature inside that band. Imaginary
-    parts of the symmetrized sums must cancel below ``imag_tol`` or
-    KernelAccuracyError is raised. Only the densities named in ``which``
+    circle); ``kernel_row`` covers that band. Near v0 s = 1/2, where the
+    two pole families merge (omega -> 0), the late sum is taken in that
+    limit. Imaginary parts of the symmetrized sums must cancel below
+    ``imag_tol`` or KernelAccuracyError is raised. Only the densities named in ``which``
     ("T", "R" or "TR") are summed; the other comes back as None.
     """
     if v0 <= 0 or s <= 0 or p <= 0:
@@ -262,11 +309,14 @@ def pt_kernels(v0, s, p, r, imag_tol=1e-8, which="TR"):
 
     if np.any(pos):
         rp = r[pos]
-        tots = {name: np.zeros(len(rp), dtype=complex) for name in dens}
-        for nu_s in (nu, -nu):
-            for om_s in (om, -om):
-                for name, term in _pt_f_late(s, nu_s, om_s, rp, which).items():
-                    tots[name] += term
+        if abs(om) < _PT_OMEGA_MIN:
+            x = (0.25 - (v0 * s) ** 2) / _PT_OMEGA_MIN ** 2   # omega^2, in (-1, 1)
+            above = _pt_late_sum(s, nu, _PT_OMEGA_MIN, rp, which)
+            below = _pt_late_sum(s, nu, 1j * _PT_OMEGA_MIN, rp, which)
+            tots = {name: 0.5 * (1.0 + x) * above[name] + 0.5 * (1.0 - x) * below[name]
+                    for name in which}
+        else:
+            tots = _pt_late_sum(s, nu, om, rp, which)
         for name, tot in tots.items():
             bad = np.max(np.abs(tot.imag) / np.maximum(1.0, np.abs(tot.real)))
             if bad > imag_tol:
@@ -305,36 +355,68 @@ def total_probabilities(barrier, p, a=None, ratio=None):
     return 1.0 / abs(a) ** 2, abs(ratio) ** 2
 
 
+def _pt_row(barrier, p0, r_vals, spike, tol, which):
+    """Poschl-Teller densities on a lag grid, T left unset at the spike lags.
+
+    The 4F3 series serves |r| > h = PT_SERIES_RMIN_FACTOR * s. Across the
+    band |r| <= h, R is the degree-7 polynomial in r/h through the lags
+    h * _R_BAND_NODES, which ride along in the row's own series call; T is
+    0 at r < 0 (causality) and comes from quadrature at r in [0, h] past
+    the spike lags.
+    """
+    h = PT_SERIES_RMIN_FACTOR * barrier.s
+    band = np.abs(r_vals) <= h * 1.0000001
+    dens = {name: np.zeros_like(r_vals) for name in which}
+    fit_r = "R" in which and np.any(band)
+    lags = r_vals[~band]
+    n_own = len(lags)
+    if fit_r:
+        lags = np.concatenate([lags, h * _R_BAND_NODES])
+    if len(lags):
+        series = dict(zip("TR", pt_kernels(barrier.v0, barrier.s, p0, lags, which=which)))
+        for name in which:
+            dens[name][~band] = series[name][:n_own]
+        if fit_r:
+            coef = np.polynomial.polynomial.polyfit(_R_BAND_NODES, series["R"][n_own:], 7)
+            dens["R"][band] = np.polynomial.polynomial.polyval(r_vals[band] / h, coef)
+    t_quad = band & ~spike & (r_vals >= 0.0)
+    if "T" in which and np.any(t_quad):
+        kt, _ = kernel_by_quadrature(barrier, p0, r_vals[t_quad], tol=tol, which="T")
+        dens["T"][t_quad] = kt.density
+    return dens
+
+
 def kernel_row(barrier, p0, r_vals, tol=2e-7, which="TR"):
     """(T density, R density) for one momentum on an arbitrary lag grid.
 
-    Each barrier gets its fastest exact route: the delta closed form; for
-    Poschl-Teller the 4F3 series, with Fourier quadrature inside the band
-    |r| <= PT_SERIES_RMIN_FACTOR * s; Fourier quadrature for every other
-    barrier. ``tol`` is the quadrature tolerance. Only the kernels named
-    in ``which`` ("T", "R" or "TR") are returned; the other comes back as
-    None and is not computed.
+    Each barrier gets its fastest exact route: the delta closed form; the
+    4F3 series for Poschl-Teller, with R interpolated across the band
+    |r| <= PT_SERIES_RMIN_FACTOR * s and T by quadrature inside it (see
+    ``_pt_row``); Fourier quadrature for every other barrier. Lags in
+    (0, ZERO_LAG] stand in for r = 0+: there T is the exact jump -2w,
+    w the integral of V (the 1/sigma tail -2iw/sigma of 1/(a+ a-) - 1
+    fixes it), and those lags are left out of the series and quadrature
+    calls for T. ``tol`` is the quadrature tolerance. Only the kernels
+    named in ``which`` ("T", "R" or "TR") are returned; the other comes
+    back as None and is not computed.
     """
+    r_vals = np.asarray(r_vals, dtype=float)
+    spike = (r_vals > 0.0) & (r_vals <= ZERO_LAG)
     if isinstance(barrier, _b.DeltaBarrier):
-        dens = delta_kernels(barrier.v0, p0, r_vals)
+        dens = dict(zip("TR", delta_kernels(barrier.v0, p0, r_vals)))
     elif isinstance(barrier, _b.PoschlTellerBarrier):
-        # 4F3 series away from r = 0, quadrature inside the band
-        band = np.abs(r_vals) <= PT_SERIES_RMIN_FACTOR * barrier.s * 1.0000001
-        dens = (np.zeros_like(r_vals), np.zeros_like(r_vals))
-        if np.any(~band):
-            series = pt_kernels(barrier.v0, barrier.s, p0, r_vals[~band], which=which)
-            for out, d in zip(dens, series):
-                if d is not None:
-                    out[~band] = d
-        if np.any(band):
-            quad = kernel_by_quadrature(barrier, p0, r_vals[band], tol=tol, which=which)
-            for out, k in zip(dens, quad):
-                if k is not None:
-                    out[band] = k.density
+        dens = _pt_row(barrier, p0, r_vals, spike, tol, which)
     else:
-        quad = kernel_by_quadrature(barrier, p0, r_vals, tol=tol, which=which)
-        dens = [None if k is None else k.density for k in quad]
-    return tuple(d if name in which else None for name, d in zip("TR", dens))
+        dens = {}
+        for name in which:
+            lags = ~spike if name == "T" else np.full(r_vals.shape, True)
+            dens[name] = np.zeros_like(r_vals)
+            if np.any(lags):
+                quad = kernel_by_quadrature(barrier, p0, r_vals[lags], tol=tol, which=name)
+                dens[name][lags] = quad["TR".index(name)].density
+    if "T" in which:
+        dens["T"][spike] = -2.0 * barrier.integral_strength()
+    return tuple(dens[name] if name in which else None for name in "TR")
 
 
 def interference_eval(barrier, q, p, q0, p0, t):

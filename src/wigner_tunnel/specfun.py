@@ -128,18 +128,17 @@ def hyp4f3_coefficients(xi, lam, n_terms):
     """Taylor coefficients c_n of the 4F3 series, for vectorized evaluation.
 
     c_0 = 1 and c_{n+1}/c_n = prod(xi+n) / (prod(lam+n) (n+1)); the series
-    value at argument zeta is then polyval(c, zeta).
+    value at argument zeta is then polyval(c, zeta). The coefficients are
+    the cumulative product of those term ratios.
     """
     _check_4f3_parameters(lam)
-    xi = [complex(v) for v in xi]
-    lam = [complex(v) for v in lam]
+    n = np.arange(n_terms - 1, dtype=float)
+    ratio = 1.0 / (n + 1.0)
+    for x in xi:
+        ratio = ratio * (complex(x) + n)
+    for l in lam:
+        ratio = ratio / (complex(l) + n)
     c = np.empty(n_terms, dtype=complex)
     c[0] = 1.0
-    for n in range(n_terms - 1):
-        ratio = 1.0 / (n + 1.0)
-        for x in xi:
-            ratio *= x + n
-        for l in lam:
-            ratio /= l + n
-        c[n + 1] = c[n] * ratio
+    np.cumprod(ratio, out=c[1:])
     return c

@@ -186,3 +186,20 @@ def numeric_amplitudes_dop853(barrier, kappa):
     a = (1j * k * y[0] - y[1]) * np.exp(1j * k * qb) / (2j * k)
     b = (1j * k * y[0] + y[1]) * np.exp(-1j * k * qb) / (2j * k)
     return complex(a), complex(b)
+
+
+def hyp4f3_coefficients_loop(xi, lam, n_terms):
+    """The term-by-term loop that built the 4F3 Taylor coefficients before
+    they became a cumulative product of term ratios; kept as its reference."""
+    xi = [complex(v) for v in xi]
+    lam = [complex(v) for v in lam]
+    c = np.empty(n_terms, dtype=complex)
+    c[0] = 1.0
+    for n in range(n_terms - 1):
+        ratio = 1.0 / (n + 1.0)
+        for x in xi:
+            ratio *= x + n
+        for l in lam:
+            ratio /= l + n
+        c[n + 1] = c[n] * ratio
+    return c

@@ -11,7 +11,7 @@ from wigner_tunnel import cli
 from wigner_tunnel import evolution as ev
 from wigner_tunnel import validate as wt_validate
 from wigner_tunnel.barriers import DeltaBarrier, PoschlTellerBarrier
-from wigner_tunnel.kernels import pt_kernels
+from wigner_tunnel.kernels import kernel_by_quadrature, pt_kernels
 
 
 def run(args):
@@ -365,6 +365,43 @@ class TestEvolveCommand:
             "times": times}))
         assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 2
         assert "config error: times" in capsys.readouterr().err
+
+
+class TestMergedPolePair:
+    # at v0 s = 1/2 the two S-matrix pole families merge into double poles
+    BARRIER = {"kind": "poschl_teller", "v0": 0.5, "s": 1.0}
+
+    def _kernel_cfg(self, tmp_path):
+        # r = 0.02 lies in the band |r| <= 0.05 s
+        return write_cfg(tmp_path, "k.json", {
+            "barrier": self.BARRIER, "p": 1.0,
+            "r_grid": {"min": -1.98, "max": 6.02, "n": 21}})
+
+    def test_evolve_accounts_mass(self, tmp_path):
+        cfg = write_cfg(tmp_path, "e.json", {
+            "barrier": self.BARRIER,
+            "state": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+            "q_axis": {"min": -150.0, "max": 110.0, "n": 400},
+            "p_axis": {"min": -1.9, "max": 1.9, "n": 41},
+            "times": [25.0]})
+        assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "mass_accounting.json").read_text())
+        assert report["times"][0]["accounting_error"] < 1e-4
+
+    def test_closed_kernel_matches_quadrature(self, tmp_path):
+        cfg = self._kernel_cfg(tmp_path)
+        assert run(["kernel", "--config", cfg, "--out", tmp_path, "--method", "closed"]) == 0
+        rows = read_csv(tmp_path / "kernel_closed.csv")
+        r = np.array([float(row["r"]) for row in rows])
+        kt, kr = kernel_by_quadrature(PoschlTellerBarrier(0.5, 1.0), 1.0, r, tol=1e-11)
+        assert np.max(np.abs([float(row["T_density"]) for row in rows] - kt.density)) < 1e-8
+        assert np.max(np.abs([float(row["R_density"]) for row in rows] - kr.density)) < 1e-8
+
+    def test_residues_fail_with_clear_message(self, tmp_path, capsys):
+        cfg = self._kernel_cfg(tmp_path)
+        assert run(["kernel", "--config", cfg, "--out", tmp_path,
+                    "--method", "residues"]) == 1
+        assert "pole pair nearly degenerate" in capsys.readouterr().err
 
 
 class TestProbeCommand:

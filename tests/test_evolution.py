@@ -11,6 +11,7 @@ from wigner_tunnel.evolution import (
     GaussianState,
     WignerGrid,
     _kernel_ranges,
+    _lag_lattice,
     arrival_time_estimate,
     barrier_propagate,
     detect,
@@ -21,6 +22,7 @@ from wigner_tunnel.evolution import (
     purity_bound,
     sector_masses,
 )
+from wigner_tunnel import kernels
 from wigner_tunnel.kernels import delta_kernels, kernel_by_quadrature, total_probabilities
 
 
@@ -211,6 +213,30 @@ class TestBarrierPropagate:
             rounded = barrier_propagate(g, bar, 40.0)
             exact = barrier_propagate(WignerGrid(q, p_exact, g.values), bar, 40.0)
         np.testing.assert_array_equal(rounded.values, exact.values)
+
+    def test_pt_rows_run_no_quadrature(self, monkeypatch):
+        # T at the zero lag is exact and R is interpolated across the band
+        # |r| <= 0.05 s, so neither kind of row falls back to quadrature
+        q = np.linspace(-100.0, 80.0, 300)
+        p = np.linspace(-1.9, 1.9, 21)
+        bar = PoschlTellerBarrier(1.0, 0.4)
+        g = gaussian_to_grid(_incident(), q, p)
+        r_hi, r_lo = _kernel_ranges(bar)
+        r, _, _, _ = _lag_lattice(g, 1.14, r_lo, r_hi)
+        assert np.any(np.abs(r) <= 0.05 * bar.s)   # a reflected band node
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel_by_quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "kernel_by_quadrature", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = barrier_propagate(g, bar, 25.0)
+        assert calls == []
+        m_t, m_r = sector_masses(out)
+        assert m_t + m_r == pytest.approx(g.mass(), rel=1e-4)
 
 
 class TestDetect:

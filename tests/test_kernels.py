@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from wigner_tunnel.kernels import (
     interference_eval,
     kernel_by_quadrature,
     kernel_by_residues,
+    kernel_row,
     pt_kernels,
     semiclassical_kernel,
     total_probabilities,
@@ -142,6 +144,19 @@ class TestQuadratureRoute:
             kt, _ = kernel_by_quadrature(bar, p, [1e-12], which="T")
             assert abs(kt.density[0] + 2.0 * w) < 1e-6
 
+    @pytest.mark.parametrize("bar", [
+        DeltaBarrier(2.0), PoschlTellerBarrier(1.0, 0.4), sech2_table(),
+    ], ids=["delta_2", "pt_s0.4", "sech2_table"])
+    def test_kernel_row_zero_lag_is_exact_jump(self, bar):
+        # every route reads lags in (0, 1e-12] as r = 0+, where T jumps by -2w
+        w = bar.integral_strength()
+        for which in ("T", "TR"):
+            t_d, _ = kernel_row(bar, 1.0, [1e-12, 0.5 * 1e-12, 0.5], which=which)
+            assert t_d[0] == -2.0 * w and t_d[1] == -2.0 * w
+            assert t_d[2] != -2.0 * w
+        t_d, _ = kernel_row(bar, 1.0, [1e-12], which="T")
+        assert t_d.tolist() == [-2.0 * w]
+
 
 class TestResidueRoute:
     def test_delta_matches_closed_form_exactly(self):
@@ -257,6 +272,35 @@ class TestPoschlTellerClosedForm:
     def test_small_lag_rejected(self):
         with pytest.raises(ConvergenceRegionError):
             pt_kernels(1.0, 0.4, 0.6, 0.01)
+
+    def test_large_call_is_chunked(self):
+        # near the band edge the series needs ~360 terms: 20 000 lags would
+        # make a 58 MB power table in one piece
+        s = 0.4
+        r = np.tile(np.linspace(0.0525, 0.3, 100) * s, 200)
+        t_few, r_few = pt_kernels(1.0, s, 0.6, r[:100])
+        tracemalloc.start()
+        try:
+            t_all, r_all = pt_kernels(1.0, s, 0.6, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        for few, full in ((t_few, t_all), (r_few, r_all)):
+            full = full.reshape(200, 100)
+            assert np.max(np.abs(full - few)) <= 1e-14 * np.max(np.abs(few))
+
+    @pytest.mark.parametrize("v0", [0.5, 0.5 + 1e-8, 0.5 - 6e-7, 0.50001])
+    def test_merged_pole_pair_limit(self, v0):
+        # at v0 s = 1/2 the +-omega terms each carry a Gamma(2 omega) pole
+        # that cancels in their sum; the closed form is continuous there
+        bar = PoschlTellerBarrier(v0, 1.0)
+        r = np.concatenate([np.linspace(-3.0, -0.06, 6), np.linspace(0.06, 6.0, 9)])
+        for p in (0.3, 1.0):
+            t_c, r_c = pt_kernels(v0, 1.0, p, r)
+            kt, kr = kernel_by_quadrature(bar, p, r, tol=1e-11)
+            assert np.max(np.abs(t_c - kt.density)) < 1e-8
+            assert np.max(np.abs(r_c - kr.density)) < 1e-8
 
     def test_wide_barrier_imaginary_omega(self):
         bar = PoschlTellerBarrier(1.0, 1.0)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import numeric_amplitudes_dop853
+from wigner_tunnel import kernels
 from wigner_tunnel.barriers import NumericBarrier, PoschlTellerBarrier
 from wigner_tunnel.evolution import fftconvolve
-from wigner_tunnel.kernels import kernel_by_quadrature, pt_kernels
+from wigner_tunnel.kernels import kernel_by_quadrature, kernel_row, pt_kernels
 from wigner_tunnel.specfun import log_gamma_right
 
 # derandomized, so a CI failure reproduces locally
@@ -71,6 +73,21 @@ def test_one_kernel_quadrature_equals_two_kernel_call(vs, s, p):
     none_t, only_r = pt_kernels(vs / s, s, p, r, which="R")
     assert none_r is None and none_t is None
     assert np.array_equal(only_t, both_t) and np.array_equal(only_r, both_r)
+
+
+@settings(derandomized, max_examples=12)
+@given(vs=st.floats(0.12, 1.5), s=st.floats(0.2, 2.0), p=st.floats(0.2, 1.9))
+def test_band_reflection_interpolates_quadrature(vs, s, p):
+    # R is analytic at r = 0, so the polynomial through lags outside the
+    # band |r| <= 0.05 s reproduces it inside, with no quadrature call
+    bar = PoschlTellerBarrier(vs / s, s)
+    r = np.linspace(-0.05 * s, 0.05 * s, 9)
+    with mock.patch.object(kernels, "kernel_by_quadrature",
+                           wraps=kernel_by_quadrature) as quad:
+        _, band_r = kernel_row(bar, p, r, which="R")
+    assert quad.call_count == 0
+    _, ref = kernel_by_quadrature(bar, p, r, tol=1e-11, which="R")
+    assert np.max(np.abs(band_r - ref.density)) < 1e-8
 
 
 # small non-negative tables: 4 to 41 rows on [-L, L], heights up to 1.5

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from wigner_tunnel.specfun import (
     faddeeva_w,
     gamma_cx,
     hyp4f3,
+    hyp4f3_coefficients,
 )
 
 
@@ -167,6 +169,24 @@ class TestHyp4F3:
             if abs(res.value - ref) <= res.truncation_error + 1e-13 * abs(ref):
                 hits += 1
         assert hits >= 0.95 * total
+
+    def test_coefficients_match_frozen_loop(self):
+        # the cumulative product of term ratios rounds differently from the
+        # term-by-term loop; the parameters are the late (r > 0) and early
+        # (r < 0) Poschl-Teller series at v0 s = 0.4, 1/2 and 1.2
+        cases = []
+        for vs, nu in ((0.4, 0.8), (0.5, 1.6), (1.2, 3.0)):
+            om = complex(cmath.sqrt(0.25 - vs ** 2))
+            cases.append(((1.5 - om, 0.5 - om, 1.5 - 1j * nu - om, 0.5 - 1j * nu - om),
+                          (1 - 2 * om, 1 - 1j * nu, 1 - 1j * nu - 2 * om)))
+            cases.append(((1.5 + om, 1.5 - om, 1.5 + 1j * nu + om, 1.5 + 1j * nu - om),
+                          (2, 1 + 1j * nu, 2 + 1j * nu)))
+        for xi, lam in cases:
+            for n_terms in (1, 2, 364, 3000):
+                c = hyp4f3_coefficients(xi, lam, n_terms)
+                ref = oracles.hyp4f3_coefficients_loop(xi, lam, n_terms)
+                assert c.shape == ref.shape
+                assert np.all(np.abs(c - ref) <= 1e-13 * np.abs(ref))
 
     def test_outside_disk_raises(self):
         with pytest.raises(SeriesConvergenceError):
