@@ -12,21 +12,20 @@ the exponential tails of the kernels.
 
 Supported barriers: delta spike, modified Poschl-Teller v0^2/cosh^2(q/s),
 tabulated numeric potentials (solved by a transfer-matrix product), and the
-eikonal approximation exp(i S(kappa)) of a numeric potential.
+eikonal approximation exp(i S(kappa)) of a numeric potential, whose action
+is a fixed Gauss-Legendre sum over the pieces where V is monotone, split at
+the turning points and evaluated for every kappa of a call at once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import (
     BranchAmbiguityError,
@@ -493,10 +492,7 @@ class EikonalBarrier(_TabulatedBarrier):
         return eikonal_action(self, kappa)
 
     def amplitude_a(self, kappa):
-        if np.ndim(kappa) == 0:
-            return cmath.exp(1j * self.action(kappa))
-        return np.array([cmath.exp(1j * self.action(k))
-                         for k in np.asarray(kappa).ravel()]).reshape(np.shape(kappa))
+        return np.exp(1j * self.action(kappa))
 
     def amplitude_b(self, kappa):
         if np.ndim(kappa) == 0:
@@ -547,32 +543,52 @@ def _as_numeric_barrier(potential, q_min=None, q_max=None):
     raise ValueError("cannot interpret potential table")
 
 
-def _potential_info(potential):
-    """Normalize a potential argument to (callable, q_min, q_max, v_max)."""
-    if isinstance(potential, (PoschlTellerBarrier,)):
-        # effective support: tails below 1e-14 of the peak
-        half = potential.s * 17.0
-        return potential.potential, -half, half, potential.max_potential()
-    if isinstance(potential, _TabulatedPotential):
-        return potential, potential.q_min, potential.q_max, potential.v_max
-    bar = potential if isinstance(potential, _TabulatedBarrier) \
-        else _as_numeric_barrier(potential)
-    lo, hi = bar.support()
-    return bar.potential, lo, hi, bar.max_potential()
+# The action sums one Gauss-Legendre rule per piece of the support where V
+# is monotone, in theta on [0, pi] with q = mid - half cos(theta): dq vanishes
+# at both ends, which smooths square-root behaviour there. Kappa x node tables
+# hold at most 2^19 complex entries (8 MB). Poschl-Teller's +-17 s support
+# (tails below 1e-14 of the peak) is cut into equal panels, one edge at q = 0.
+_ACTION_ORDER = 32
+_ACTION_TABLE_ENTRIES = 1 << 19
+_PT_ACTION_PANELS = 34
+_gl_x, _gl_w = np.polynomial.legendre.leggauss(_ACTION_ORDER)
+_ACTION_X = -np.cos(0.5 * np.pi * (1.0 + _gl_x))
+_ACTION_W = 0.5 * np.pi * _gl_w * np.sin(0.5 * np.pi * (1.0 + _gl_x))
 
 
-def _turning_points(vfun, q_lo, q_hi, level):
-    """All roots of V(q) = level inside the support, by scan plus brentq."""
-    qs = np.linspace(q_lo, q_hi, 2001)
-    f = vfun(qs) - level
-    roots = []
-    for i in range(len(qs) - 1):
-        if f[i] == 0.0:
-            roots.append(float(qs[i]))
-        elif f[i] * f[i + 1] < 0:
-            roots.append(brentq(lambda q: float(vfun(q) - level), qs[i], qs[i + 1],
-                                xtol=1e-13))
-    return sorted(set(np.round(roots, 12)))
+def _action_pieces(potential):
+    """(V, edges, max V) with V smooth and monotone between edges: a table's
+    own edges plus its spline's critical points, or Poschl-Teller's panels."""
+    if isinstance(potential, PoschlTellerBarrier):
+        half = 17.0 * potential.s
+        return (potential.potential, np.linspace(-half, half, _PT_ACTION_PANELS + 1),
+                potential.max_potential())
+    table = (potential if isinstance(potential, _TabulatedBarrier)
+             else _as_numeric_barrier(potential)).table
+    crit = table._spline.derivative().roots()
+    crit = crit[np.isfinite(crit) & (crit > table.q_min) & (crit < table.q_max)]
+    return table, np.union1d(table.edges, crit), table.v_max
+
+
+def _rule(lo, hi, anchor=None):
+    """Nodes and weights on each [lo, hi]. With an anchor outside (lo, hi) the
+    rule runs in u = sqrt(|q - anchor|), in which a square root that
+    vanishes at the anchor is smooth, on either side of it."""
+    if anchor is None:
+        mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
+        return mid + half * _ACTION_X, half * _ACTION_W
+    side = np.where(lo + hi >= 2.0 * anchor, 1.0, -1.0)[:, None]
+    u_lo, u_hi = np.sqrt(np.abs(lo - anchor)), np.sqrt(np.abs(hi - anchor))
+    u, w = _rule(np.minimum(u_lo, u_hi), np.maximum(u_lo, u_hi))
+    return anchor[:, None] + side * u * u, 2.0 * u * w
+
+
+def _action_sums(v, weights, k2):
+    """Rule sums of 1 - sqrt(1 - V/k^2) = r / (1 + sqrt(1 - r)), r = V/k^2, a
+    form free of cancellation at large kappa. On the real axis 1 - r keeps a
+    +0 imaginary part, so its root below the top is +i sqrt(r - 1)."""
+    ratio = v * (1.0 / k2)
+    return (ratio / (1.0 + np.sqrt(1.0 - ratio)) * weights).sum(axis=-1)
 
 
 def eikonal_action(potential, kappa):
@@ -583,47 +599,63 @@ def eikonal_action(potential, kappa):
     top this puts the forbidden-region contribution at -i * integral of
     sqrt(V - kappa^2), so |exp(iS)| = exp(+I) >= 1 and the semiclassical
     transmission is exp(-2I).
+
+    A scalar or an array of kappa is evaluated in one pass. A monotone
+    piece whose end values bracket Re kappa^2 holds one turning point q_t
+    (V = kappa^2 lies near it off the axis), found by bisection; rules in
+    u = sqrt(|q - q_t|) replace its sum, split at q_t, and that of each
+    neighbour longer than its gap to q_t.
     """
-    vfun, q_lo, q_hi, v_max = _potential_info(potential)
-    kappa = complex(kappa)
-    if kappa == 0:
+    vfun, edges, v_max = _action_pieces(potential)
+    kappa = np.asarray(kappa, dtype=complex)
+    k = kappa.ravel()
+    if np.any(k == 0):
         raise ZeroDivisionError("eikonal action undefined at kappa = 0")
-    k2 = kappa * kappa
-    if kappa.imag == 0.0 and abs(k2.real - v_max) <= 1e-14 * max(1.0, v_max):
+    k2 = k * k
+    if np.any((k.imag == 0.0) & (np.abs(k2.real - v_max) <= 1e-14 * max(1.0, v_max))):
         raise BranchAmbiguityError("kappa^2 equals max V: square-root branch undefined")
-
-    pts = []
-    if kappa.imag == 0.0 and k2.real < v_max:
-        pts = _turning_points(vfun, q_lo, q_hi, k2.real)
-
-    def integrand_re(q):
-        u = 1.0 - complex(vfun(q)) / k2
-        # principal sqrt: negative real arguments approach from +i0, the
-        # continuation from the physical (upper) half-plane
-        return (1.0 - np.sqrt(complex(u))).real
-
-    def integrand_im(q):
-        u = 1.0 - complex(vfun(q)) / k2
-        return (1.0 - np.sqrt(complex(u))).imag
-
-    kw = {"limit": 400, "epsabs": 1e-12, "epsrel": 1e-11}
-    if pts:
-        kw["points"] = pts
-    with warnings.catch_warnings():
-        # tabulated potentials have integrable spline kinks at the knots
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re_val = quad(integrand_re, q_lo, q_hi, **kw)[0]
-        im_val = quad(integrand_im, q_lo, q_hi, **kw)[0]
-    return kappa * complex(re_val, im_val)
+    lo, hi = edges[:-1], edges[1:]
+    nodes, weights = _rule(lo, hi)
+    v_nodes, v_lo, v_hi = vfun(nodes), vfun(lo), vfun(hi)
+    out = np.empty(k.size, dtype=complex)
+    step = max(1, _ACTION_TABLE_ENTRIES // nodes.size)
+    for start in range(0, k.size, step):
+        kc, k2c = k[start:start + step], k2[start:start + step]
+        sums = _action_sums(v_nodes, weights, k2c[:, None, None])
+        level = k2c.real[:, None]
+        split = (v_lo - level) * (v_hi - level) < 0.0
+        ki, pj = np.nonzero(split)
+        if ki.size:
+            a, b, rising = lo[pj], hi[pj], v_hi[pj] > v_lo[pj]
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                below = (vfun(m) < k2c.real[ki]) == rising
+                a, b = np.where(below, m, a), np.where(below, b, m)
+            turn = 0.5 * (a + b)
+            # turning points by piece, padded: piece j's neighbours hold j and j + 2
+            turns = np.full((len(kc), len(lo) + 2), np.nan)
+            turns[ki, pj + 1] = turn
+            left, right = turns[:, :-2], turns[:, 2:]
+            gap = np.fmin(lo - left, right - hi)
+            ni, nj = np.nonzero(~split & (gap < hi - lo))
+            anchor = np.where(gap == lo - left, left, right)[ni, nj]
+            rows, cols = np.concatenate([ki, ki, ni]), np.concatenate([pj, pj, nj])
+            q, w = _rule(np.concatenate([lo[pj], turn, lo[nj]]),
+                         np.concatenate([turn, hi[pj], hi[nj]]),
+                         np.concatenate([turn, turn, anchor]))
+            sums[rows, cols] = 0.0
+            np.add.at(sums, (rows, cols), _action_sums(vfun(q), w, k2c[rows, None]))
+        out[start:start + step] = kc * sums.sum(axis=1)
+    return complex(out[0]) if kappa.ndim == 0 else out.reshape(kappa.shape)
 
 
 def tunneling_integral(potential, p):
     """Deep-tunneling action I = integral of sqrt(V(q) - p^2) over V > p^2.
 
     This is -Im S(|p|) of the eikonal action, whose turning-point split
-    quadrature it shares; like the action, it is undefined at p = 0.
+    rules it shares; like the action, it is undefined at p = 0.
     """
-    v_max = _potential_info(potential)[3]
+    v_max = _action_pieces(potential)[2]
     p = abs(float(p))
     if p * p >= v_max:
         raise NoBarrierError(f"p^2 = {p*p} is not below max V = {v_max}")

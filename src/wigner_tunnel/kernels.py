@@ -68,6 +68,12 @@ _R_BAND_NODES = np.array([-3.0, -2.35, -1.7, -1.05, 1.05, 1.7, 2.35, 3.0])
 # at or below 2^19 float64 entries (4 MB)
 _SERIES_TABLE_ENTRIES = 1 << 19
 
+# PT's branch sums must cancel their imaginary parts to this times max(1, |.|)
+_PT_IMAG_TOL = 1e-8
+
+# uniform kappa nodes of the semiclassical kernel's eikonal action spline
+_EIKONAL_SPLINE_NODES = 1200
+
 # Gamma(2 omega) has a pole at omega = 0 that cancels between the
 # +-omega terms. Below this |omega| the late-branch sum, analytic in
 # omega^2, is interpolated linearly in omega^2 between +-_PT_OMEGA_MIN^2.
@@ -275,7 +281,7 @@ def _pt_f_s(v0, s, nu, om, r):
     return (pref * e) * series
 
 
-def pt_kernels(v0, s, p, r, imag_tol=1e-8, which="TR"):
+def pt_kernels(v0, s, p, r, which="TR"):
     """Closed-form Poschl-Teller kernel densities via 4F3 sums.
 
     The transmission density sums four hypergeometric pieces over the two
@@ -286,8 +292,8 @@ def pt_kernels(v0, s, p, r, imag_tol=1e-8, which="TR"):
     circle); ``kernel_row`` covers that band. Near v0 s = 1/2, where the
     two pole families merge (omega -> 0), the late sum is taken in that
     limit. Imaginary parts of the symmetrized sums must cancel below
-    ``imag_tol`` or KernelAccuracyError is raised. Only the densities named in ``which``
-    ("T", "R" or "TR") are summed; the other comes back as None.
+    _PT_IMAG_TOL or KernelAccuracyError is raised. Only the densities named
+    in ``which`` ("T", "R" or "TR") are summed; the other comes back as None.
     """
     if v0 <= 0 or s <= 0 or p <= 0:
         raise ValueError("pt_kernels requires v0, s, p > 0")
@@ -319,9 +325,9 @@ def pt_kernels(v0, s, p, r, imag_tol=1e-8, which="TR"):
             tots = _pt_late_sum(s, nu, om, rp, which)
         for name, tot in tots.items():
             bad = np.max(np.abs(tot.imag) / np.maximum(1.0, np.abs(tot.real)))
-            if bad > imag_tol:
+            if bad > _PT_IMAG_TOL:
                 raise KernelAccuracyError(
-                    f"{name} sum imaginary residue {bad:.2e} exceeds {imag_tol}")
+                    f"{name} sum imaginary residue {bad:.2e} exceeds {_PT_IMAG_TOL}")
             dens[name][pos] = tot.real
 
     # transmission is strictly causal: zeros of a are all below the axis
@@ -329,9 +335,9 @@ def pt_kernels(v0, s, p, r, imag_tol=1e-8, which="TR"):
         rn = r[neg]
         s_sum = _pt_f_s(v0, s, nu, om, rn) + _pt_f_s(v0, s, -nu, -om, rn)
         bad = np.max(np.abs(s_sum.imag) / np.maximum(1.0, np.abs(s_sum.real)))
-        if bad > imag_tol:
+        if bad > _PT_IMAG_TOL:
             raise KernelAccuracyError(
-                f"early-reflection sum imaginary residue {bad:.2e} exceeds {imag_tol}")
+                f"early-reflection sum imaginary residue {bad:.2e} exceeds {_PT_IMAG_TOL}")
         dens["R"][neg] = s_sum.real
 
     out = tuple(dens.get(name) for name in "TR")
@@ -441,28 +447,24 @@ class SemiclassicalValue:
     violations: tuple
 
 
-def _eikonal_spline(barrier, kappa_max, n=1200):
+def _eikonal_spline(barrier, kappa_max):
     """S(kappa) on (0, kappa_max], splined; odd-real/even-imag continuation."""
     v_max = barrier.max_potential()
     k_top = math.sqrt(v_max)
     ks = np.unique(np.concatenate([
-        np.linspace(1e-3 * k_top, kappa_max, n),
+        np.linspace(1e-3 * k_top, kappa_max, _EIKONAL_SPLINE_NODES),
         k_top + k_top * np.linspace(-0.05, 0.05, 101),   # refine near the branch point
     ]))
     ks = ks[ks > 0]
-    vals = np.array([_b.eikonal_action(barrier, float(k))
-                     if abs(k * k - v_max) > 1e-12 * max(1.0, v_max)
-                     else _b.eikonal_action(barrier, float(k) * (1 + 1e-9))
-                     for k in ks])
-    sp_re = CubicSpline(ks, vals.real)
-    sp_im = CubicSpline(ks, vals.imag)
+    # the node at the branch point kappa^2 = max V moves just above it
+    at_top = np.abs(ks * ks - v_max) <= 1e-12 * max(1.0, v_max)
+    vals = _b.eikonal_action(barrier, np.where(at_top, ks * (1 + 1e-9), ks))
+    spline = CubicSpline(ks, vals)
 
     def S(kappa):
         kappa = np.asarray(kappa, dtype=float)
-        mag = np.clip(np.abs(kappa), ks[0], None)
-        re = sp_re(mag) * np.sign(kappa)
-        im = sp_im(mag)
-        return re + 1j * im
+        val = spline(np.clip(np.abs(kappa), ks[0], None))
+        return val.real * np.sign(kappa) + 1j * val.imag
 
     return S
 
@@ -506,7 +508,7 @@ def semiclassical_kernel(barrier, p, r, mode="quadrature", tol=5e-6):
         phi1 = -s * math.log(v0 ** 2 / p ** 2 - 1.0)
         alpha = (3.0 * phi3) ** (-1.0 / 3.0)
         weight = math.exp(-2.0 * math.pi * s * (v0 - p))
-        vals = np.array([weight * alpha * airy_ai(alpha * (rr - phi1)) for rr in r_arr])
+        vals = weight * alpha * airy_ai(alpha * (r_arr - phi1))
         violations = () if p <= 0.5 * v0 else ("p <= v0/2",)
         out = float(vals[0]) if scalar else vals
         return SemiclassicalValue(out, not violations, violations)

@@ -67,6 +67,23 @@ def _refined_panels(fun, sigma_hi, r_grid, feature_scale, tol, complex_out=False
     return vals, err
 
 
+def _grow_cutoff(probe, sigma0, feature_scale, tol, sigma_cap):
+    """(cutoff, probe(cutoff)): from sigma0 (or 64 feature scales) the cutoff
+    doubles until probe's last entry, the tail estimate, is below tol/2, the
+    next step would pass sigma_cap, or the estimate hits the rounding-noise
+    floor (doubling cuts it by less than 30%)."""
+    sigma = float(sigma0) if sigma0 is not None else 64.0 * feature_scale
+    est = probe(sigma)
+    for _ in range(24):
+        if est[-1] < 0.5 * tol or sigma * 2.0 > sigma_cap:
+            break
+        nxt = probe(sigma * 2.0)
+        if nxt[-1] >= 0.7 * est[-1]:
+            break
+        sigma, est = sigma * 2.0, nxt
+    return sigma, est
+
+
 def fourier_symmetric(gfun, r_grid, *, feature_scale, c1=None, tol=5e-7,
                       sigma0=None, sigma_cap=2.0e5):
     """(1/2pi) * integral over the whole line of g(sigma) e^{-i sigma r}.
@@ -93,19 +110,8 @@ def fourier_symmetric(gfun, r_grid, *, feature_scale, c1=None, tol=5e-7,
         e4 = float(np.max(np.abs(probes ** 4 * g3p)))
         return c1_e, c2_e, c3_e, e4 / (3.0 * np.pi * sig ** 3)
 
-    # Grow the cutoff until the estimated tail is inside tolerance; stop
-    # early once the probe-based estimate hits the rounding-noise floor
-    # (doubling no longer reduces it).
-    sigma = float(sigma0) if sigma0 is not None else 64.0 * feature_scale
-    c1_eff, c2, c3, tail_err = probe(sigma)
-    for _ in range(24):
-        if tail_err < 0.5 * tol or sigma * 2.0 > sigma_cap:
-            break
-        c1_n, c2_n, c3_n, tail_n = probe(sigma * 2.0)
-        if tail_n >= 0.7 * tail_err:
-            break
-        sigma *= 2.0
-        c1_eff, c2, c3, tail_err = c1_n, c2_n, c3_n, tail_n
+    sigma, (c1_eff, c2, c3, tail_err) = _grow_cutoff(probe, sigma0, feature_scale,
+                                                     tol, sigma_cap)
 
     def g3(s):
         return (np.asarray(gfun(s), dtype=complex)
@@ -144,18 +150,9 @@ def fourier_halfline(hfun, r_grid, *, feature_scale, c1, tol=5e-6,
         probes = sig * np.array([1.0, 1.37, 1.82])
         hp = np.asarray(hfun(probes), dtype=complex) - c1 / probes
         e2 = float(np.max(np.abs(probes ** 2 * hp)))
-        return e2 / sig
+        return (e2 / sig,)
 
-    sigma = float(sigma0) if sigma0 is not None else 64.0 * feature_scale
-    tail_err = probe(sigma)
-    for _ in range(24):
-        if tail_err < 0.5 * tol or sigma * 2.0 > sigma_cap:
-            break
-        tail_n = probe(sigma * 2.0)
-        if tail_n >= 0.7 * tail_err:
-            break
-        sigma *= 2.0
-        tail_err = tail_n
+    sigma, (tail_err,) = _grow_cutoff(probe, sigma0, feature_scale, tol, sigma_cap)
 
     vals, core_err = _refined_panels(hfun, sigma, r_grid, feature_scale, tol,
                                      complex_out=True)

@@ -62,8 +62,9 @@ def big_w(z):
 
 
 def airy_ai(x):
-    """Airy function Ai(x) on the real line."""
-    return float(airy(float(x))[0])
+    """Airy function Ai(x) on the real line: a float for a scalar, else an array."""
+    out = airy(np.asarray(x, dtype=float))[0]
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -37,16 +37,16 @@ def _max_abs(*arrays):
     return max(float(np.max(np.abs(a))) for a in arrays)
 
 
-def suite_unitarity(fast=False, tol_closed=1e-10, tol_numeric=1e-6):
+def suite_unitarity(fast=False):
     s = 0.4
     num = _b.NumericBarrier.from_callable(
         lambda q: 1.0 / np.cosh(q / s) ** 2, -12 * s, 12 * s, 1201 if fast else 1601)
     ks = np.linspace(0.1, 5.0, 200)
     recs = []
     for bar, name, kk, tol in (
-            (_b.DeltaBarrier(2.0), "delta", ks, tol_closed),
-            (_b.PoschlTellerBarrier(1.0, s), "poschl_teller", ks, tol_closed),
-            (num, "numeric", np.linspace(0.1, 5.0, 60) if fast else ks, tol_numeric)):
+            (_b.DeltaBarrier(2.0), "delta", ks, 1e-10),
+            (_b.PoschlTellerBarrier(1.0, s), "poschl_teller", ks, 1e-10),
+            (num, "numeric", np.linspace(0.1, 5.0, 60) if fast else ks, 1e-6)):
         a, b = bar.amplitudes(kk)
         recs.append(_record(f"unitarity/{name}",
                             _max_abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0), tol))
@@ -72,7 +72,7 @@ def _delta_routes(v0, p, r):
     return kt_q.density, kr_q.density, kt_r.density, t_c, r_c
 
 
-def suite_causality(fast=False, tol=1e-6):
+def suite_causality(fast=False):
     if fast:
         r, configs = np.linspace(-2.0, -0.05, 14), _SWEEP_CONFIGS[:2]
     else:
@@ -83,17 +83,17 @@ def suite_causality(fast=False, tol=1e-6):
         t_q, r_q, t_r, t_c, r_c = (d[neg] for d in _delta_routes(v0, p, r))
         quad = max(quad, _max_abs(t_q, r_q))
         exact = max(exact, _max_abs(t_r, t_c, r_c))
-    return [_record("causality/delta", quad, tol),
+    return [_record("causality/delta", quad, 1e-6),
             _record("causality/delta exact", exact, 0.0,
                     "residue and closed-form routes")]
 
 
-def suite_triangulation(fast=False, tol=1e-6):
+def suite_triangulation(fast=False):
     recs = []
     for v0, p in _SWEEP_CONFIGS:
         t_q, r_q, t_r, t_c, r_c = _delta_routes(v0, p, _sweep(fast))
         dev = _max_abs(t_q - t_c, t_r - t_c, t_q - t_r, r_q - r_c)
-        recs.append(_record(f"triangulation/delta v0={v0} p={p}", dev, tol))
+        recs.append(_record(f"triangulation/delta v0={v0} p={p}", dev, 1e-6))
     v0, s = 1.0, 0.4
     pt = _b.PoschlTellerBarrier(v0, s)
     r_pt = np.linspace(0.21, 3.0, 12) if fast else np.linspace(0.5 * s, 3.0, 25)
@@ -102,11 +102,11 @@ def suite_triangulation(fast=False, tol=1e-6):
         kt_r = _k.kernel_by_residues(pt, p, r_pt, 40)
         t_c, r_c = _k.pt_kernels(v0, s, p, r_pt)
         dev = _max_abs(kt_q.density - t_c, kt_r.density - t_c, kr_q.density - r_c)
-        recs.append(_record(f"triangulation/pt p={p}", dev, tol))
+        recs.append(_record(f"triangulation/pt p={p}", dev, 1e-6))
     return recs
 
 
-def suite_probability(fast=False, tol=1e-4):
+def suite_probability(fast=False):
     recs = []
     for v0, p in ((2.0, 1.0), (2.0, 0.7), (0.5, 1.0)):
         # start exactly at 0 (the closed form reports the r -> 0+ limit
@@ -116,7 +116,7 @@ def suite_probability(fast=False, tol=1e-4):
         t_tot, r_tot = _k.total_probabilities(_b.DeltaBarrier(v0), p)
         dev = max(abs(1.0 + np.trapezoid(t_c, r) - t_tot),
                   abs(np.trapezoid(r_c, r) - r_tot))
-        recs.append(_record(f"probability/delta v0={v0} p={p}", dev, tol))
+        recs.append(_record(f"probability/delta v0={v0} p={p}", dev, 1e-4))
     # analytically exact point
     t_tot, r_tot = _k.total_probabilities(_b.DeltaBarrier(2.0), 1.0)
     recs.append(_record("probability/delta v0=2 p=1 T=R=1/2",
@@ -135,7 +135,7 @@ def _grid_detection(propagate, src, dst, bar, t, q, p):
                          ev.gaussian_to_grid(dst, q, p))
 
 
-def suite_gaussian_master(fast=False, tol=1e-3):
+def suite_gaussian_master(fast=False):
     configs = [(ev.GaussianState(40.0, 1.0, 25.0), 40.0),
                (ev.GaussianState(20.0, 1.0, 25.0), 30.0),
                (ev.GaussianState(-90.0, -1.0, 25.0), 65.0)]
@@ -153,12 +153,12 @@ def suite_gaussian_master(fast=False, tol=1e-3):
                 warnings.simplefilter("ignore")
                 w_closed = ev.gaussian_detection(_INIT, det, bar, t).w_total
             dev = abs(w_grid - w_closed) / max(abs(w_closed), 1e-12)
-            recs.append(_record(f"gaussian_master/{name} t={t}", dev, tol,
+            recs.append(_record(f"gaussian_master/{name} t={t}", dev, 1e-3,
                                 f"grid={w_grid:.6g} closed={w_closed:.6g}"))
     return recs
 
 
-def suite_reciprocity(fast=False, tol=1e-4):
+def suite_reciprocity(fast=False):
     bar = _b.DeltaBarrier(2.0)
     det = ev.GaussianState(40.0, 1.0, 25.0)
     q = np.linspace(-160.0, 120.0, 1201 if fast else 1600)
@@ -167,11 +167,11 @@ def suite_reciprocity(fast=False, tol=1e-4):
     w_fwd = _grid_detection(ev.barrier_propagate, _INIT, det, bar, t, q, p)
     w_bwd = _grid_detection(ev.detector_propagate, det, _INIT, bar, t, q, p)
     dev = abs(w_fwd - w_bwd) / max(abs(w_fwd), 1e-12)
-    return [_record("reciprocity/delta", dev, tol,
+    return [_record("reciprocity/delta", dev, 1e-4,
                     f"forward={w_fwd:.6g} backward={w_bwd:.6g}")]
 
 
-def suite_transients(fast=False, tol_slope=0.02, tol_ratio=0.02):
+def suite_transients(fast=False):
     v0 = 2.0
     # large t in units of 1/v0^2: t v0^2 from 100 to 10000
     ts = np.geomspace(25.0, 2500.0, 12 if fast else 30)
@@ -183,16 +183,16 @@ def suite_transients(fast=False, tol_slope=0.02, tol_ratio=0.02):
                          for k in kappas]).T
     # D(kappa; k, k) = -(2 kappa / pi) lhs is a probability density, >= 0
     d_min = float(np.min(-(2.0 * kappas / math.pi) * lhs))
-    return [_record("transients/slope", abs(slope + 1.5), tol_slope,
+    return [_record("transients/slope", abs(slope + 1.5), 0.02,
                     f"slope={slope:.4f}"),
-            _record("transients/ratio", abs(ratio - 1.0), tol_ratio,
+            _record("transients/ratio", abs(ratio - 1.0), 0.02,
                     f"ratio={ratio:.5f}"),
             _record("transients/discontinuity", _max_abs(lhs - rhs), 1e-12),
             _record("transients/positivity", max(0.0, -d_min), 0.0,
                     f"min D={d_min:.4g}")]
 
 
-def suite_semiclassical(fast=False, factor_tol=2.0, airy_tol=0.05):
+def suite_semiclassical(fast=False):
     v0 = 1.0
     # deep tunneling: (s, p) with p / v0 well below 1
     cases = ([(4.0, p) for p in (0.2, 0.35, 0.5)] if fast else
@@ -209,10 +209,10 @@ def suite_semiclassical(fast=False, factor_tol=2.0, airy_tol=0.05):
     r = np.linspace(lag.lag - 70.0 * alpha, lag.lag + 40.0 * alpha, 3001)
     vals = _k.semiclassical_kernel(_b.PoschlTellerBarrier(v0, s), p0, r, mode="airy").value
     integral = float(np.trapezoid(vals, r))
-    return [_record("semiclassical/deep_tunneling_factor", worst, factor_tol,
+    return [_record("semiclassical/deep_tunneling_factor", worst, 2.0,
                     "exp(-2I) vs |a|^-2"),
             _record("semiclassical/airy_normalization", abs(integral / lag.weight - 1.0),
-                    airy_tol, f"integral={integral:.4g} weight={lag.weight:.4g}")]
+                    0.05, f"integral={integral:.4g} weight={lag.weight:.4g}")]
 
 
 SUITES = {

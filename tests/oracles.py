@@ -203,3 +203,41 @@ def hyp4f3_coefficients_loop(xi, lam, n_terms):
             ratio /= l + n
         c[n + 1] = c[n] * ratio
     return c
+
+
+def eikonal_action_piecewise(barrier, kappa, dps=20):
+    """S(kappa) = kappa * integral [1 - sqrt(1 - V/kappa^2)] dq of a tabulated
+    barrier, by mpmath quadrature on the spline's own cubics.
+
+    V = max(spline, 0) over the knot range. Each knot interval is split at
+    the real parts of the roots of its cubic (clip kinks), of its derivative
+    (critical points) and of cubic - kappa^2 (turning points, or their
+    neighbours for complex kappa), so tanh-sinh meets every non-smooth
+    point at an end. The square root of a negative value is
+    +i sqrt(|.|), the continuation from the upper half-plane.
+    """
+    sp = barrier.table._spline
+    with mp.workdps(dps):
+        k = mp.mpc(complex(kappa))
+        k2 = k * k
+        total = mp.mpc(0)
+        for i in range(len(sp.x) - 1):
+            c = [mp.mpf(float(v)) for v in sp.c[:, i]]   # c0 t^3 + c1 t^2 + c2 t + c3
+            width = mp.mpf(float(sp.x[i + 1])) - mp.mpf(float(sp.x[i]))
+            cuts = {mp.mpf(0), width}
+            for poly in (c, [3 * c[0], 2 * c[1], c[2]], c[:3] + [c[3] - k2]):
+                while poly and poly[0] == 0:
+                    poly = poly[1:]
+                if len(poly) < 2:
+                    continue
+                for root in mp.polyroots(poly, maxsteps=200, extraprec=2 * dps):
+                    # a cut at a smooth point costs nothing; every real part goes in
+                    if 0 < mp.re(root) < width:
+                        cuts.add(mp.re(root))
+
+            def f(t, c=c):
+                v = max(((c[0] * t + c[1]) * t + c[2]) * t + c[3], 0)
+                return 1 - mp.sqrt(1 - v / k2)
+
+            total += mp.quad(f, sorted(cuts))
+        return complex(k * total)

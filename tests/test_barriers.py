@@ -204,6 +204,26 @@ class TestEikonal:
         assert abs(s_val.real - closed) < 1e-8
         assert abs(s_val.imag + math.pi * s * (v0 - k)) < 1e-8
 
+    @pytest.mark.parametrize("offset", [-1e-3, -1e-5, -1e-7, 1e-7, 1e-5, 1e-3])
+    def test_turning_point_next_to_a_knot(self, offset):
+        # the square root at a turning point a hair past a knot sits just
+        # outside the next piece; that piece must not lose accuracy to it
+        q = np.linspace(-2.0, 2.0, 21)
+        bar = EikonalBarrier(q, 1.0 / np.cosh(q / 0.6) ** 2)
+        k = math.sqrt(bar.potential(-1.0 + offset * (q[1] - q[0])))
+        ref = oracles.eikonal_action_piecewise(bar, k)
+        assert abs(eikonal_action(bar, k) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("offset", [1e-2, 1e-4, 1e-6])
+    def test_complex_kappa_next_to_the_axis(self, offset):
+        # V = kappa^2 then sits just off the real line, by the turning
+        # points of Re kappa^2, which the rules take as their anchors
+        q = np.linspace(-2.0, 2.0, 21)
+        bar = EikonalBarrier(q, 1.0 / np.cosh(q / 0.6) ** 2)
+        for k in (0.5 - 1j * offset, 0.83 + 1j * offset):
+            ref = oracles.eikonal_action_piecewise(bar, k)
+            assert abs(eikonal_action(bar, k) - ref) <= 1e-9 * abs(ref)
+
     def test_branch_point_raises(self):
         v_max = self.bar.max_potential()
         with pytest.raises(BranchAmbiguityError):

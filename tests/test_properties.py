@@ -10,9 +10,14 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import numeric_amplitudes_dop853
+from oracles import eikonal_action_piecewise, numeric_amplitudes_dop853
 from wigner_tunnel import kernels
-from wigner_tunnel.barriers import NumericBarrier, PoschlTellerBarrier
+from wigner_tunnel.barriers import (
+    EikonalBarrier,
+    NumericBarrier,
+    PoschlTellerBarrier,
+    eikonal_action,
+)
 from wigner_tunnel.evolution import fftconvolve
 from wigner_tunnel.kernels import kernel_by_quadrature, kernel_row, pt_kernels
 from wigner_tunnel.specfun import log_gamma_right
@@ -171,3 +176,51 @@ def test_fftconvolve_matches_scipy_signal(in1, in2):
     in1, in2 = np.array(in1), np.array(in2)
     assert np.array_equal(fftconvolve(in1, in2, mode="valid"),
                           scipy.signal.fftconvolve(in1, in2, mode="valid"))
+
+
+# jagged eikonal tables: 4 to 41 rows on [-L, L], heights up to 1.5, 40% of them 0
+jagged_tables = st.builds(
+    lambda half, v: EikonalBarrier(np.linspace(-half, half, len(v)), np.array(v)),
+    st.floats(0.5, 2.0),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.5))
+             .map(lambda t: 0.0 if t[0] < 0.4 else t[1]), min_size=4, max_size=41))
+
+
+@settings(derandomized, max_examples=15)
+@given(bar=jagged_tables, ks=st.lists(st.floats(0.05, 1.6), min_size=1, max_size=3))
+def test_eikonal_action_matches_piecewise_oracle(bar, ks):
+    # kappa from far below the heights to above them: turning points in
+    # any piece, next to knots, clip kinks and critical points
+    ks = [k for k in ks if abs(k * k - bar.max_potential()) > 1e-6]
+    for k, got in zip(ks, eikonal_action(bar, np.array(ks))):
+        ref = eikonal_action_piecewise(bar, k)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+@settings(derandomized, max_examples=30)
+@given(s=st.floats(0.2, 3.0), ks=st.lists(st.floats(0.03, 0.99), min_size=1, max_size=4))
+def test_eikonal_action_of_poschl_teller_matches_closed_form(s, ks):
+    # below the top of 1/cosh^2(q/s): S = s k log(1/k^2 - 1) + s log((1+k)/(1-k))
+    # - i pi s (1 - k); the action's +-17 s support leaves out about 3.4e-15 s/k
+    k = np.array(ks)
+    closed = (s * k * np.log(1.0 / k ** 2 - 1.0) + s * np.log((1.0 + k) / (1.0 - k))
+              - 1j * np.pi * s * (1.0 - k))
+    got = eikonal_action(PoschlTellerBarrier(1.0, s), k)
+    assert np.max(np.abs(got - closed)) <= 1e-12
+
+
+complex_kappas = st.lists(st.tuples(st.floats(-4.0, 4.0), st.sampled_from([0.0, 0.0, -0.3, 0.5]))
+                          .map(lambda t: complex(*t)).filter(lambda z: abs(z) > 0.01),
+                          min_size=1, max_size=8)
+
+
+@settings(derandomized, max_examples=30)
+@given(bar=jagged_tables, ks=complex_kappas)
+def test_eikonal_array_call_matches_scalar_calls(bar, ks):
+    v_max = bar.max_potential()
+    ks = [k for k in ks if k.imag or abs(k.real ** 2 - v_max) > 1e-6]
+    whole = eikonal_action(bar, np.array(ks))
+    for k, got in zip(ks, whole):
+        one = eikonal_action(bar, k)
+        assert isinstance(one, complex)
+        assert abs(got - one) <= 1e-14 * abs(one)

@@ -119,8 +119,10 @@ class TestAiry:
     def test_decaying_branch(self):
         xs = np.linspace(1.0, 20.0, 25)
         vals = [airy_ai(x) for x in xs]
-        assert all(v > 0 for v in vals)
+        assert all(isinstance(v, float) and v > 0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
+        # one array call gives the scalar calls' values
+        assert np.array_equal(airy_ai(xs), vals)
 
     def test_defining_ode_residual(self):
         # stencil widths chosen against the series' cancellation noise:
