@@ -598,7 +598,8 @@ def eikonal_action(potential, kappa):
     (sqrt -> 1 as kappa -> infinity); on the real axis below the barrier
     top this puts the forbidden-region contribution at -i * integral of
     sqrt(V - kappa^2), so |exp(iS)| = exp(+I) >= 1 and the semiclassical
-    transmission is exp(-2I).
+    transmission is exp(-2I). Real kappa < 0 takes -conj(S(-kappa)), so
+    a = exp(iS) keeps a(-kappa) = conj(a(kappa)) as the exact amplitudes do.
 
     A scalar or an array of kappa is evaluated in one pass. A monotone
     piece whose end values bracket Re kappa^2 holds one turning point q_t
@@ -609,6 +610,9 @@ def eikonal_action(potential, kappa):
     vfun, edges, v_max = _action_pieces(potential)
     kappa = np.asarray(kappa, dtype=complex)
     k = kappa.ravel()
+    mirror = (k.imag == 0.0) & (k.real < 0.0)
+    # -k.real, not -k: a -0 imaginary part would flip the square-root branch
+    k = np.where(mirror, -k.real, k)
     if np.any(k == 0):
         raise ZeroDivisionError("eikonal action undefined at kappa = 0")
     k2 = k * k
@@ -646,6 +650,7 @@ def eikonal_action(potential, kappa):
             sums[rows, cols] = 0.0
             np.add.at(sums, (rows, cols), _action_sums(vfun(q), w, k2c[rows, None]))
         out[start:start + step] = kc * sums.sum(axis=1)
+    out = np.where(mirror, -out.conj(), out)
     return complex(out[0]) if kappa.ndim == 0 else out.reshape(kappa.shape)
 
 

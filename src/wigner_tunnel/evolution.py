@@ -232,15 +232,26 @@ def _propagate_rows(grid, barrier, t, adjoint):
     p_zero = _zero_momentum(grid)
     ranges = _kernel_ranges(barrier)
 
+    tasks = []   # (source momentum, destination column, momentum, transmitted?)
     for j, pj in enumerate(grid.p):
-        row = grid.values[:, j]
-        if pj > p_zero and np.max(np.abs(row)) > floor:
-            out[:, j] += _transmitted_row(grid, barrier, t, row, pj, ranges, adjoint)
-    for j, pj in enumerate(grid.p):
+        if pj > p_zero:
+            tasks.append((pj, j, pj, True))
         p0 = pj if adjoint else -pj
-        src = _row_at_momentum(grid, -pj) if p0 > p_zero else None
-        if src is not None and np.max(np.abs(src)) > floor:
-            out[:, j] += _reflected_row(grid, barrier, t, src, p0, ranges)
+        if p0 > p_zero:
+            tasks.append((-pj, j, p0, False))
+    # in source order a row that both transmits and reflects is fitted once;
+    # a column takes at most two terms, whose sum does not depend on order
+    fitted = None
+    for p_src, j, p, transmitted in sorted(tasks):
+        col, row = _row_at_momentum(grid, p_src)
+        if row is None or not np.max(np.abs(row)) > floor:
+            continue
+        if col is None or col != fitted:
+            fitted, fit = col, CubicSpline(grid.q, row, bc_type="natural")
+        if transmitted:
+            out[:, j] += _transmitted_row(grid, barrier, t, fit, p, ranges, adjoint)
+        else:
+            out[:, j] += _reflected_row(grid, barrier, t, fit, p, ranges)
     return out
 
 
@@ -275,17 +286,17 @@ def _warn_if_not_cleared(grid, barrier, t):
 
 
 def _row_at_momentum(grid, p0):
-    """Initial row at momentum +p0, interpolated linearly across rows."""
+    """(column, initial row) at momentum p0; between nodes (None, linear interpolant)."""
     p = grid.p
     if p0 < p[0] or p0 > p[-1]:
-        return None
+        return None, None
     j = int(np.searchsorted(p, p0))
     if j < len(p) and abs(p[j] - p0) < 1e-12 * max(1.0, abs(p0)):
-        return grid.values[:, j]
+        return j, grid.values[:, j]
     if j == 0 or j >= len(p):
-        return None
+        return None, None
     wgt = (p0 - p[j - 1]) / (p[j] - p[j - 1])
-    return (1.0 - wgt) * grid.values[:, j - 1] + wgt * grid.values[:, j]
+    return None, (1.0 - wgt) * grid.values[:, j - 1] + wgt * grid.values[:, j]
 
 
 def _lag_lattice(grid, p, r_lo, r_hi):
@@ -321,14 +332,13 @@ def fftconvolve(in1, in2, mode="valid"):
     return full[len(in2) - 1:len(in1)]
 
 
-def _lag_convolve(grid, row, start, kernel, refine, dr):
-    """Correlate a weighted kernel row with the spline-resampled row.
+def _lag_convolve(grid, spline, start, kernel, refine, dr):
+    """Correlate a weighted kernel row with a row resampled by its spline.
 
     Returns (fine, smooth): the row sampled on start + m dr (zero off the
     grid) and smooth[i] = sum_k kernel[k] fine[i refine + k] per q node.
     """
     n_fine = (len(grid.q) - 1) * refine + len(kernel)
-    spline = CubicSpline(grid.q, row, bc_type="natural")
     x = start + dr * np.arange(n_fine)
     fine = np.zeros(n_fine)
     m = (x >= grid.q[0]) & (x <= grid.q[-1])
@@ -337,8 +347,8 @@ def _lag_convolve(grid, row, start, kernel, refine, dr):
     return fine, smooth
 
 
-def _transmitted_row(grid, barrier, t, row, p, ranges, adjoint):
-    """Free spike plus the transmission lag integral for the row at p > 0.
+def _transmitted_row(grid, barrier, t, spline, p, ranges, adjoint):
+    """Free spike plus the transmission lag integral for the row (spline) at p > 0.
 
     Forward: out(q) = row(q - 2pt) + int T(r) row(q - 2pt + r) dr.
     Adjoint: out(q) = row(q + 2pt) + int T(r) row(q + 2pt - r) dr.
@@ -358,12 +368,12 @@ def _transmitted_row(grid, barrier, t, row, p, ranges, adjoint):
         # q_i - 2pt + r_k = (q_min - 2pt) + (i*refine + k) dr
         spike = 0
         start = grid.q[0] - shift
-    fine, smooth = _lag_convolve(grid, row, start, kernel, refine, dr)
+    fine, smooth = _lag_convolve(grid, spline, start, kernel, refine, dr)
     return fine[spike::refine][:len(grid.q)] + smooth
 
 
-def _reflected_row(grid, barrier, t, src_row, p0, ranges):
-    """Reflection lag integral of the row at +p0, forward and adjoint alike.
+def _reflected_row(grid, barrier, t, spline, p0, ranges):
+    """Reflection lag integral of the row (spline) at +p0, forward and adjoint alike.
 
     out(q_i) = sum_k w_k R(r_k) src(r_k - 2 p0 t - q_i): one fine lattice
     from r_lo - 2 p0 t - q_max, reversed in i.
@@ -373,7 +383,7 @@ def _reflected_row(grid, barrier, t, src_row, p0, ranges):
     r_hi = min(r_hi, 2.0 * (grid.q[-1] - grid.q[0]) + shift + grid.dq)
     r_vals, w, refine, dr = _lag_lattice(grid, p0, r_lo, r_hi)
     _, r_dens = _k.kernel_row(barrier, p0, r_vals, which="R")
-    _, vals = _lag_convolve(grid, src_row, r_lo - shift - grid.q[-1], w * r_dens,
+    _, vals = _lag_convolve(grid, spline, r_lo - shift - grid.q[-1], w * r_dens,
                             refine, dr)
     return vals[::-1]
 

@@ -205,26 +205,32 @@ def delta_kernels(v0, p, r):
     return t_dens, r_dens
 
 
-def _pt_series(rate, xi, lam, z, lag):
-    """(exp(rate * lag), 4F3(xi; lam; z)) vectorized over the lag grid.
+def _real_sum(name, tot):
+    """Real part of a branch sum whose imaginary parts must cancel."""
+    bad = np.max(np.abs(tot.imag) / np.maximum(1.0, np.abs(tot.real)))
+    if bad > _PT_IMAG_TOL:
+        raise KernelAccuracyError(
+            f"{name} sum imaginary residue {bad:.2e} exceeds {_PT_IMAG_TOL}")
+    return tot.real
 
-    The argument z is real, in [0, 1). The sum over n of c_n z^n is a
-    (lags x terms) table of powers of z, built by a cumulative product and
-    multiplied by the coefficient vector, chunk by chunk over the lags.
+
+def _pt_series(prefs, rate, xi, lam, z, lag):
+    """For each named row of prefs, the real sum over branches b of
+    pref_b exp(rate_b lag) 4F3(xi_b; lam_b; z). The branches share the real
+    argument z in [0, 1), so the sums over n of c_n z^n take one (lags x terms)
+    table of powers of z, built chunk by chunk over the lags.
     """
-    if np.any(np.abs(z) >= 1.0):
-        raise ConvergenceRegionError("4F3 argument on or outside the unit circle")
-    zmax = float(np.max(np.abs(z))) if z.size else 0.0
+    zmax = float(np.max(z))
     if zmax == 0.0:
         n_terms = 2
     else:
         n_terms = min(int(37.0 / -math.log(zmax)) + 12, 20_000)
     coeff = hyp4f3_coefficients(xi, lam, n_terms)
-    tail = abs(coeff[-1]) * zmax ** (n_terms - 1) / max(1.0 - zmax, 1e-12)
+    tail = float(np.max(np.abs(coeff[:, -1]))) * zmax ** (n_terms - 1) / max(1.0 - zmax, 1e-12)
     if tail > 1e-10:
         raise ConvergenceRegionError(
             f"4F3 series tail {tail:.2e} too large at |z|={zmax:.6f}")
-    series = np.empty(len(z), dtype=complex)
+    series = np.empty((len(coeff), len(z)), dtype=complex)
     step = max(1, _SERIES_TABLE_ENTRIES // n_terms)
     for lo in range(0, len(z), step):
         zc = z[lo:lo + step]
@@ -234,71 +240,59 @@ def _pt_series(rate, xi, lam, z, lag):
         np.cumprod(powers, axis=1, out=powers)
         # real matrix-vector products: each lag's sum then does not depend
         # on how many lags share its chunk
-        series.real[lo:lo + step] = powers @ coeff.real
-        series.imag[lo:lo + step] = powers @ coeff.imag
-    return np.exp(rate * lag), series
+        for out, c in zip(series, coeff):
+            out.real[lo:lo + step] = powers @ c.real
+            out.imag[lo:lo + step] = powers @ c.imag
+    terms = np.exp(np.outer(rate, lag)) * series
+    return [_real_sum(name, np.sum(pref[:, None] * terms, axis=0))
+            for name, pref in prefs.items()]
 
 
-def _pt_f_late(s, nu, om, r, which):
-    """T and R terms (r > 0) of one (nu, omega) branch, keyed by ``which``.
-
-    Both kernels share one 4F3 series and differ only in the prefactor.
-    """
+def _pt_late(s, nu, om, weight, r):
+    """(T, R) at lags r > 0 from the weighted (nu_b, omega_b) branches; the
+    kernels share each branch's 4F3 series and differ only in the prefactor."""
     g = gamma_cx
     xi = (1.5 - om, 0.5 - om, 1.5 - 1j * nu - om, 0.5 - 1j * nu - om)
     lam = (1 - 2 * om, 1 - 1j * nu, 1 - 1j * nu - 2 * om)
-    e, series = _pt_series((1j * nu + 2 * om - 1) / s, xi, lam, np.exp(-2.0 * r / s), r)
-    head = 2.0 * g(2 * om) * g(1j * nu) * g(1j * nu + 2 * om)
-    pref = {}
-    if "T" in which:
-        pref["T"] = head / (s * g(-0.5 + om) * g(0.5 + om)
-                            * g(-0.5 + 1j * nu + om) * g(0.5 + 1j * nu + om))
-    if "R" in which:
-        pref["R"] = head * g(0.5 - 1j * nu - om) / (s * g(0.5 + om) ** 2 * g(0.5 - om)
-                                                    * g(-0.5 + om) * g(-0.5 + 1j * nu + om))
-    return {name: (pref[name] * e) * series for name in which}
+    g_half = g(0.5 + om)
+    head = (2.0 * weight * g(2 * om) * g(1j * nu) * g(1j * nu + 2 * om)
+            / (s * g(-0.5 + om) * g_half * g(-0.5 + 1j * nu + om)))
+    t_pref = head / g(0.5 + 1j * nu + om)
+    r_pref = head * g(0.5 - 1j * nu - om) / (g_half * g(0.5 - om))
+    return _pt_series({"T": t_pref, "R": r_pref}, (1j * nu + 2 * om - 1) / s, xi, lam,
+                      np.exp(-2.0 * r / s), r)
 
 
-def _pt_late_sum(s, nu, om, r, which):
-    """T and R (r > 0) summed over the four (+-nu, +-omega) branches."""
-    tots = {name: np.zeros(len(r), dtype=complex) for name in which}
-    for nu_s in (nu, -nu):
-        for om_s in (om, -om):
-            for name, term in _pt_f_late(s, nu_s, om_s, r, which).items():
-                tots[name] += term
-    return tots
-
-
-def _pt_f_s(v0, s, nu, om, r):
-    """Early-reflection branch (r < 0), resummed over the poles of b."""
+def _pt_early(v0, s, nu, om, r):
+    """R at lags r < 0 from the (nu_b, omega_b) branches, resummed over the poles of b."""
     g = gamma_cx
     pref = (2j * v0 ** 2 * s * np.cos(np.pi * om) * (1 + 1j * nu)
             * g(1.5 + 1j * nu + om) * g(1.5 + 1j * nu - om)
             / (np.sinh(np.pi * nu) * g(2 + 1j * nu) ** 2))
     xi = (1.5 + om, 1.5 - om, 1.5 + 1j * nu + om, 1.5 + 1j * nu - om)
     lam = (2, 1 + 1j * nu, 2 + 1j * nu)
-    e, series = _pt_series((1j * nu + 2) / s, xi, lam, np.exp(2.0 * r / s), r)
-    return (pref * e) * series
+    return _pt_series({"early-reflection": pref}, (1j * nu + 2) / s, xi, lam,
+                      np.exp(2.0 * r / s), r)[0]
 
 
-def pt_kernels(v0, s, p, r, which="TR"):
-    """Closed-form Poschl-Teller kernel densities via 4F3 sums.
+def pt_kernels(v0, s, p, r):
+    """Closed-form Poschl-Teller (T, R) kernel densities via 4F3 sums.
 
     The transmission density sums four hypergeometric pieces over the two
     pole families (+-omega) and the two momentum continuations (+-nu with
     nu = 2 p s). Reflection has support on both signs of the lag: a
     smooth barrier turns the packet around early, so R extends to r < 0.
-    Only |r| > 0.05 s is accepted (series argument away from the unit
-    circle); ``kernel_row`` covers that band. Near v0 s = 1/2, where the
-    two pole families merge (omega -> 0), the late sum is taken in that
-    limit. Imaginary parts of the symmetrized sums must cancel below
-    _PT_IMAG_TOL or KernelAccuracyError is raised. Only the densities named
-    in ``which`` ("T", "R" or "TR") are summed; the other comes back as None.
+    All the branches of one lag sign share one series argument, so each
+    sign is one 4F3 table, and T and R share it, differing only in their
+    prefactors; both always come back. Only |r| > 0.05 s is accepted
+    (series argument away from the unit circle); ``kernel_row`` covers
+    that band. Near v0 s = 1/2, where the two pole families merge
+    (omega -> 0), the late sum is taken in that limit. Imaginary parts of
+    the symmetrized sums must cancel below _PT_IMAG_TOL or
+    KernelAccuracyError is raised.
     """
     if v0 <= 0 or s <= 0 or p <= 0:
         raise ValueError("pt_kernels requires v0, s, p > 0")
-    if which not in ("T", "R", "TR"):
-        raise ValueError(f"which must be 'T', 'R' or 'TR', not {which!r}")
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
@@ -309,41 +303,29 @@ def pt_kernels(v0, s, p, r, which="TR"):
 
     om = complex(cmath.sqrt(0.25 - (v0 * s) ** 2))
     nu = 2.0 * p * s
-    dens = {name: np.zeros_like(r) for name in which}
+    t_dens = np.zeros_like(r)
+    r_dens = np.zeros_like(r)
     pos = r > 0
     neg = r < 0
 
     if np.any(pos):
-        rp = r[pos]
+        oms, weight = (om,), np.ones(4)
         if abs(om) < _PT_OMEGA_MIN:
+            # linear in omega^2 between the branches at +-_PT_OMEGA_MIN^2
             x = (0.25 - (v0 * s) ** 2) / _PT_OMEGA_MIN ** 2   # omega^2, in (-1, 1)
-            above = _pt_late_sum(s, nu, _PT_OMEGA_MIN, rp, which)
-            below = _pt_late_sum(s, nu, 1j * _PT_OMEGA_MIN, rp, which)
-            tots = {name: 0.5 * (1.0 + x) * above[name] + 0.5 * (1.0 - x) * below[name]
-                    for name in which}
-        else:
-            tots = _pt_late_sum(s, nu, om, rp, which)
-        for name, tot in tots.items():
-            bad = np.max(np.abs(tot.imag) / np.maximum(1.0, np.abs(tot.real)))
-            if bad > _PT_IMAG_TOL:
-                raise KernelAccuracyError(
-                    f"{name} sum imaginary residue {bad:.2e} exceeds {_PT_IMAG_TOL}")
-            dens[name][pos] = tot.real
+            oms = (_PT_OMEGA_MIN, 1j * _PT_OMEGA_MIN)
+            weight = np.repeat([0.5 * (1.0 + x), 0.5 * (1.0 - x)], 4)
+        om_b = np.array([sign * w for w in oms for sign in (1, -1, 1, -1)])
+        nu_b = np.tile([nu, nu, -nu, -nu], len(oms))
+        t_dens[pos], r_dens[pos] = _pt_late(s, nu_b, om_b, weight, r[pos])
 
     # transmission is strictly causal: zeros of a are all below the axis
-    if "R" in dens and np.any(neg):
-        rn = r[neg]
-        s_sum = _pt_f_s(v0, s, nu, om, rn) + _pt_f_s(v0, s, -nu, -om, rn)
-        bad = np.max(np.abs(s_sum.imag) / np.maximum(1.0, np.abs(s_sum.real)))
-        if bad > _PT_IMAG_TOL:
-            raise KernelAccuracyError(
-                f"early-reflection sum imaginary residue {bad:.2e} exceeds {_PT_IMAG_TOL}")
-        dens["R"][neg] = s_sum.real
+    if np.any(neg):
+        r_dens[neg] = _pt_early(v0, s, np.array([nu, -nu]), np.array([om, -om]), r[neg])
 
-    out = tuple(dens.get(name) for name in "TR")
     if scalar:
-        return tuple(None if d is None else float(d[0]) for d in out)
-    return out
+        return float(t_dens[0]), float(r_dens[0])
+    return t_dens, r_dens
 
 
 def total_probabilities(barrier, p, a=None, ratio=None):
@@ -379,7 +361,7 @@ def _pt_row(barrier, p0, r_vals, spike, tol, which):
     if fit_r:
         lags = np.concatenate([lags, h * _R_BAND_NODES])
     if len(lags):
-        series = dict(zip("TR", pt_kernels(barrier.v0, barrier.s, p0, lags, which=which)))
+        series = dict(zip("TR", pt_kernels(barrier.v0, barrier.s, p0, lags)))
         for name in which:
             dens[name][~band] = series[name][:n_own]
         if fit_r:

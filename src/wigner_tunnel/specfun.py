@@ -9,7 +9,6 @@ here directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +76,11 @@ class Hyp4F3Result:
 
 def _check_4f3_parameters(lam):
     for lm in lam:
-        lm = complex(lm)
-        if lm.imag == 0.0 and lm.real <= 0.0 and lm.real == math.floor(lm.real):
+        lm = np.asarray(lm, dtype=complex)
+        bad = (lm.imag == 0.0) & (lm.real <= 0.0) & (lm.real == np.floor(lm.real))
+        if np.any(bad):
             raise SeriesConvergenceError(
-                f"4F3 lower parameter {lm} is a non-positive integer")
+                f"4F3 lower parameter {lm[bad][0]} is a non-positive integer")
 
 
 def hyp4f3(xi, lam, zeta, tol=1e-14, max_terms=100_000):
@@ -130,16 +130,17 @@ def hyp4f3_coefficients(xi, lam, n_terms):
 
     c_0 = 1 and c_{n+1}/c_n = prod(xi+n) / (prod(lam+n) (n+1)); the series
     value at argument zeta is then polyval(c, zeta). The coefficients are
-    the cumulative product of those term ratios.
+    the cumulative product of those term ratios. Scalar parameters give
+    one vector; parameters broadcasting to shape S give shape S + (n_terms,).
     """
     _check_4f3_parameters(lam)
     n = np.arange(n_terms - 1, dtype=float)
     ratio = 1.0 / (n + 1.0)
     for x in xi:
-        ratio = ratio * (complex(x) + n)
+        ratio = ratio * (np.asarray(x, dtype=complex)[..., None] + n)
     for l in lam:
-        ratio = ratio / (complex(l) + n)
-    c = np.empty(n_terms, dtype=complex)
-    c[0] = 1.0
-    np.cumprod(ratio, out=c[1:])
+        ratio = ratio / (np.asarray(l, dtype=complex)[..., None] + n)
+    c = np.empty(ratio.shape[:-1] + (n_terms,), dtype=complex)
+    c[..., 0] = 1.0
+    np.cumprod(ratio, axis=-1, out=c[..., 1:])
     return c

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from wigner_tunnel.evolution import (
     purity_bound,
     sector_masses,
 )
-from wigner_tunnel import kernels
+from wigner_tunnel import evolution, kernels
 from wigner_tunnel.kernels import delta_kernels, kernel_by_quadrature, total_probabilities
 
 
@@ -213,6 +214,20 @@ class TestBarrierPropagate:
             rounded = barrier_propagate(g, bar, 40.0)
             exact = barrier_propagate(WignerGrid(q, p_exact, g.values), bar, 40.0)
         np.testing.assert_array_equal(rounded.values, exact.values)
+
+    def test_one_spline_fit_per_source_row(self):
+        # on a symmetric p axis the row at p > 0 transmits into p and
+        # reflects into -p, and both resample it through one spline fit
+        q = np.linspace(-100.0, 80.0, 300)
+        p = np.linspace(-1.9, 1.9, 21)
+        g = gaussian_to_grid(_incident(), q, p)
+        floor = 1e-10 * np.max(np.abs(g.values))
+        sources = np.sum((p > 1e-9 * g.dp) & (np.max(np.abs(g.values), axis=0) > floor))
+        with mock.patch.object(evolution, "CubicSpline", wraps=evolution.CubicSpline) as fit:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                barrier_propagate(g, DeltaBarrier(2.0), 25.0)
+        assert fit.call_count == sources
 
     def test_pt_rows_run_no_quadrature(self, monkeypatch):
         # T at the zero lag is exact and R is interpolated across the band

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import oracles
+from wigner_tunnel import kernels
 from wigner_tunnel.barriers import (
     DeltaBarrier,
     EikonalBarrier,
@@ -263,6 +265,30 @@ class TestPoschlTellerClosedForm:
         assert r_c[0] == pytest.approx(0.1503227707137, abs=1e-10)
         _, r_neg = pt_kernels(1.0, 0.4, 0.6, np.array([-0.4]))
         assert r_neg[0] == pytest.approx(0.0254270187627, abs=1e-10)
+
+    @pytest.mark.parametrize("v0, s, p, r, t_ref, r_ref", [
+        (1.0, 0.4, 0.6, 0.5, -0.7570209897622905, 0.16563102120157622),
+        (1.0, 0.4, 0.6, -0.3, 0.0, 0.035004165930419134),
+        (1.0, 1.0, 0.6, 1.5, 0.2353672483426125, 0.18890418566519843),
+    ])
+    def test_frozen_mpmath_quadrature_values(self, v0, s, p, r, t_ref, r_ref):
+        # frozen from tests/oracles.py: pt_kernel_quadrature, about 100 s a point
+        t_c, r_c = pt_kernels(v0, s, p, r)
+        assert abs(t_c - t_ref) <= 1e-14
+        assert abs(r_c - r_ref) <= 1e-14
+
+    @pytest.mark.parametrize("v0", [1.0, 0.5])
+    def test_one_series_per_lag_sign(self, v0):
+        # all the branches of one lag sign share one coefficient build and
+        # one array Gamma call per factor, four branches or, at v0 s = 1/2,
+        # the eight of the merged-pole limit
+        with mock.patch.object(kernels, "hyp4f3_coefficients",
+                               wraps=kernels.hyp4f3_coefficients) as coeff, \
+                mock.patch.object(kernels, "gamma_cx", wraps=kernels.gamma_cx) as gam:
+            pt_kernels(v0, 1.0, 0.6, np.array([-1.5, -0.3, 0.3, 1.5]))
+        assert coeff.call_count == 2
+        assert gam.call_count == 12
+        assert all(np.ndim(call.args[0]) == 1 for call in gam.call_args_list)
 
     def test_decay_at_large_lag(self):
         t_far, r_far = pt_kernels(1.0, 0.4, 0.6, 12.0)

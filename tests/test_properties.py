@@ -19,7 +19,7 @@ from wigner_tunnel.barriers import (
     eikonal_action,
 )
 from wigner_tunnel.evolution import fftconvolve
-from wigner_tunnel.kernels import kernel_by_quadrature, kernel_row, pt_kernels
+from wigner_tunnel.kernels import kernel_by_quadrature, kernel_row
 from wigner_tunnel.specfun import log_gamma_right
 
 # derandomized, so a CI failure reproduces locally
@@ -71,13 +71,6 @@ def test_one_kernel_quadrature_equals_two_kernel_call(vs, s, p):
         assert np.array_equal(one.density, both.density)
         assert one.error_estimate == both.error_estimate
         assert one.singular_weight == both.singular_weight
-    # the closed-form 4F3 sums outside the band, on both signs of the lag
-    r = np.array([-2.0, -0.3, 0.3, 2.0, 6.0]) * s
-    both_t, both_r = pt_kernels(vs / s, s, p, r)
-    only_t, none_r = pt_kernels(vs / s, s, p, r, which="T")
-    none_t, only_r = pt_kernels(vs / s, s, p, r, which="R")
-    assert none_r is None and none_t is None
-    assert np.array_equal(only_t, both_t) and np.array_equal(only_r, both_r)
 
 
 @settings(derandomized, max_examples=12)
@@ -95,11 +88,15 @@ def test_band_reflection_interpolates_quadrature(vs, s, p):
     assert np.max(np.abs(band_r - ref.density)) < 1e-8
 
 
-# small non-negative tables: 4 to 41 rows on [-L, L], heights up to 1.5
-tables = st.builds(
-    lambda half, v: NumericBarrier(np.linspace(-half, half, len(v)), np.array(v)),
-    st.floats(0.5, 2.0),
-    st.lists(st.floats(0.0, 1.5), min_size=4, max_size=41))
+def _tables(cls):
+    """Small non-negative tables: 4 to 41 rows on [-L, L], heights up to 1.5."""
+    return st.builds(
+        lambda half, v: cls(np.linspace(-half, half, len(v)), np.array(v)),
+        st.floats(0.5, 2.0),
+        st.lists(st.floats(0.0, 1.5), min_size=4, max_size=41))
+
+
+tables = _tables(NumericBarrier)
 real_kappas = st.lists(st.floats(0.2, 4.0), min_size=1, max_size=6, unique=True)
 
 
@@ -121,6 +118,15 @@ def test_numeric_amplitudes_unitary_and_schwarz(bar, ks):
     a, b = bar.amplitudes(ks)
     assert np.all(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0) <= 1e-6)
     assert np.all(np.abs(bar.amplitude_a(-ks) - np.conj(a)) <= 1e-7 * np.abs(a))
+
+
+@settings(derandomized, max_examples=30)
+@given(bar=_tables(EikonalBarrier), ks=real_kappas)
+def test_eikonal_amplitudes_schwarz(bar, ks):
+    # below the barrier top too, where |a| > 1 on both sides of kappa = 0
+    ks = np.array([k for k in ks if abs(k * k - bar.max_potential()) > 1e-6])
+    a = bar.amplitude_a(ks)
+    assert np.all(np.abs(bar.amplitude_a(-ks) - np.conj(a)) <= 1e-12 * np.abs(a))
 
 
 @settings(derandomized, max_examples=30)

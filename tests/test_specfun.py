@@ -189,6 +189,13 @@ class TestHyp4F3:
                 ref = oracles.hyp4f3_coefficients_loop(xi, lam, n_terms)
                 assert c.shape == ref.shape
                 assert np.all(np.abs(c - ref) <= 1e-13 * np.abs(ref))
+        # one call on the early parameter sets stacked as arrays, the lower
+        # parameter 2 left a scalar, gives each set's own vector as a row
+        xi, lam = (np.array(v).T for v in zip(*cases[1::2]))
+        stacked = hyp4f3_coefficients(xi, (2, lam[1], lam[2]), 364)
+        assert stacked.shape == (3, 364)
+        for b, row in enumerate(stacked):
+            assert np.array_equal(row, hyp4f3_coefficients(xi[:, b], lam[:, b], 364))
 
     def test_outside_disk_raises(self):
         with pytest.raises(SeriesConvergenceError):
