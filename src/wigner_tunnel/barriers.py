@@ -8,13 +8,17 @@ axis (|a|^2 - |b|^2 = 1), and the analytic continuation satisfies
 a(-conj(kappa)) = conj(a(kappa)). A wave incident from the left reflects
 with -conj(b)/a (``Barrier.reflection_lr``), which is b/a for an even
 barrier. All zeros of a for V >= 0 lie in the lower half-plane; they drive
-the exponential tails of the kernels.
+the exponential tails of the kernels. Each kind lists its zeros with
+``poles`` (closed forms for delta and Poschl-Teller, a Newton search for a
+table), and ``find_poles`` is the one path that checks them and attaches
+their residue factors.
 
-Supported barriers: delta spike, modified Poschl-Teller v0^2/cosh^2(q/s),
-tabulated numeric potentials (solved by a transfer-matrix product), and the
-eikonal approximation exp(i S(kappa)) of a numeric potential, whose action
-is a fixed Gauss-Legendre sum over the pieces where V is monotone, split at
-the turning points and evaluated for every kappa of a call at once.
+Supported barriers: delta spike, modified Poschl-Teller v0^2/cosh^2(q/s)
+(one log-Gamma quotient on the whole plane), tabulated numeric potentials
+(solved by a transfer-matrix product), and the eikonal approximation
+exp(i S(kappa)) of a numeric potential, whose action is a fixed
+Gauss-Legendre sum over the pieces where V is monotone, split at the
+turning points and evaluated for every kappa of a call at once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -34,6 +37,7 @@ from .errors import (
     PoleSearchError,
     SupportError,
 )
+# gamma_cx has no caller here: perfbench/tracing.py wraps it by this name
 from .specfun import gamma_cx, log_gamma_right
 
 
@@ -65,17 +69,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoleData:
-    """A zero kappa_n of a(kappa) with its kernel residue factor.
-
-    ``residue_factor(p)`` returns the coefficient A_n(p) multiplying
-    exp[2 i r (p - kappa_n)] in the pole expansion of the transmission
-    kernel; the normalization is pinned so that the single-pole delta
-    barrier reproduces its closed form exactly:
-    A_n(p) = 4i / (a'(kappa_n) a(kappa_n - 2p)).
-    """
+    """A zero kappa_n of a(kappa) of ``barrier``, with its kernel residue factor."""
     kappa: complex
-    index: int
-    residue_factor: Callable[[float], complex]
+    barrier: Barrier
+
+    def residue_factor(self, p):
+        """The coefficient A_n(p) = 4i / (a'(kappa_n) a(kappa_n - 2p)) multiplying
+        exp[2 i r (p - kappa_n)] in the pole expansion of the transmission
+        kernel; the normalization is pinned so that the single-pole delta
+        barrier reproduces its closed form exactly."""
+        kn, bar = self.kappa, self.barrier
+        return 4j / (bar.amplitude_a_prime(kn) * bar.amplitude_a(kn - 2.0 * p))
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,6 @@ class Barrier:
 
     kind = "abstract"
     is_meromorphic = True     # eikonal amplitudes are not
-    pole_count_limit = None   # finite only when a has finitely many zeros
 
     def amplitude_a(self, kappa):
         raise NotImplementedError
@@ -117,10 +120,9 @@ class Barrier:
         """
         return self.ba_ratio(kappa)
 
-    def amplitude_a_prime(self, kappa, h=None):
+    def amplitude_a_prime(self, kappa):
         """Complex derivative of a by central difference (a is analytic)."""
-        scale = max(abs(complex(kappa)), self.kappa_scale())
-        h = h if h is not None else 1e-6 * scale
+        h = 1e-6 * max(abs(complex(kappa)), self.kappa_scale())
         return (self.amplitude_a(kappa + h) - self.amplitude_a(kappa - h)) / (2.0 * h)
 
     def s_matrix(self, kappa):
@@ -149,7 +151,6 @@ class DeltaBarrier(Barrier):
     """V(q) = v0 * delta(q); a = 1 + i v0/(2 kappa), b = -i v0/(2 kappa)."""
 
     kind = "delta"
-    pole_count_limit = 1
 
     def __init__(self, v0):
         if v0 <= 0:
@@ -175,7 +176,7 @@ class DeltaBarrier(Barrier):
         out = -1j * self.v0 / (2.0 * kappa + 1j * self.v0)
         return complex(out) if out.ndim == 0 else out
 
-    def amplitude_a_prime(self, kappa, h=None):
+    def amplitude_a_prime(self, kappa):
         return -0.5j * self.v0 / complex(kappa) ** 2
 
     def kappa_scale(self):
@@ -191,14 +192,8 @@ class DeltaBarrier(Barrier):
         return False
 
     def poles(self, count):
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        kap = -0.5j * self.v0
-
-        def factor(p, kn=kap):
-            return 4j / (self.amplitude_a_prime(kn) * self.amplitude_a(kn - 2.0 * p))
-
-        return [PoleData(kap, 0, factor)][:count]
+        """The one zero, kappa = -i v0/2."""
+        return [-0.5j * self.v0]
 
     def descriptor(self):
         return {"kind": "delta", "v0": self.v0}
@@ -228,30 +223,20 @@ class PoschlTellerBarrier(Barrier):
     def amplitude_a(self, kappa):
         """a(kappa) = i Gamma(1-is k)^2 / (s k Gamma(1/2+w-is k) Gamma(1/2-w-is k)).
 
-        On the real axis the Gamma arguments stay in the right half-plane
-        and the ratio is taken in log space (the factors individually
-        leave double range for |s kappa| beyond ~230); elsewhere the
-        direct Gamma quotient is used.
+        One log-Gamma quotient on the whole plane: the factors individually
+        leave double range for |s kappa| beyond ~230. At an exact zero of a
+        a Gamma argument is a non-positive integer, and GammaPoleError is
+        raised.
         """
         kappa = np.asarray(kappa, dtype=complex)
-        scalar = kappa.ndim == 0
-        kappa = np.atleast_1d(kappa)
         if np.any(kappa == 0):
             raise ZeroDivisionError("amplitudes undefined at kappa = 0")
         x, g1, g2, g3 = self._gamma_args(kappa)
-        out = np.empty_like(x)
-        right = ((g1.real > 0.0) & (g2.real > 0.0) & (g3.real > 0.0)
-                 & (np.abs(x) > 1e-8))
-        if np.any(right):
-            lg = (2.0 * log_gamma_right(g1[right]) - log_gamma_right(g2[right])
-                  - log_gamma_right(g3[right]) - np.log(x[right]))
-            with np.errstate(over="ignore"):
-                out[right] = 1j * np.exp(lg)
-        rest = ~right
-        if np.any(rest):
-            out[rest] = (1j * gamma_cx(g1[rest]) ** 2
-                         / (x[rest] * gamma_cx(g2[rest]) * gamma_cx(g3[rest])))
-        return complex(out[0]) if scalar else out
+        lg = (2.0 * log_gamma_right(g1) - log_gamma_right(g2)
+              - log_gamma_right(g3) - np.log(x))
+        with np.errstate(over="ignore"):
+            out = 1j * np.exp(lg)
+        return complex(out) if out.ndim == 0 else out
 
     def amplitude_b(self, kappa):
         kappa = np.asarray(kappa, dtype=complex)
@@ -267,31 +252,26 @@ class PoschlTellerBarrier(Barrier):
         return complex(out[0]) if scalar else out
 
     def ba_ratio(self, kappa):
+        """b/a = -cos(pi w) s k Gamma(1/2+w-is k) Gamma(1/2-w-is k)
+        / (sinh(pi s k) Gamma(1-is k)^2), as one log-Gamma quotient; its
+        limit at kappa = 0 is exactly -1."""
         kappa = np.asarray(kappa, dtype=complex)
-        scalar = kappa.ndim == 0
-        kappa = np.atleast_1d(kappa)
         x, g1, g2, g3 = self._gamma_args(kappa)
-        px = np.pi * x
-        w = self.omega
-        out = np.empty_like(x)
-        right = ((g1.real > 0.0) & (g2.real > 0.0) & (g3.real > 0.0)
-                 & (np.abs(x) > 1e-8))
-        if np.any(right):
-            lg = (log_gamma_right(g2[right]) + log_gamma_right(g3[right])
-                  - 2.0 * log_gamma_right(g1[right])
-                  + np.log(x[right]) - _log_sinh(px[right]))
-            with np.errstate(over="ignore"):
-                out[right] = -np.cos(np.pi * w) * np.exp(lg)
-        rest = ~right
-        if np.any(rest):
-            xr = px[rest]
-            small = np.abs(xr) < 1e-6
-            sinhc = np.where(small, 1.0 + xr * xr / 6.0,
-                             np.sinh(np.where(small, 1.0, xr)) / np.where(small, 1.0, xr))
-            out[rest] = (-np.cos(np.pi * w) / (np.pi * sinhc)
-                         * gamma_cx(g2[rest]) * gamma_cx(g3[rest])
-                         / gamma_cx(g1[rest]) ** 2)
-        return complex(out[0]) if scalar else out
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lg = (log_gamma_right(g2) + log_gamma_right(g3) - 2.0 * log_gamma_right(g1)
+                  + np.log(x) - _log_sinh(np.pi * x))
+            out = np.where(x == 0, -1.0, -np.cos(np.pi * self.omega) * np.exp(lg))
+        return complex(out) if out.ndim == 0 else out
+
+    def amplitude_a_prime(self, kappa):
+        """Central difference with step 1e-7/s. Near v0 s = 1/2 each pole
+        pair merges into a double zero, where a' vanishes and the residues
+        are ill-conditioned: PoleSearchError."""
+        if abs(self.omega) < 1e-4:
+            raise PoleSearchError("pole pair nearly degenerate (v0*s ~ 1/2); "
+                                  "residues ill-conditioned")
+        h = 1e-7 / self.s
+        return (self.amplitude_a(kappa + h) - self.amplitude_a(kappa - h)) / (2.0 * h)
 
     def kappa_scale(self):
         return max(self.v0, 1.0 / self.s)
@@ -312,8 +292,6 @@ class PoschlTellerBarrier(Barrier):
         Near v0*s = 1/2 each pair merges into a double zero. The locations
         still stand, but the residue factors then raise PoleSearchError.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
         raw = []
         n = 0
         while len(raw) < count + 2:
@@ -321,16 +299,7 @@ class PoschlTellerBarrier(Barrier):
                 raw.append(-1j * (n + 0.5 + sign * self.omega) / self.s)
             n += 1
         raw.sort(key=lambda z: (abs(z.imag), z.real))
-        out = []
-        for idx, kap in enumerate(raw[:count]):
-            def factor(p, kn=kap):
-                if abs(self.omega) < 1e-4:
-                    raise PoleSearchError("pole pair nearly degenerate (v0*s ~ 1/2); "
-                                          "residues ill-conditioned")
-                return 4j / (self.amplitude_a_prime(kn, h=1e-7 / self.s)
-                             * self.amplitude_a(kn - 2.0 * p))
-            out.append(PoleData(kap, idx, factor))
-        return out
+        return raw[:count]
 
     def descriptor(self):
         return {"kind": "poschl_teller", "v0": self.v0, "s": self.s}
@@ -474,7 +443,7 @@ class NumericBarrier(_TabulatedBarrier):
         return -b.conjugate() / a
 
     def poles(self, count):
-        return _newton_pole_search(self, count)
+        return _newton_pole_search(self)
 
 
 class EikonalBarrier(_TabulatedBarrier):
@@ -501,9 +470,6 @@ class EikonalBarrier(_TabulatedBarrier):
 
     # b is identically 0, so b/a needs no action integral
     ba_ratio = amplitude_b
-
-    def poles(self, count):
-        raise NonMeromorphicError("eikonal amplitude has a branch point; no pole expansion")
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +633,10 @@ def tunneling_integral(potential, p):
     return -eikonal_action(potential, p).imag
 
 
-def _newton_pole_search(barrier, count):
+def _newton_pole_search(barrier):
     """Zeros of a(kappa) in the lower half-plane by Newton iteration on all
-    seeds at once: one ``amplitude_a`` call on [z, z + h, z - h] per step."""
+    seeds at once: one ``amplitude_a`` call on [z, z + h, z - h] per step.
+    Returns every distinct zero found, by ascending |Im kappa|."""
     K = 4.0 * math.sqrt(max(barrier.max_potential(), 1e-12))
     width = barrier.support()[1] - barrier.support()[0]
     # conditioning of the matching degrades once |Im kappa| * width ~ 25
@@ -701,37 +668,30 @@ def _newton_pole_search(barrier, count):
     for zn in z:
         if not any(abs(zn - zf) < 1e-6 * max(1.0, K) for zf in found):
             found.append(complex(zn))
-    if not found:
-        raise PoleSearchError("no S-matrix poles located in the search window")
-    found.sort(key=lambda z: (abs(z.imag), z.real))
-    out = []
-    for idx, kap in enumerate(found[:count]):
-        def factor(p, kn=kap):
-            return 4j / (barrier.amplitude_a_prime(kn) * barrier.amplitude_a(kn - 2.0 * p))
-        out.append(PoleData(kap, idx, factor))
-    return out
-
-
-def _poles_below_axis(barrier, count, least):
-    """Up to ``count`` poles from one search, at least ``least``, all below the axis."""
-    if not barrier.is_meromorphic:
-        raise NonMeromorphicError("eikonal amplitude is not meromorphic")
-    poles = barrier.poles(count)
-    if len(poles) < least:
-        raise PoleSearchError(f"requested {least} poles, located {len(poles)}")
-    for pd in poles:
-        if pd.kappa.imag >= 0:
-            raise PoleSearchError(f"pole {pd.kappa} not in the lower half-plane")
-    return poles
+    return sorted(found, key=lambda z: (abs(z.imag), z.real))
 
 
 def find_poles(barrier, count):
-    """S-matrix poles (zeros of a) sorted by ascending |Im kappa|.
+    """Up to ``count`` S-matrix poles (zeros of a), by ascending |Im kappa|.
 
-    The residue factors on the returned PoleData are momentum-resolved
-    callables.
+    The one pole path for every kind: the kind's ``poles`` lists its zeros,
+    and each comes back as a PoleData whose ``residue_factor(p)`` uses the
+    kind's own a'. Fewer than ``count`` come back when fewer exist (delta
+    has one) or a Newton search finds fewer in its window. Raises
+    NonMeromorphicError for an eikonal barrier, and PoleSearchError when
+    no zero is found or one lies on or above the real axis.
     """
-    return _poles_below_axis(barrier, count, count)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if not barrier.is_meromorphic:
+        raise NonMeromorphicError("eikonal amplitude has a branch point; no pole expansion")
+    zeros = barrier.poles(count)[:count]
+    if not zeros:
+        raise PoleSearchError("no S-matrix poles located in the search window")
+    for kn in zeros:
+        if kn.imag >= 0:
+            raise PoleSearchError(f"pole {kn} not in the lower half-plane")
+    return [PoleData(kn, barrier) for kn in zeros]
 
 
 def barrier_from_dict(d):

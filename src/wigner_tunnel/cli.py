@@ -225,8 +225,6 @@ def cmd_kernel(cfg, out_dir, args):
     if method not in _KERNEL_METHODS:
         raise ConfigError(f"method must be one of {_KERNEL_METHODS}")
     n_poles = int(cfg.get("n_poles", 40))
-    if barrier.pole_count_limit is not None:
-        n_poles = min(n_poles, barrier.pole_count_limit)
     tol = float(args.tol if args.tol is not None else cfg.get("tol", 2e-7))
 
     methods = [m for m in ("quadrature", "residues", "closed")] \

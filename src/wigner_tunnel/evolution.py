@@ -290,11 +290,11 @@ def _row_at_momentum(grid, p0):
     p = grid.p
     if p0 < p[0] or p0 > p[-1]:
         return None, None
+    # p[j - 1] < p0 <= p[j]; a mirror momentum -p rounds to either side of its node
     j = int(np.searchsorted(p, p0))
-    if j < len(p) and abs(p[j] - p0) < 1e-12 * max(1.0, abs(p0)):
-        return j, grid.values[:, j]
-    if j == 0 or j >= len(p):
-        return None, None
+    near = j if j == 0 or p[j] - p0 <= p0 - p[j - 1] else j - 1
+    if abs(p[near] - p0) < 1e-12 * max(1.0, abs(p0)):
+        return near, grid.values[:, near]
     wgt = (p0 - p[j - 1]) / (p[j] - p[j - 1])
     return None, (1.0 - wgt) * grid.values[:, j - 1] + wgt * grid.values[:, j]
 

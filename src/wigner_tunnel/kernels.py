@@ -67,6 +67,7 @@ _R_BAND_NODES = np.array([-3.0, -2.35, -1.7, -1.05, 1.05, 1.7, 2.35, 3.0])
 # 4F3 power tables are built over chunks of lags that keep each table
 # at or below 2^19 float64 entries (4 MB)
 _SERIES_TABLE_ENTRIES = 1 << 19
+_SERIES_MAX_TERMS = 20_000
 
 # PT's branch sums must cancel their imaginary parts to this times max(1, |.|)
 _PT_IMAG_TOL = 1e-8
@@ -99,14 +100,17 @@ class KernelDensity:
         return self.singular_weight + float(np.trapezoid(self.density, self.r))
 
 
-def _sigma_feature(barrier, p):
-    """Sigma-scale on which the kernel integrands vary."""
+def _sigma_scales(barrier, p):
+    """(feature, start): the sigma-scale on which the kernel integrands vary,
+    and the cutoff the quadrature starts its doubling from."""
     if isinstance(barrier, _b.DeltaBarrier):
-        return max(barrier.v0, 0.5 * p, 0.1)
-    if isinstance(barrier, _b.PoschlTellerBarrier):
-        return max(min(2.0 / (math.pi * barrier.s), 2.0 * barrier.v0), 0.05)
-    lo, hi = barrier.support()
-    return max(min(2.0 * barrier.kappa_scale(), 4.0 * math.pi / (hi - lo)), 0.05)
+        fs = max(barrier.v0, 0.5 * p, 0.1)
+    elif isinstance(barrier, _b.PoschlTellerBarrier):
+        fs = max(min(2.0 / (math.pi * barrier.s), 2.0 * barrier.v0), 0.05)
+    else:
+        lo, hi = barrier.support()
+        fs = max(min(2.0 * barrier.kappa_scale(), 4.0 * math.pi / (hi - lo)), 0.05)
+    return fs, max(64.0 * fs, 16.0 * p + 32.0 * barrier.kappa_scale())
 
 
 def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7, which="TR"):
@@ -125,8 +129,7 @@ def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7, which="TR"):
     if which not in ("T", "R", "TR"):
         raise ValueError(f"which must be 'T', 'R' or 'TR', not {which!r}")
     r_grid = np.asarray(r_grid, dtype=float)
-    fs = _sigma_feature(barrier, p)
-    sigma0 = max(64.0 * fs, 16.0 * p + 32.0 * barrier.kappa_scale())
+    fs, sigma0 = _sigma_scales(barrier, p)
     kd_t = kd_r = None
 
     if "T" in which:
@@ -157,12 +160,14 @@ def kernel_by_residues(barrier, p, r_grid, n_poles):
 
     density(r) = -sum_n Re{A_n(p) exp[2 i r (p - kappa_n)]} for r >= 0 and
     exactly 0 for r < 0; A_n(p) = 4i / (a'(kappa_n) a(kappa_n - 2p)).
-    The returned truncation error is the first omitted term's envelope.
+    ``n_poles`` is an upper bound: the sum takes the first min(n_poles,
+    found) poles of one ``find_poles`` search. The returned truncation
+    error is the envelope of the first omitted term, or of the last term
+    when no further pole was found.
     """
     if n_poles < 1:
         raise ValueError("n_poles must be >= 1")
-    # one search; with only n_poles found, the last one bounds the error
-    poles = _b._poles_below_axis(barrier, n_poles + 1, n_poles)
+    poles = _b.find_poles(barrier, n_poles + 1)
     bound_pole = poles[-1]
     r_grid = np.asarray(r_grid, dtype=float)
     pos = r_grid >= 0.0
@@ -221,15 +226,19 @@ def _pt_series(prefs, rate, xi, lam, z, lag):
     table of powers of z, built chunk by chunk over the lags.
     """
     zmax = float(np.max(z))
-    if zmax == 0.0:
-        n_terms = 2
-    else:
-        n_terms = min(int(37.0 / -math.log(zmax)) + 12, 20_000)
-    coeff = hyp4f3_coefficients(xi, lam, n_terms)
-    tail = float(np.max(np.abs(coeff[:, -1]))) * zmax ** (n_terms - 1) / max(1.0 - zmax, 1e-12)
-    if tail > 1e-10:
-        raise ConvergenceRegionError(
-            f"4F3 series tail {tail:.2e} too large at |z|={zmax:.6f}")
+    # sized by z first; coefficients that grow with |omega| (wide barriers)
+    # double the length until the tail bound holds
+    n_terms = 2 if zmax == 0.0 else min(int(37.0 / -math.log(zmax)) + 12, _SERIES_MAX_TERMS)
+    while True:
+        coeff = hyp4f3_coefficients(xi, lam, n_terms)
+        tail = (float(np.max(np.abs(coeff[:, -1]))) * zmax ** (n_terms - 1)
+                / max(1.0 - zmax, 1e-12))
+        if tail <= 1e-10:
+            break
+        if n_terms == _SERIES_MAX_TERMS:
+            raise ConvergenceRegionError(
+                f"4F3 series tail {tail:.2e} too large at |z|={zmax:.6f}")
+        n_terms = min(2 * n_terms, _SERIES_MAX_TERMS)
     series = np.empty((len(coeff), len(z)), dtype=complex)
     step = max(1, _SERIES_TABLE_ENTRIES // n_terms)
     for lo in range(0, len(z), step):
@@ -500,8 +509,7 @@ def semiclassical_kernel(barrier, p, r, mode="quadrature", tol=5e-6):
 
     if not barrier.has_potential_function():
         raise MethodCompatibilityError("eikonal quadrature needs a pointwise potential")
-    fs = _sigma_feature(barrier, p)
-    sigma_hint = max(64.0 * fs, 16.0 * p + 32.0 * barrier.kappa_scale())
+    fs, sigma_hint = _sigma_scales(barrier, p)
     S = _eikonal_spline(barrier, p + 2.0 * sigma_hint)
 
     def h(sig):

@@ -67,12 +67,12 @@ def _refined_panels(fun, sigma_hi, r_grid, feature_scale, tol, complex_out=False
     return vals, err
 
 
-def _grow_cutoff(probe, sigma0, feature_scale, tol, sigma_cap):
-    """(cutoff, probe(cutoff)): from sigma0 (or 64 feature scales) the cutoff
-    doubles until probe's last entry, the tail estimate, is below tol/2, the
-    next step would pass sigma_cap, or the estimate hits the rounding-noise
-    floor (doubling cuts it by less than 30%)."""
-    sigma = float(sigma0) if sigma0 is not None else 64.0 * feature_scale
+def _grow_cutoff(probe, sigma0, tol, sigma_cap):
+    """(cutoff, probe(cutoff)): from sigma0 the cutoff doubles until probe's
+    last entry, the tail estimate, is below tol/2, the next step would pass
+    sigma_cap, or the estimate hits the rounding-noise floor (doubling cuts
+    it by less than 30%)."""
+    sigma = float(sigma0)
     est = probe(sigma)
     for _ in range(24):
         if est[-1] < 0.5 * tol or sigma * 2.0 > sigma_cap:
@@ -84,38 +84,37 @@ def _grow_cutoff(probe, sigma0, feature_scale, tol, sigma_cap):
     return sigma, est
 
 
-def fourier_symmetric(gfun, r_grid, *, feature_scale, c1=None, tol=5e-7,
-                      sigma0=None, sigma_cap=2.0e5):
+def fourier_symmetric(gfun, r_grid, *, feature_scale, c1, sigma0, tol=5e-7,
+                      sigma_cap=2.0e5):
     """(1/2pi) * integral over the whole line of g(sigma) e^{-i sigma r}.
 
     Requires the reflection symmetry g(-sigma) = conj(g(sigma)) (so the
     result is real) and an algebraic tail g ~ c1/sigma + c2/sigma^2 with
-    purely imaginary c1 and real c2. Pass ``c1`` when it is known exactly;
-    otherwise it is fitted at the cutoff. Returns (values, error_estimate)
+    the exact, purely imaginary c1 and a real c2, fitted at the cutoff,
+    which doubles from ``sigma0``. Returns (values, error_estimate)
     aligned with ``r_grid``.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     lam = float(feature_scale)
+    c1 = complex(c1)
 
     def probe(sig):
         """Fit the c1/s + c2/s^2 + c3/s^3 tail and bound what remains."""
         probes = sig * np.array([1.0, 1.27, 1.55, 1.83, 2.11])
         gp = np.asarray(gfun(probes), dtype=complex)
-        c1_e = complex(c1) if c1 is not None else 1j * float(np.mean((probes * gp).imag))
-        g1p = gp - c1_e * probes / (probes ** 2 + lam ** 2)
+        g1p = gp - c1 * probes / (probes ** 2 + lam ** 2)
         c2_e = float(np.mean((probes ** 2 * g1p).real))
         g2p = g1p - c2_e / (probes ** 2 + lam ** 2)
         c3_e = 1j * float(np.mean((probes ** 3 * g2p).imag))
         g3p = g2p - c3_e * probes / (probes ** 2 + lam ** 2) ** 2
         e4 = float(np.max(np.abs(probes ** 4 * g3p)))
-        return c1_e, c2_e, c3_e, e4 / (3.0 * np.pi * sig ** 3)
+        return c2_e, c3_e, e4 / (3.0 * np.pi * sig ** 3)
 
-    sigma, (c1_eff, c2, c3, tail_err) = _grow_cutoff(probe, sigma0, feature_scale,
-                                                     tol, sigma_cap)
+    sigma, (c2, c3, tail_err) = _grow_cutoff(probe, sigma0, tol, sigma_cap)
 
     def g3(s):
         return (np.asarray(gfun(s), dtype=complex)
-                - c1_eff * s / (s ** 2 + lam ** 2)
+                - c1 * s / (s ** 2 + lam ** 2)
                 - c2 / (s ** 2 + lam ** 2)
                 - c3 * s / (s ** 2 + lam ** 2) ** 2)
 
@@ -126,14 +125,14 @@ def fourier_symmetric(gfun, r_grid, *, feature_scale, c1=None, tol=5e-7,
     core = core / np.pi
 
     decay = np.exp(-lam * np.abs(r_grid))
-    closed = (0.5 * c1_eff.imag * np.sign(r_grid) * decay
+    closed = (0.5 * c1.imag * np.sign(r_grid) * decay
               + 0.5 * c2 * decay / lam
               + 0.25 * c3.imag * r_grid * decay / lam)
     return core + closed, core_err / np.pi + tail_err
 
 
-def fourier_halfline(hfun, r_grid, *, feature_scale, c1, tol=5e-6,
-                     sigma0=None, sigma_cap=2.0e5):
+def fourier_halfline(hfun, r_grid, *, feature_scale, c1, sigma0, tol=5e-6,
+                     sigma_cap=2.0e5):
     """integral_0^inf h(sigma) e^{-i sigma r} dsigma, h regular at 0, ~ c1/sigma at infinity.
 
     The [0, cutoff] part is integrated directly on oscillation-limited
@@ -152,7 +151,7 @@ def fourier_halfline(hfun, r_grid, *, feature_scale, c1, tol=5e-6,
         e2 = float(np.max(np.abs(probes ** 2 * hp)))
         return (e2 / sig,)
 
-    sigma, (tail_err,) = _grow_cutoff(probe, sigma0, feature_scale, tol, sigma_cap)
+    sigma, (tail_err,) = _grow_cutoff(probe, sigma0, tol, sigma_cap)
 
     vals, core_err = _refined_panels(hfun, sigma, r_grid, feature_scale, tol,
                                      complex_out=True)

@@ -28,13 +28,25 @@ __all__ = [
 ]
 
 
-def log_gamma_right(z):
-    """log Gamma(z) for Re z > 0, up to an irrelevant multiple of 2 pi i.
+def _check_poles(z):
+    """Raise GammaPoleError if any entry of z is exactly a non-positive integer."""
+    on_pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    if np.any(on_pole):
+        raise GammaPoleError(f"gamma pole at z={z[on_pole][0]}")
 
-    Overflow-free evaluation path for amplitude ratios whose individual
-    Gamma factors leave the double-precision range.
+
+def log_gamma_right(z):
+    """log Gamma(z) on the whole complex plane, up to a multiple of 2 pi i.
+
+    The name is historical: scipy's ``loggamma`` is valid in both half-
+    planes. Overflow-free, so amplitude ratios whose individual Gamma
+    factors leave the double-precision range are taken in log space.
+    Raises GammaPoleError if any entry is exactly a non-positive integer,
+    where ``loggamma`` would return nan.
     """
-    return loggamma(np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    _check_poles(z)
+    return loggamma(z)
 
 
 def gamma_cx(z):
@@ -44,9 +56,7 @@ def gamma_cx(z):
     is exactly a non-positive integer.
     """
     z = np.asarray(z, dtype=complex)
-    on_pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
-    if np.any(on_pole):
-        raise GammaPoleError(f"gamma pole at z={z[on_pole][0]}")
+    _check_poles(z)
     return gamma(z)
 
 

@@ -21,8 +21,10 @@ from wigner_tunnel.barriers import (
 )
 from wigner_tunnel.errors import (
     BranchAmbiguityError,
+    GammaPoleError,
     NoBarrierError,
     NonMeromorphicError,
+    PoleSearchError,
 )
 
 
@@ -116,6 +118,21 @@ class TestPoschlTellerAmplitudes:
         ks = np.linspace(0.2, 3.0, 40)
         a, b = bar.amplitudes(ks)
         assert np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1)) < 1e-10
+
+    def test_ratio_at_zero_kappa(self):
+        for bar in (PoschlTellerBarrier(1.0, 0.4), PoschlTellerBarrier(1.0, 1.0)):
+            assert bar.ba_ratio(0.0) == -1.0
+            assert bar.ba_ratio(np.array([0.0, 1e-12]))[0] == -1.0
+
+    def test_exact_zero_of_a_raises(self):
+        # v0 s = 5/8 gives omega = 3i/8, so at s kappa = 3/8 - i/2 - i n the
+        # Gamma argument 1/2 + omega - i s kappa is exactly -n
+        bar = PoschlTellerBarrier(0.625, 1.0)
+        assert bar.omega == 0.375j
+        for n in (0, 1, 4):
+            with pytest.raises(GammaPoleError):
+                bar.amplitude_a(0.375 - (0.5 + n) * 1j)
+        assert abs(bar.amplitude_a(0.375 - 0.5j + 1e-9)) < 1e-8
 
     def test_matches_high_precision(self):
         for k in (0.3, 1.1, 2.7):
@@ -294,6 +311,18 @@ class TestPoles:
         assert poles[0].kappa == pytest.approx(-0.5j - om, abs=1e-12)
         assert poles[1].kappa == pytest.approx(-0.5j + om, abs=1e-12)
 
+    def test_upper_half_plane_zero_rejected(self):
+        class Misplaced(DeltaBarrier):
+            def poles(self, count):
+                return [0.5j]
+
+        with pytest.raises(PoleSearchError, match="lower half-plane"):
+            find_poles(Misplaced(2.0), 1)
+
+    def test_count_is_an_upper_bound(self):
+        assert [pd.kappa for pd in find_poles(DeltaBarrier(2.0), 5)] == [-1j]
+        assert len(find_poles(PoschlTellerBarrier(1.0, 0.4), 5)) == 5
+
     def test_numeric_newton_search(self):
         bar = sech2_barrier()
         poles = find_poles(bar, 1)
@@ -321,7 +350,7 @@ class TestPoles:
                 return -2.0, 2.0
 
             def poles(self, count):
-                return _newton_pole_search(self, count)
+                return _newton_pole_search(self)
 
         poles = find_poles(NoisyZero(), 1)
         assert poles[0].kappa == pytest.approx(-0.5j, abs=1e-8)

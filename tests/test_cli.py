@@ -266,6 +266,24 @@ class TestKernelCommand:
         assert np.max(np.abs([float(row["T_density"]) for row in rows] - t_pt)) < 1e-3
         assert np.max(np.abs([float(row["R_density"]) for row in rows] - r_pt)) < 1e-3
 
+    def test_numeric_residues_at_default_n_poles(self, tmp_path):
+        # the Newton search finds 10 poles on the table; n_poles (default
+        # 40) is an upper bound, so the sum takes those 10
+        q = np.linspace(-2.0, 2.0, 41)
+        table = [[float(x), float(1.0 / np.cosh(x / 0.4) ** 2)] for x in q]
+        cfg = write_cfg(tmp_path, "k.json", {
+            "barrier": {"kind": "numeric", "table": table},
+            "p": 1.0, "r_grid": {"min": -0.95, "max": 4.55, "n": 12},
+            "method": "residues"})
+        assert run(["kernel", "--config", cfg, "--out", tmp_path]) == 0
+        rows = read_csv(tmp_path / "kernel_residues.csv")
+        r = np.array([float(row["r"]) for row in rows])
+        far = r > 1.0
+        t_pt, _ = pt_kernels(1.0, 0.4, 1.0, r[far])
+        t_res = np.array([float(row["T_density"]) for row in rows])
+        assert np.all(t_res[r < 0] == 0.0)
+        assert np.max(np.abs(t_res[far] - t_pt)) < 1e-3
+
     def test_byte_stable_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, "k.json", delta_cfg({
             "p": 1.0, "r_grid": {"min": 0.1, "max": 5.0, "n": 12},

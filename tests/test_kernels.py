@@ -12,6 +12,7 @@ from wigner_tunnel.barriers import (
     EikonalBarrier,
     NumericBarrier,
     PoschlTellerBarrier,
+    find_poles,
 )
 from wigner_tunnel.errors import (
     ConvergenceRegionError,
@@ -177,7 +178,7 @@ class TestResidueRoute:
         # its phase peaks gives a log-linear envelope with slope 2 Im kappa_0
         bar = PoschlTellerBarrier(1.0, 0.4)
         p = 0.9
-        poles = bar.poles(1)
+        poles = find_poles(bar, 1)
         kap0 = poles[0].kappa
         phase0 = np.angle(poles[0].residue_factor(p))
         peaks = np.array([(k * np.pi - phase0) / (2 * p) for k in range(1, 16)])
@@ -203,18 +204,22 @@ class TestResidueRoute:
             kernel_by_residues(bar, 0.6, np.array([1.0]), 4)
 
     def test_pole_search_failure_propagates(self):
-        # only "fewer poles than asked" falls back to one pole less
+        # a search that fails is not taken for one that found fewer poles
         class BrokenSearch(DeltaBarrier):
             def poles(self, count):
                 if count > 1:
                     raise RuntimeError("pole search broke")
                 return super().poles(count)
 
+        class NoPoles(DeltaBarrier):
+            def poles(self, count):
+                return []
+
         r = np.linspace(0.0, 5.0, 11)
         with pytest.raises(RuntimeError, match="pole search broke"):
             kernel_by_residues(BrokenSearch(2.0), 1.0, r, 1)
         with pytest.raises(PoleSearchError):
-            kernel_by_residues(DeltaBarrier(2.0), 1.0, r, 2)
+            kernel_by_residues(NoPoles(2.0), 1.0, r, 2)
 
     def test_one_pole_search_per_call(self):
         # the delta barrier has one pole, fewer than the n_poles + 1 asked for
@@ -230,9 +235,26 @@ class TestResidueRoute:
         kd = kernel_by_residues(bar, 1.0, r, 1)
         assert bar.searches == 1
         assert np.max(np.abs(kd.density - delta_kernels(2.0, 1.0, r)[0])) < 1e-12
-        with pytest.raises(PoleSearchError):
-            kernel_by_residues(bar, 1.0, r, 2)
+        # n_poles is an upper bound: two asked, the one found is summed
+        kd_2 = kernel_by_residues(bar, 1.0, r, 2)
         assert bar.searches == 2
+        assert np.array_equal(kd_2.density, kd.density)
+
+    @pytest.mark.parametrize("make, found", [
+        (lambda: DeltaBarrier(2.0), 1),
+        (sech2_table, 10),
+    ], ids=["delta", "numeric"])
+    def test_n_poles_above_found_count(self, make, found):
+        # past the poles found, n_poles changes nothing, bit for bit
+        bar = make()
+        r = np.linspace(-0.5, 6.0, 27)
+        assert len(find_poles(bar, 41)) == found
+        at_found = kernel_by_residues(bar, 0.9, r, found)
+        for n_poles in (found + 1, 40):
+            above = kernel_by_residues(bar, 0.9, r, n_poles)
+            assert np.array_equal(above.density, at_found.density)
+            assert np.array_equal(above.truncation_error, at_found.truncation_error)
+            assert above.error_estimate == at_found.error_estimate
 
 
 class TestPoschlTellerClosedForm:
@@ -298,6 +320,18 @@ class TestPoschlTellerClosedForm:
     def test_small_lag_rejected(self):
         with pytest.raises(ConvergenceRegionError):
             pt_kernels(1.0, 0.4, 0.6, 0.01)
+
+    def test_wide_barrier_series_grows(self):
+        # at v0 s = 4.38 the early coefficients grow with |omega|: the series
+        # sized by z alone leaves a 1e-8 tail, and doubling it once passes
+        s, p = 0.51, 0.22
+        bar = PoschlTellerBarrier(4.38 / s, s)
+        r = np.linspace(-6.0 * s, 12.0 * s, 61)
+        _, r_row = kernel_row(bar, p, r, which="R")
+        _, kr = kernel_by_quadrature(bar, p, r, tol=1e-10, which="R")
+        far = np.abs(r) >= 0.21
+        peak = np.max(np.abs(kr.density))
+        assert np.max(np.abs(r_row - kr.density)[far]) <= 1e-6 * peak
 
     def test_large_call_is_chunked(self):
         # near the band edge the series needs ~360 terms: 20 000 lags would

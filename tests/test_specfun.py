@@ -13,6 +13,7 @@ from wigner_tunnel.specfun import (
     gamma_cx,
     hyp4f3,
     hyp4f3_coefficients,
+    log_gamma_right,
 )
 
 
@@ -60,6 +61,13 @@ class TestGamma:
         for z in (0.0 + 0j, -1.0 + 0j, -7.0 + 0j):
             with pytest.raises(GammaPoleError):
                 gamma_cx(z)
+
+    def test_log_gamma_pole_raises(self):
+        # scipy's loggamma returns nan there; an exact zero of a PT amplitude lands on one
+        for z in (0.0 + 0j, -1.0 + 0j, -7.0 + 0j, np.array([0.5 + 1j, -3.0 + 0j])):
+            with pytest.raises(GammaPoleError):
+                log_gamma_right(z)
+        assert np.isfinite(log_gamma_right(-7.0 + 1e-12j))
 
     def test_vectorized(self):
         zs = np.array([1 + 1j, 2.5 - 0.5j, -1.5 + 2j])
