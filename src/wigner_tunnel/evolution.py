@@ -7,9 +7,9 @@ momentum-diagonal transmission/reflection kernels as convolutions along q
 over the lag distance; the optional interference term is a full
 phase-space double integral and is off by default (it is negligible for
 packets prepared with a narrow momentum spread).
-Every propagator row, forward or adjoint, transmitted or reflected,
-is one primitive: a Simpson lag lattice (``_lag_lattice``) and an FFT
-correlation with the spline-resampled row (``_lag_convolve``).
+Each momentum p > 0, forward or adjoint, is one lag lattice and one
+``kernel_row`` call for (T, R) (``_kernel_rows``), whose weighted rows are
+FFT-correlated with spline-resampled source rows (``_lag_convolve``).
 
 Gaussian packets follow the unnormalized convention
 rho = exp[-(q-Q)^2/lambda - lambda (p-P)^2] of mass pi; all detection
@@ -172,7 +172,7 @@ _REFINE = 4
 
 
 def _kernel_ranges(barrier):
-    """Lag supports (T: [0, R_t], R: [r_lo, R_r]) covering ~12 decay lengths.
+    """(r_hi, r_lo): T lags on [0, r_hi], R on [r_lo, r_hi], r_hi ~12 decay lengths.
 
     They depend on the barrier alone, so one pole search serves every row.
     """
@@ -220,10 +220,11 @@ def barrier_propagate(grid, barrier, t, include_interference=False):
 
 
 def _propagate_rows(grid, barrier, t, adjoint):
-    """Row walk of the propagator (adjoint=False) or of its adjoint.
+    """Momentum walk of the propagator (adjoint=False) or of its adjoint.
 
-    Forward, p > 0 rows transmit the row at p and p < 0 rows reflect the
-    row at -p; adjoint, each p > 0 row gathers both.
+    Each momentum p > 0 makes one kernel row (T, R). Forward, the row at
+    +p transmits into column +p and reflects into column -p; adjoint,
+    column +p gathers the row at +p through T and the row at -p through R.
     """
     out = np.zeros_like(grid.values)
     # rows carrying < 1e-10 of the peak contribute below every tolerance
@@ -231,27 +232,28 @@ def _propagate_rows(grid, barrier, t, adjoint):
     floor = 1e-10 * float(np.max(np.abs(grid.values)))
     p_zero = _zero_momentum(grid)
     ranges = _kernel_ranges(barrier)
-
-    tasks = []   # (source momentum, destination column, momentum, transmitted?)
-    for j, pj in enumerate(grid.p):
-        if pj > p_zero:
-            tasks.append((pj, j, pj, True))
-        p0 = pj if adjoint else -pj
-        if p0 > p_zero:
-            tasks.append((-pj, j, p0, False))
-    # in source order a row that both transmits and reflects is fitted once;
-    # a column takes at most two terms, whose sum does not depend on order
-    fitted = None
-    for p_src, j, p, transmitted in sorted(tasks):
-        col, row = _row_at_momentum(grid, p_src)
-        if row is None or not np.max(np.abs(row)) > floor:
+    momenta = list(grid.p[grid.p > p_zero])
+    if not adjoint:   # a column -p with no node at +p reflects the row interpolated there
+        momenta += [-pk for pk in grid.p[grid.p < -p_zero]
+                    if _row_at_momentum(grid, -pk)[0] is None]
+    for p in momenta:
+        col, row = _row_at_momentum(grid, p)
+        mirror, mirror_row = _row_at_momentum(grid, -p)
+        terms = [(row, col, True), (mirror_row, col, False) if adjoint else (row, mirror, False)]
+        terms = [(src, j, transmitted) for src, j, transmitted in terms
+                 if j is not None and src is not None and np.max(np.abs(src)) > floor]
+        if not terms:
             continue
-        if col is None or col != fitted:
-            fitted, fit = col, CubicSpline(grid.q, row, bc_type="natural")
-        if transmitted:
-            out[:, j] += _transmitted_row(grid, barrier, t, fit, p, ranges, adjoint)
-        else:
-            out[:, j] += _reflected_row(grid, barrier, t, fit, p, ranges)
+        t_w, r_w, r_start, refine, dr = _kernel_rows(grid, barrier, p, t, ranges)
+        fitted = None
+        for src, j, transmitted in terms:
+            if src is not fitted:   # forward, both terms share one source row
+                fitted, fit = src, CubicSpline(grid.q, src, bc_type="natural")
+            shift = 2.0 * abs(grid.p[j]) * t   # the column's |p|: a mirror -p is an ulp off
+            if transmitted:
+                out[:, j] += _transmitted_row(grid, fit, shift, t_w, refine, dr, adjoint)
+            else:
+                out[:, j] += _reflected_row(grid, fit, shift, r_start, r_w, refine, dr)
     return out
 
 
@@ -299,31 +301,38 @@ def _row_at_momentum(grid, p0):
     return None, (1.0 - wgt) * grid.values[:, j - 1] + wgt * grid.values[:, j]
 
 
-def _lag_lattice(grid, p, r_lo, r_hi):
-    """(r, Simpson weights, refine, dr) over [r_lo, r_hi] at momentum p.
+def _kernel_rows(grid, barrier, p, t, ranges):
+    """(T, R, r_start, refine, dr): the Simpson-weighted kernel rows at p > 0.
 
-    dq = refine dr, and dr <= pi / (24 p) resolves the kernels' oscillation;
-    lags within ZERO_LAG of 0, where T jumps, become ZERO_LAG, which
-    ``kernel_row`` reads as r = 0+.
+    One lattice r = m dr, m = -m0 .. n-1 (m0 even, n odd, m0 dr >= -r_lo;
+    lags past 2 (q span) + 2pt + dq only sample zeros) and one kernel_row
+    call: T takes m >= 0 and R every m, each an odd-count Simpson rule.
+    dr <= pi / (24 p) resolves the kernels' oscillation; r = 0 is ZERO_LAG (0+).
     """
+    r_hi, r_lo = ranges
     dr = min(grid.dq / _REFINE, math.pi / (2.0 * p) / 12.0)
     refine = max(1, int(round(grid.dq / dr)))
     dr = grid.dq / refine
-    # Simpson's rule takes an odd number of samples
-    n_r = 2 * (int(math.ceil((r_hi - r_lo) / dr)) // 2) + 1
-    if n_r < 3:
+    r_hi = min(r_hi, 2.0 * (grid.q[-1] - grid.q[0]) + 2.0 * p * t + grid.dq)
+    m0 = 2 * int(math.ceil(-r_lo / (2.0 * dr)))
+    n = 2 * (int(math.ceil(r_hi / dr)) // 2) + 1
+    if n < 3:
         raise ValueError("need >= 3 kernel samples")
-    w = np.ones(n_r)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    r = r_lo + dr * np.arange(n_r)
-    return np.where(np.abs(r) < _k.ZERO_LAG, _k.ZERO_LAG, r), w * (dr / 3.0), refine, dr
+    r = dr * np.arange(-m0, n)
+    r[m0] = _k.ZERO_LAG
+    t_dens, r_dens = _k.kernel_row(barrier, p, r)
+    return (_simpson(n, dr) * t_dens[m0:], _simpson(m0 + n, dr) * r_dens,
+            -m0 * dr, refine, dr)
 
 
-def fftconvolve(in1, in2, mode="valid"):
+def _simpson(n, dr):
+    w = np.where(np.arange(n) % 2, 4.0, 2.0)   # n is odd
+    w[[0, -1]] = 1.0
+    return w * (dr / 3.0)
+
+
+def fftconvolve(in1, in2):
     """scipy.signal.fftconvolve(in1, in2, "valid") without importing scipy.signal."""
-    if mode != "valid":
-        raise ValueError(f"only mode='valid' is supported, not {mode!r}")
     if len(in2) > len(in1):   # as scipy does; the spectral product then matches bit for bit
         in1, in2 = in2, in1
     n = len(in1) + len(in2) - 1
@@ -343,47 +352,37 @@ def _lag_convolve(grid, spline, start, kernel, refine, dr):
     fine = np.zeros(n_fine)
     m = (x >= grid.q[0]) & (x <= grid.q[-1])
     fine[m] = spline(x[m])
-    smooth = fftconvolve(fine, kernel[::-1], mode="valid")[::refine]
+    smooth = fftconvolve(fine, kernel[::-1])[::refine]
     return fine, smooth
 
 
-def _transmitted_row(grid, barrier, t, spline, p, ranges, adjoint):
-    """Free spike plus the transmission lag integral for the row (spline) at p > 0.
+def _transmitted_row(grid, spline, shift, kernel, refine, dr, adjoint):
+    """Free spike plus the transmission lag integral of the row (spline) at p > 0.
 
+    kernel: the weighted T on r = m dr, m >= 0; shift: 2pt.
     Forward: out(q) = row(q - 2pt) + int T(r) row(q - 2pt + r) dr.
     Adjoint: out(q) = row(q + 2pt) + int T(r) row(q + 2pt - r) dr.
     """
-    shift = 2.0 * p * t
-    # lags beyond the grid's reach only ever sample zeros
-    r_hi = min(ranges[0], (grid.q[-1] - grid.q[0]) + shift + grid.dq)
-    r_vals, w, refine, dr = _lag_lattice(grid, p, 0.0, r_hi)
-    t_dens, _ = _k.kernel_row(barrier, p, r_vals, which="T")
-    kernel = w * t_dens
     if adjoint:
-        # q_i + 2pt - r_k = (q_min + 2pt - r_max) + (i*refine + n_r-1-k) dr
-        spike = len(r_vals) - 1
+        # q_i + 2pt - r_m = (q_min + 2pt - r_max) + (i*refine + n-1-m) dr
+        spike = len(kernel) - 1
         start = grid.q[0] + shift - dr * spike
         kernel = kernel[::-1]
     else:
-        # q_i - 2pt + r_k = (q_min - 2pt) + (i*refine + k) dr
+        # q_i - 2pt + r_m = (q_min - 2pt) + (i*refine + m) dr
         spike = 0
         start = grid.q[0] - shift
     fine, smooth = _lag_convolve(grid, spline, start, kernel, refine, dr)
     return fine[spike::refine][:len(grid.q)] + smooth
 
 
-def _reflected_row(grid, barrier, t, spline, p0, ranges):
-    """Reflection lag integral of the row (spline) at +p0, forward and adjoint alike.
+def _reflected_row(grid, spline, shift, r_start, kernel, refine, dr):
+    """Reflection lag integral of the row (spline) at +p, forward and adjoint alike.
 
-    out(q_i) = sum_k w_k R(r_k) src(r_k - 2 p0 t - q_i): one fine lattice
-    from r_lo - 2 p0 t - q_max, reversed in i.
+    out(q_i) = sum_k kernel_k src(r_start + k dr - 2pt - q_i): one fine
+    lattice from r_start - 2pt - q_max, reversed in i.
     """
-    shift = 2.0 * p0 * t
-    r_hi, r_lo = ranges
-    r_hi = min(r_hi, 2.0 * (grid.q[-1] - grid.q[0]) + shift + grid.dq)
-    r_vals, w, refine, dr = _lag_lattice(grid, p0, r_lo, r_hi)
-    _, r_dens = _k.kernel_row(barrier, p0, r_vals, which="R")
-    _, vals = _lag_convolve(grid, spline, r_lo - shift - grid.q[-1], w * r_dens,
+    _, vals = _lag_convolve(grid, spline, r_start - shift - grid.q[-1], kernel,
                             refine, dr)
     return vals[::-1]
 

@@ -162,13 +162,13 @@ def kernel_by_residues(barrier, p, r_grid, n_poles):
     exactly 0 for r < 0; A_n(p) = 4i / (a'(kappa_n) a(kappa_n - 2p)).
     ``n_poles`` is an upper bound: the sum takes the first min(n_poles,
     found) poles of one ``find_poles`` search. The returned truncation
-    error is the envelope of the first omitted term, or of the last term
-    when no further pole was found.
+    error is the envelope of the first omitted pole the search found; with
+    none, 0 for delta (its one pole is the whole expansion) and inf at
+    r >= 0 for every other barrier.
     """
     if n_poles < 1:
         raise ValueError("n_poles must be >= 1")
     poles = _b.find_poles(barrier, n_poles + 1)
-    bound_pole = poles[-1]
     r_grid = np.asarray(r_grid, dtype=float)
     pos = r_grid >= 0.0
     density = np.zeros_like(r_grid)
@@ -176,8 +176,11 @@ def kernel_by_residues(barrier, p, r_grid, n_poles):
         amp = pd.residue_factor(p)
         density[pos] -= (amp * np.exp(2j * r_grid[pos] * (p - pd.kappa))).real
     trunc = np.zeros_like(r_grid)
-    trunc[pos] = abs(bound_pole.residue_factor(p)) * np.exp(
-        2.0 * bound_pole.kappa.imag * r_grid[pos])
+    if len(poles) > n_poles:
+        trunc[pos] = abs(poles[n_poles].residue_factor(p)) * np.exp(
+            2.0 * poles[n_poles].kappa.imag * r_grid[pos])
+    elif not isinstance(barrier, _b.DeltaBarrier):
+        trunc[pos] = np.inf
     return KernelDensity(r_grid, density, 1.0, "residues",
                          float(np.max(trunc)) if trunc.size else 0.0, trunc)
 
@@ -352,8 +355,8 @@ def total_probabilities(barrier, p, a=None, ratio=None):
     return 1.0 / abs(a) ** 2, abs(ratio) ** 2
 
 
-def _pt_row(barrier, p0, r_vals, spike, tol, which):
-    """Poschl-Teller densities on a lag grid, T left unset at the spike lags.
+def _pt_row(barrier, p0, r_vals, spike, tol):
+    """Poschl-Teller (T, R) densities on a lag grid, T left unset at the spike lags.
 
     The 4F3 series serves |r| > h = PT_SERIES_RMIN_FACTOR * s. Across the
     band |r| <= h, R is the degree-7 polynomial in r/h through the lags
@@ -363,57 +366,53 @@ def _pt_row(barrier, p0, r_vals, spike, tol, which):
     """
     h = PT_SERIES_RMIN_FACTOR * barrier.s
     band = np.abs(r_vals) <= h * 1.0000001
-    dens = {name: np.zeros_like(r_vals) for name in which}
-    fit_r = "R" in which and np.any(band)
+    t_dens, r_dens = np.zeros_like(r_vals), np.zeros_like(r_vals)
     lags = r_vals[~band]
     n_own = len(lags)
-    if fit_r:
+    if np.any(band):
         lags = np.concatenate([lags, h * _R_BAND_NODES])
     if len(lags):
-        series = dict(zip("TR", pt_kernels(barrier.v0, barrier.s, p0, lags)))
-        for name in which:
-            dens[name][~band] = series[name][:n_own]
-        if fit_r:
-            coef = np.polynomial.polynomial.polyfit(_R_BAND_NODES, series["R"][n_own:], 7)
-            dens["R"][band] = np.polynomial.polynomial.polyval(r_vals[band] / h, coef)
+        t_ser, r_ser = pt_kernels(barrier.v0, barrier.s, p0, lags)
+        t_dens[~band] = t_ser[:n_own]
+        r_dens[~band] = r_ser[:n_own]
+        if np.any(band):
+            coef = np.polynomial.polynomial.polyfit(_R_BAND_NODES, r_ser[n_own:], 7)
+            r_dens[band] = np.polynomial.polynomial.polyval(r_vals[band] / h, coef)
     t_quad = band & ~spike & (r_vals >= 0.0)
-    if "T" in which and np.any(t_quad):
+    if np.any(t_quad):
         kt, _ = kernel_by_quadrature(barrier, p0, r_vals[t_quad], tol=tol, which="T")
-        dens["T"][t_quad] = kt.density
-    return dens
+        t_dens[t_quad] = kt.density
+    return t_dens, r_dens
 
 
-def kernel_row(barrier, p0, r_vals, tol=2e-7, which="TR"):
+def kernel_row(barrier, p0, r_vals, tol=2e-7):
     """(T density, R density) for one momentum on an arbitrary lag grid.
 
     Each barrier gets its fastest exact route: the delta closed form; the
     4F3 series for Poschl-Teller, with R interpolated across the band
     |r| <= PT_SERIES_RMIN_FACTOR * s and T by quadrature inside it (see
-    ``_pt_row``); Fourier quadrature for every other barrier. Lags in
-    (0, ZERO_LAG] stand in for r = 0+: there T is the exact jump -2w,
-    w the integral of V (the 1/sigma tail -2iw/sigma of 1/(a+ a-) - 1
-    fixes it), and those lags are left out of the series and quadrature
-    calls for T. ``tol`` is the quadrature tolerance. Only the kernels
-    named in ``which`` ("T", "R" or "TR") are returned; the other comes
-    back as None and is not computed.
+    ``_pt_row``); Fourier quadrature for every other barrier. T is exactly
+    0 at r < 0 for every barrier (causality). Lags in (0, ZERO_LAG] stand
+    in for r = 0+: there T is the exact jump -2w, w the integral of V (the
+    1/sigma tail -2iw/sigma of 1/(a+ a-) - 1 fixes it), and those lags are
+    left out of the series and quadrature calls for T. ``tol`` is the
+    quadrature tolerance. Both kernels always come back.
     """
     r_vals = np.asarray(r_vals, dtype=float)
     spike = (r_vals > 0.0) & (r_vals <= ZERO_LAG)
     if isinstance(barrier, _b.DeltaBarrier):
-        dens = dict(zip("TR", delta_kernels(barrier.v0, p0, r_vals)))
+        t_dens, r_dens = delta_kernels(barrier.v0, p0, r_vals)
     elif isinstance(barrier, _b.PoschlTellerBarrier):
-        dens = _pt_row(barrier, p0, r_vals, spike, tol, which)
+        t_dens, r_dens = _pt_row(barrier, p0, r_vals, spike, tol)
     else:
-        dens = {}
-        for name in which:
-            lags = ~spike if name == "T" else np.full(r_vals.shape, True)
-            dens[name] = np.zeros_like(r_vals)
-            if np.any(lags):
-                quad = kernel_by_quadrature(barrier, p0, r_vals[lags], tol=tol, which=name)
-                dens[name][lags] = quad["TR".index(name)].density
-    if "T" in which:
-        dens["T"][spike] = -2.0 * barrier.integral_strength()
-    return tuple(dens[name] if name in which else None for name in "TR")
+        t_dens = np.zeros_like(r_vals)
+        t_lags = (r_vals >= 0.0) & ~spike
+        if np.any(t_lags):
+            quad = kernel_by_quadrature(barrier, p0, r_vals[t_lags], tol=tol, which="T")
+            t_dens[t_lags] = quad[0].density
+        r_dens = kernel_by_quadrature(barrier, p0, r_vals, tol=tol, which="R")[1].density
+    t_dens[spike] = -2.0 * barrier.integral_strength()
+    return t_dens, r_dens
 
 
 def interference_eval(barrier, q, p, q0, p0, t):

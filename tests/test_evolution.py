@@ -12,7 +12,6 @@ from wigner_tunnel.evolution import (
     GaussianState,
     WignerGrid,
     _kernel_ranges,
-    _lag_lattice,
     arrival_time_estimate,
     barrier_propagate,
     detect,
@@ -232,6 +231,23 @@ class TestBarrierPropagate:
                     barrier_propagate(g, DeltaBarrier(2.0), 25.0)
             assert fit.call_count == sources, n_p
 
+    @pytest.mark.parametrize("p_axis", [
+        np.linspace(-1.9, 1.9, 21),
+        np.linspace(-1.0, 1.9, 30),   # its -p columns mirror +p nodes
+    ], ids=["symmetric", "asymmetric"])
+    def test_one_kernel_row_per_momentum(self, p_axis):
+        # a row at p > 0 that transmits into p and reflects into -p takes
+        # T and R from one lattice and one kernel_row call
+        q = np.linspace(-100.0, 80.0, 300)
+        g = gaussian_to_grid(_incident(), q, p_axis)
+        floor = 1e-10 * np.max(np.abs(g.values))
+        sources = p_axis[(p_axis > 1e-9 * g.dp) & (np.max(np.abs(g.values), axis=0) > floor)]
+        with mock.patch.object(kernels, "kernel_row", wraps=kernels.kernel_row) as row:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                barrier_propagate(g, DeltaBarrier(2.0), 25.0)
+        assert sorted(call.args[1] for call in row.call_args_list) == sources.tolist()
+
     def test_pt_rows_run_no_quadrature(self, monkeypatch):
         # T at the zero lag is exact and R is interpolated across the band
         # |r| <= 0.05 s, so neither kind of row falls back to quadrature
@@ -239,9 +255,6 @@ class TestBarrierPropagate:
         p = np.linspace(-1.9, 1.9, 21)
         bar = PoschlTellerBarrier(1.0, 0.4)
         g = gaussian_to_grid(_incident(), q, p)
-        r_hi, r_lo = _kernel_ranges(bar)
-        r, _, _, _ = _lag_lattice(g, 1.14, r_lo, r_hi)
-        assert np.any(np.abs(r) <= 0.05 * bar.s)   # a reflected band node
         calls = []
 
         def counted(*args, **kwargs):

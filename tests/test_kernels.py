@@ -153,12 +153,24 @@ class TestQuadratureRoute:
     def test_kernel_row_zero_lag_is_exact_jump(self, bar):
         # every route reads lags in (0, 1e-12] as r = 0+, where T jumps by -2w
         w = bar.integral_strength()
-        for which in ("T", "TR"):
-            t_d, _ = kernel_row(bar, 1.0, [1e-12, 0.5 * 1e-12, 0.5], which=which)
-            assert t_d[0] == -2.0 * w and t_d[1] == -2.0 * w
-            assert t_d[2] != -2.0 * w
-        t_d, _ = kernel_row(bar, 1.0, [1e-12], which="T")
+        t_d, _ = kernel_row(bar, 1.0, [1e-12, 0.5 * 1e-12, 0.5])
+        assert t_d[0] == -2.0 * w and t_d[1] == -2.0 * w
+        assert t_d[2] != -2.0 * w
+        t_d, _ = kernel_row(bar, 1.0, [1e-12])
         assert t_d.tolist() == [-2.0 * w]
+
+    @pytest.mark.parametrize("bar", [
+        sech2_table(),
+        NumericBarrier(np.linspace(-1.0, 1.0, 9),
+                       np.array([0.0, 0.8, 0.1, 1.4, 0.0, 0.6, 1.2, 0.3, 0.0])),
+    ], ids=["sech2_table", "jagged_table"])
+    def test_kernel_row_transmission_is_causal(self, bar):
+        # T vanishes at r < 0 exactly, with no quadrature noise, while R
+        # there carries the early reflection of the table
+        r = np.array([-1.5, -0.6, -0.05, 1e-12])
+        t_d, r_d = kernel_row(bar, 1.0, r)
+        assert t_d.tolist() == [0.0, 0.0, 0.0, -2.0 * bar.integral_strength()]
+        assert np.all(np.isfinite(r_d)) and np.any(r_d[:3] != 0.0)
 
 
 class TestResidueRoute:
@@ -196,6 +208,23 @@ class TestResidueRoute:
         assert kd_lo.truncation_error is not None
         assert np.all(np.abs(kd_lo.density - t_c)
                       <= 3.0 * kd_lo.truncation_error + 1e-12)
+
+    def test_truncation_without_omitted_pole(self):
+        # with no pole found past those summed, nothing bounds the rest of a
+        # table's expansion; delta's one pole is its whole expansion
+        r = np.array([-0.5, 0.0, 0.05, 0.55, 3.0])
+        table = kernel_by_residues(sech2_table(), 1.0, r, 40)
+        assert table.truncation_error.tolist() == [0.0] + [math.inf] * 4
+        assert table.error_estimate == math.inf
+        delta = kernel_by_residues(DeltaBarrier(2.0), 1.0, r, 1)
+        assert np.all(delta.truncation_error == 0.0) and delta.error_estimate == 0.0
+        # Poschl-Teller finds the pole past those summed and bounds with it
+        bar = PoschlTellerBarrier(1.0, 0.4)
+        omitted = find_poles(bar, 11)[10]
+        pt = kernel_by_residues(bar, 1.0, r, 10)
+        expect = np.where(r >= 0.0, abs(omitted.residue_factor(1.0))
+                          * np.exp(2.0 * omitted.kappa.imag * r), 0.0)
+        assert np.array_equal(pt.truncation_error, expect)
 
     def test_eikonal_rejected(self):
         bar = EikonalBarrier.from_callable(
@@ -327,7 +356,7 @@ class TestPoschlTellerClosedForm:
         s, p = 0.51, 0.22
         bar = PoschlTellerBarrier(4.38 / s, s)
         r = np.linspace(-6.0 * s, 12.0 * s, 61)
-        _, r_row = kernel_row(bar, p, r, which="R")
+        _, r_row = kernel_row(bar, p, r)
         _, kr = kernel_by_quadrature(bar, p, r, tol=1e-10, which="R")
         far = np.abs(r) >= 0.21
         peak = np.max(np.abs(kr.density))
