@@ -185,25 +185,14 @@ def _kernel_one_method(barrier, method, p, r_grid, n_poles, tol):
         return kt.density, kr.density, np.full_like(r_grid, kt.error_estimate), None
     if method == "residues":
         kt = _k.kernel_by_residues(barrier, p, r_grid, n_poles)
-        trunc = kt.truncation_error if kt.truncation_error is not None \
-            else np.zeros_like(r_grid)
-        return kt.density, np.full_like(r_grid, np.nan), trunc, None
+        return kt.density, np.full_like(r_grid, np.nan), kt.truncation_error, None
     if method == "closed":
-        if isinstance(barrier, _b.DeltaBarrier):
-            t_d, r_d = _k.delta_kernels(barrier.v0, p, r_grid)
-        elif isinstance(barrier, _b.PoschlTellerBarrier):
-            # 4F3 series away from r = 0; across the band, R interpolated
-            # and T exact at 0+ (r = 0 is read as 0+), by quadrature past it
-            t_d, r_d = _k.kernel_row(barrier, p, np.where(r_grid == 0.0, _k.ZERO_LAG,
-                                                          r_grid), tol)
-        else:
+        if not isinstance(barrier, (_b.DeltaBarrier, _b.PoschlTellerBarrier)):
             raise MethodCompatibilityError(
                 "closed-form kernels exist for delta and poschl_teller only")
+        t_d, r_d = _k.kernel_row(barrier, p, r_grid)   # reads r = 0 as 0+
         return t_d, r_d, np.zeros_like(r_grid), None
     if method == "semiclassical":
-        if not barrier.has_potential_function():
-            raise MethodCompatibilityError(
-                "semiclassical kernels need a pointwise potential")
         res = _k.semiclassical_kernel(barrier, p, r_grid, mode="quadrature")
         w = barrier.integral_strength()
         flags = ((r_grid * p >= 1.0) & (p <= 0.2 * w)
@@ -227,13 +216,12 @@ def cmd_kernel(cfg, out_dir, args):
     n_poles = int(cfg.get("n_poles", 40))
     tol = float(args.tol if args.tol is not None else cfg.get("tol", 2e-7))
 
-    methods = [m for m in ("quadrature", "residues", "closed")] \
-        if method == "all" else [method]
-    results = {}
+    methods = ["quadrature", "residues", "closed"] if method == "all" else [method]
+    t_rows = []
     for m in methods:
         t_d, r_d, trunc, flags = _kernel_one_method(barrier, m, p, r_grid,
                                                     n_poles, tol)
-        results[m] = (t_d, r_d)
+        t_rows.append(t_d)
         names = ["r", "T_density", "R_density", "method", "truncation_error"]
         cols = [r_grid, t_d, r_d, [m] * len(r_grid), trunc]
         if flags is not None:
@@ -243,15 +231,10 @@ def cmd_kernel(cfg, out_dir, args):
                    [UNITS_NOTE, f"# p = {_fmt(p)}"], names, *cols)
 
     if method == "all":
-        per_r = np.zeros_like(r_grid)
-        names = list(results)
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                ti, _ = results[names[i]]
-                tj, _ = results[names[j]]
-                per_r = np.maximum(per_r, np.abs(np.asarray(ti) - np.asarray(tj)))
+        # the largest pairwise T deviation at each lag
+        per_r = np.ptp(t_rows, axis=0)
         _write_json(os.path.join(out_dir, "agreement.json"), {
-            "methods": names,
+            "methods": methods,
             "max_deviation": float(np.max(per_r)),
             "per_r": [{"r": float(r), "deviation": float(d)}
                       for r, d in zip(r_grid, per_r)],

@@ -52,17 +52,21 @@ __all__ = [
 ]
 
 # Below this fraction of the width s the 4F3 argument is too close to the
-# unit circle. Inside that band kernel_row interpolates R through lags on
-# both sides of it and keeps the quadrature only for T at lags past 0+.
+# unit circle; _pt_row interpolates T and R across that band.
 PT_SERIES_RMIN_FACTOR = 0.05
 
-# Lags in (0, ZERO_LAG] stand in for r = 0+, where T jumps by exactly -2w.
+# kernel_row reads lags in [0, ZERO_LAG] as r = 0+, where T jumps by exactly -2w.
 ZERO_LAG = 1e-12
 
 # R across the band is the degree-7 polynomial through these lags, in
 # units of the band half-width. PT's b/a decays like e^{-pi s kappa}, so R
 # is analytic at r = 0.
 _R_BAND_NODES = np.array([-3.0, -2.35, -1.7, -1.05, 1.05, 1.7, 2.35, 3.0])
+
+# T across (0+, h] is the degree-10 polynomial through the exact jump
+# T(0+) = -2w at 0 and the series at the other ten lags, in units of h. Wide
+# barriers (v0 s ~ 4) need all ten: seven at spacing 0.35 miss by 5e-7 of the peak.
+_T_BAND_NODES = np.concatenate([[0.0], 1.05 + 0.25 * np.arange(10)])
 
 # 4F3 power tables are built over chunks of lags that keep each table
 # at or below 2^19 float64 entries (4 MB)
@@ -72,8 +76,11 @@ _SERIES_MAX_TERMS = 20_000
 # PT's branch sums must cancel their imaginary parts to this times max(1, |.|)
 _PT_IMAG_TOL = 1e-8
 
-# uniform kappa nodes of the semiclassical kernel's eikonal action spline
+# the semiclassical kernel's eikonal action spline: uniform kappa nodes over
+# the integrand's features, then a geometric run out to the largest kappa
+# the quadrature can sample
 _EIKONAL_SPLINE_NODES = 1200
+_EIKONAL_TAIL_NODES = 200
 
 # Gamma(2 omega) has a pole at omega = 0 that cancels between the
 # +-omega terms. Below this |omega| the late-branch sum, analytic in
@@ -311,7 +318,7 @@ def pt_kernels(v0, s, p, r):
     r_min = PT_SERIES_RMIN_FACTOR * s
     if np.any(np.abs(r) <= r_min):
         raise ConvergenceRegionError(
-            f"|r| <= {r_min:.4g} is outside the series region; use quadrature")
+            f"|r| <= {r_min:.4g} is outside the series region; use kernel_row")
 
     om = complex(cmath.sqrt(0.25 - (v0 * s) ** 2))
     nu = 2.0 * p * s
@@ -355,62 +362,66 @@ def total_probabilities(barrier, p, a=None, ratio=None):
     return 1.0 / abs(a) ** 2, abs(ratio) ** 2
 
 
-def _pt_row(barrier, p0, r_vals, spike, tol):
-    """Poschl-Teller (T, R) densities on a lag grid, T left unset at the spike lags.
+def _band_fit(x_nodes, y_nodes, x):
+    """The polynomial through the points (x_nodes, y_nodes), evaluated at x."""
+    coef = np.polynomial.polynomial.polyfit(x_nodes, y_nodes, len(x_nodes) - 1)
+    return np.polynomial.polynomial.polyval(x, coef)
 
-    The 4F3 series serves |r| > h = PT_SERIES_RMIN_FACTOR * s. Across the
-    band |r| <= h, R is the degree-7 polynomial in r/h through the lags
-    h * _R_BAND_NODES, which ride along in the row's own series call; T is
-    0 at r < 0 (causality) and comes from quadrature at r in [0, h] past
-    the spike lags.
+
+def _pt_row(barrier, p0, r_vals):
+    """Poschl-Teller (T, R) densities on a lag grid from one 4F3 series call.
+
+    The call takes the lags |r| > h = PT_SERIES_RMIN_FACTOR * s and the band
+    nodes: h * _R_BAND_NODES, and h * _T_BAND_NODES[1:] only for a row with
+    T lags in (ZERO_LAG, h]. Across |r| <= h each kernel is the polynomial in
+    r/h through its nodes. T is 0 at r < 0 and left unset at [0, ZERO_LAG].
     """
     h = PT_SERIES_RMIN_FACTOR * barrier.s
     band = np.abs(r_vals) <= h * 1.0000001
-    t_dens, r_dens = np.zeros_like(r_vals), np.zeros_like(r_vals)
-    lags = r_vals[~band]
-    n_own = len(lags)
+    t_band = band & (r_vals > ZERO_LAG)
+    lags = [r_vals[~band]]
     if np.any(band):
-        lags = np.concatenate([lags, h * _R_BAND_NODES])
-    if len(lags):
-        t_ser, r_ser = pt_kernels(barrier.v0, barrier.s, p0, lags)
-        t_dens[~band] = t_ser[:n_own]
-        r_dens[~band] = r_ser[:n_own]
-        if np.any(band):
-            coef = np.polynomial.polynomial.polyfit(_R_BAND_NODES, r_ser[n_own:], 7)
-            r_dens[band] = np.polynomial.polynomial.polyval(r_vals[band] / h, coef)
-    t_quad = band & ~spike & (r_vals >= 0.0)
-    if np.any(t_quad):
-        kt, _ = kernel_by_quadrature(barrier, p0, r_vals[t_quad], tol=tol, which="T")
-        t_dens[t_quad] = kt.density
+        lags.append(h * _R_BAND_NODES)
+    if np.any(t_band):
+        lags.append(h * _T_BAND_NODES[1:])
+    t_ser, r_ser = pt_kernels(barrier.v0, barrier.s, p0, np.concatenate(lags))
+    n = len(lags[0])
+    n_r = n + len(_R_BAND_NODES)
+    t_dens, r_dens = np.zeros_like(r_vals), np.zeros_like(r_vals)
+    t_dens[~band], r_dens[~band] = t_ser[:n], r_ser[:n]
+    if np.any(band):
+        r_dens[band] = _band_fit(_R_BAND_NODES, r_ser[n:n_r], r_vals[band] / h)
+    if np.any(t_band):
+        t_nodes = np.concatenate([[-2.0 * barrier.integral_strength()], t_ser[n_r:]])
+        t_dens[t_band] = _band_fit(_T_BAND_NODES, t_nodes, r_vals[t_band] / h)
     return t_dens, r_dens
 
 
-def kernel_row(barrier, p0, r_vals, tol=2e-7):
+def kernel_row(barrier, p0, r_vals):
     """(T density, R density) for one momentum on an arbitrary lag grid.
 
     Each barrier gets its fastest exact route: the delta closed form; the
-    4F3 series for Poschl-Teller, with R interpolated across the band
-    |r| <= PT_SERIES_RMIN_FACTOR * s and T by quadrature inside it (see
-    ``_pt_row``); Fourier quadrature for every other barrier. T is exactly
-    0 at r < 0 for every barrier (causality). Lags in (0, ZERO_LAG] stand
-    in for r = 0+: there T is the exact jump -2w, w the integral of V (the
-    1/sigma tail -2iw/sigma of 1/(a+ a-) - 1 fixes it), and those lags are
-    left out of the series and quadrature calls for T. ``tol`` is the
-    quadrature tolerance. Both kernels always come back.
+    4F3 series for Poschl-Teller, interpolated with no quadrature across the
+    band |r| <= PT_SERIES_RMIN_FACTOR * s (``_pt_row``); Fourier quadrature
+    for every other barrier. T is exactly 0 at r < 0 for every barrier
+    (causality). Lags in [0, ZERO_LAG] stand in for r = 0+: there T is the
+    exact jump -2w, w the integral of V (the 1/sigma tail -2iw/sigma of
+    1/(a+ a-) - 1 fixes it), and those lags are left out of the series and
+    quadrature calls for T. Both kernels always come back.
     """
     r_vals = np.asarray(r_vals, dtype=float)
-    spike = (r_vals > 0.0) & (r_vals <= ZERO_LAG)
+    spike = (r_vals >= 0.0) & (r_vals <= ZERO_LAG)
     if isinstance(barrier, _b.DeltaBarrier):
         t_dens, r_dens = delta_kernels(barrier.v0, p0, r_vals)
     elif isinstance(barrier, _b.PoschlTellerBarrier):
-        t_dens, r_dens = _pt_row(barrier, p0, r_vals, spike, tol)
+        t_dens, r_dens = _pt_row(barrier, p0, r_vals)
     else:
         t_dens = np.zeros_like(r_vals)
-        t_lags = (r_vals >= 0.0) & ~spike
+        t_lags = r_vals > ZERO_LAG
         if np.any(t_lags):
-            quad = kernel_by_quadrature(barrier, p0, r_vals[t_lags], tol=tol, which="T")
+            quad = kernel_by_quadrature(barrier, p0, r_vals[t_lags], which="T")
             t_dens[t_lags] = quad[0].density
-        r_dens = kernel_by_quadrature(barrier, p0, r_vals, tol=tol, which="R")[1].density
+        r_dens = kernel_by_quadrature(barrier, p0, r_vals, which="R")[1].density
     t_dens[spike] = -2.0 * barrier.integral_strength()
     return t_dens, r_dens
 
@@ -437,12 +448,14 @@ class SemiclassicalValue:
     violations: tuple
 
 
-def _eikonal_spline(barrier, kappa_max):
-    """S(kappa) on (0, kappa_max], splined; odd-real/even-imag continuation."""
+def _eikonal_spline(barrier, kappa_max, kappa_reach):
+    """S(kappa) on (0, kappa_reach], splined, uniform up to kappa_max and
+    graded past it; odd-real/even-imag continuation."""
     v_max = barrier.max_potential()
     k_top = math.sqrt(v_max)
     ks = np.unique(np.concatenate([
         np.linspace(1e-3 * k_top, kappa_max, _EIKONAL_SPLINE_NODES),
+        np.geomspace(kappa_max, kappa_reach, _EIKONAL_TAIL_NODES + 1)[1:],
         k_top + k_top * np.linspace(-0.05, 0.05, 101),   # refine near the branch point
     ]))
     ks = ks[ks > 0]
@@ -509,7 +522,10 @@ def semiclassical_kernel(barrier, p, r, mode="quadrature", tol=5e-6):
     if not barrier.has_potential_function():
         raise MethodCompatibilityError("eikonal quadrature needs a pointwise potential")
     fs, sigma_hint = _sigma_scales(barrier, p)
-    S = _eikonal_spline(barrier, p + 2.0 * sigma_hint)
+    sigma_cap = 8.0 * sigma_hint
+    # fourier_halfline probes sigma up to 1.82 sigma_cap, so it samples S
+    # at |kappa| = |sigma/2 +- p| below p + sigma_cap
+    S = _eikonal_spline(barrier, p + 2.0 * sigma_hint, p + sigma_cap)
 
     def h(sig):
         # exponent of 1/(a+ a-) with a = e^{iS}; the spline continuation
@@ -520,8 +536,7 @@ def semiclassical_kernel(barrier, p, r, mode="quadrature", tol=5e-6):
         return np.exp(-1j * phase) - 1.0
 
     vals_c, err = fourier_halfline(h, r_arr, feature_scale=fs, c1=-2j * w,
-                                   tol=tol, sigma0=sigma_hint,
-                                   sigma_cap=8.0 * sigma_hint)
+                                   tol=tol, sigma0=sigma_hint, sigma_cap=sigma_cap)
     vals = vals_c.real / math.pi
     out = float(vals[0]) if scalar else vals
     return SemiclassicalValue(out, True, ())

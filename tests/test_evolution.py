@@ -249,25 +249,35 @@ class TestBarrierPropagate:
         assert sorted(call.args[1] for call in row.call_args_list) == sources.tolist()
 
     def test_pt_rows_run_no_quadrature(self, monkeypatch):
-        # T at the zero lag is exact and R is interpolated across the band
-        # |r| <= 0.05 s, so neither kind of row falls back to quadrature
+        # T at the zero lag is exact, and T and R are interpolated across
+        # the band |r| <= 0.05 s, so no row falls back to quadrature; on the
+        # wide barrier the lattices put T lags inside that band
         q = np.linspace(-100.0, 80.0, 300)
         p = np.linspace(-1.9, 1.9, 21)
-        bar = PoschlTellerBarrier(1.0, 0.4)
         g = gaussian_to_grid(_incident(), q, p)
-        calls = []
+        calls, lags = [], []
+        kernel_row = kernels.kernel_row
 
         def counted(*args, **kwargs):
             calls.append(args)
             return kernel_by_quadrature(*args, **kwargs)
 
+        def row(barrier, p0, r):
+            lags.append(r)
+            return kernel_row(barrier, p0, r)
+
         monkeypatch.setattr(kernels, "kernel_by_quadrature", counted)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = barrier_propagate(g, bar, 25.0)
-        assert calls == []
-        m_t, m_r = sector_masses(out)
-        assert m_t + m_r == pytest.approx(g.mass(), rel=1e-4)
+        monkeypatch.setattr(kernels, "kernel_row", row)
+        for bar in (PoschlTellerBarrier(1.0, 0.4), PoschlTellerBarrier(0.5, 3.0)):
+            lags.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = barrier_propagate(g, bar, 25.0)
+            assert calls == []
+            m_t, m_r = sector_masses(out)
+            assert m_t + m_r == pytest.approx(g.mass(), rel=1e-4)
+        band = [np.sum((r > 1e-12) & (r <= 0.05 * bar.s)) for r in lags]
+        assert max(band) > 0
 
 
 class TestDetect:

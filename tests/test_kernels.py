@@ -151,11 +151,11 @@ class TestQuadratureRoute:
         DeltaBarrier(2.0), PoschlTellerBarrier(1.0, 0.4), sech2_table(),
     ], ids=["delta_2", "pt_s0.4", "sech2_table"])
     def test_kernel_row_zero_lag_is_exact_jump(self, bar):
-        # every route reads lags in (0, 1e-12] as r = 0+, where T jumps by -2w
+        # every route reads lags in [0, 1e-12] as r = 0+, where T jumps by -2w
         w = bar.integral_strength()
-        t_d, _ = kernel_row(bar, 1.0, [1e-12, 0.5 * 1e-12, 0.5])
-        assert t_d[0] == -2.0 * w and t_d[1] == -2.0 * w
-        assert t_d[2] != -2.0 * w
+        t_d, _ = kernel_row(bar, 1.0, [1e-12, 0.5 * 1e-12, 0.0, 0.5])
+        assert t_d[:3].tolist() == [-2.0 * w] * 3
+        assert t_d[3] != -2.0 * w
         t_d, _ = kernel_row(bar, 1.0, [1e-12])
         assert t_d.tolist() == [-2.0 * w]
 
@@ -534,6 +534,25 @@ class TestSemiclassical:
         r_neg = np.array([-1.0, -0.4])
         res_neg = semiclassical_kernel(bar, 1.6, r_neg, mode="quadrature")
         assert np.max(np.abs(res_neg.value)) < 0.01 * scale
+
+    @pytest.mark.parametrize("bar, p", [
+        (EikonalBarrier.from_callable(lambda q: 1.0 / np.cosh(q / 0.4) ** 2,
+                                      -6.8, 6.8, 1201), 1.6),
+        (PoschlTellerBarrier(1.0, 0.4), 1.0),
+    ], ids=["sech2_table", "pt"])
+    def test_quadrature_mode_never_extrapolates_the_action(self, bar, p, monkeypatch):
+        # the Fourier cutoff's probes sample S far past the integrand's
+        # features; the spline's nodes must reach every |kappa| sampled
+        fits = []
+
+        class SpySpline(kernels.CubicSpline):
+            def __call__(self, x, *args, **kwargs):
+                fits.append((self.x[-1], float(np.max(x))))
+                return super().__call__(x, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "CubicSpline", SpySpline)
+        semiclassical_kernel(bar, p, np.array([0.1, 0.5, 0.9, 1.3]), mode="quadrature")
+        assert fits and all(top <= last for last, top in fits)
 
     def test_above_barrier_peak_near_classical_delay(self):
         # for a wide barrier and p comfortably above it the kernel

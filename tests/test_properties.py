@@ -124,19 +124,26 @@ def test_one_kernel_quadrature_equals_two_kernel_call(vs, s, p):
 
 
 @settings(derandomized, max_examples=12)
-@given(vs=st.floats(0.12, 1.5), s=st.floats(0.2, 2.0), p=st.floats(0.2, 1.9))
+@given(vs=st.floats(0.12, 4.4), s=st.floats(0.2, 2.0), p=st.floats(0.2, 1.9))
 def test_band_reflection_interpolates_quadrature(vs, s, p):
-    # R is analytic at r = 0, so the polynomial through lags outside the
-    # band |r| <= 0.05 s reproduces it inside, with no quadrature call for R
+    # R is analytic at r = 0, and T past its exact jump T(0+) = -2w, so
+    # polynomials through lags outside the band |r| <= 0.05 s reproduce
+    # both inside it, with no quadrature call
     bar = PoschlTellerBarrier(vs / s, s)
     r = np.linspace(-0.05 * s, 0.05 * s, 9)
     with mock.patch.object(kernels, "kernel_by_quadrature",
                            wraps=kernel_by_quadrature) as quad:
-        _, band_r = kernel_row(bar, p, r)
-    # T at the band lags past 0+ is quadrature; no call asks for R
-    assert all(call.kwargs["which"] == "T" for call in quad.call_args_list)
-    _, ref = kernel_by_quadrature(bar, p, r, tol=1e-11, which="R")
-    assert np.max(np.abs(band_r - ref.density)) < 1e-8
+        band_t, band_r = kernel_row(bar, p, r)
+        row_t, _ = kernel_row(bar, p, np.linspace(1e-12, 20.0 * s, 801))
+    assert quad.call_count == 0
+    past = r > 0.0
+    ref_t, _ = kernel_by_quadrature(bar, p, r[past], tol=1e-11, which="T")
+    assert np.max(np.abs(band_t[past] - ref_t.density)) <= 2e-8 * np.max(np.abs(row_t))
+    # the early-reflection sum behind R's nodes at r < 0 loses digits on
+    # wide barriers (CHANGES.md), so R keeps its bound where it held before
+    if vs <= 1.5:
+        _, ref_r = kernel_by_quadrature(bar, p, r, tol=1e-11, which="R")
+        assert np.max(np.abs(band_r - ref_r.density)) < 1e-8
 
 
 def _tables(cls):
