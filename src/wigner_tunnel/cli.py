@@ -297,15 +297,12 @@ def cmd_probe(cfg, out_dir, args):
     det = _state_from_config(cfg["detector"], "detector")
     times = _grid_from_config(cfg["times"], "times")
 
-    def one(t):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = ev.gaussian_detection(init, det, barrier, float(t))
-        return (t, res.w_total, res.w_t, res.w_r, res.w_s)
-
-    rows = [one(t) for t in times]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = ev.gaussian_detection(init, det, barrier, times)
     _write_csv(os.path.join(out_dir, "probe.csv"),
-               [UNITS_NOTE], ["t", "w_total", "w_t", "w_r", "w_s"], *zip(*rows))
+               [UNITS_NOTE], ["t", "w_total", "w_t", "w_r", "w_s"],
+               times, res.w_total, res.w_t, res.w_r, res.w_s)
     try:
         t_star = ev.arrival_time_estimate(init, det, barrier)
     except ZeroDivisionError:

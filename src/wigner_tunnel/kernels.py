@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,7 +130,8 @@ def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7, which="TR"):
     of a wave incident from the left (``Barrier.reflection_lr``), so even
     and asymmetric barriers share one route. ``which`` names the kernels
     to compute ("T", "R" or "TR"); a kernel not asked for is returned as
-    None.
+    None. A kernel whose error estimate exceeds ``tol`` comes back with a
+    RuntimeWarning naming both numbers.
     """
     if p <= 0:
         raise ValueError("kernel quadrature requires p > 0")
@@ -159,6 +161,10 @@ def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7, which="TR"):
         r_vals, r_err = fourier_symmetric(g_r, r_grid, feature_scale=fs,
                                           c1=0.0, tol=tol, sigma0=sigma0)
         kd_r = KernelDensity(r_grid, r_vals, 0.0, "quadrature", r_err)
+    for name, kd in (("T", kd_t), ("R", kd_r)):
+        if kd is not None and kd.error_estimate > tol:
+            warnings.warn(f"{name} kernel error estimate {kd.error_estimate:.3g} exceeds "
+                          f"tol {tol:.3g} at p = {p:.6g}", RuntimeWarning, stacklevel=2)
     return kd_t, kd_r
 
 

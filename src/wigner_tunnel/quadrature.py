@@ -26,37 +26,56 @@ def _gl(order):
     return _gl_cache[order]
 
 
-def _panel_nodes(a, b, n_panels, order):
-    """Gauss-Legendre nodes and weights on equal panels of [a, b]."""
-    x, w = _gl(order)
+# complex entries in one block of the panel-phase table and of its product
+# with the node phases; bounds the Fourier quadrature's memory at any lag count
+_PHASE_BLOCK = 4_000_000
+
+# Gauss-Legendre orders of the Fourier quadrature's refinement
+_ORDERS = (8, 16, 32)
+
+
+def _panels(a, b, n_panels):
+    """(mids, half): midpoints and half width of n_panels equal panels of [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * x[None, :]).ravel()
-    weights = np.broadcast_to(half * w[None, :], (n_panels, order)).copy().ravel()
-    return nodes, weights
+    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
 
 
-def _phase_accumulate(gvals, weights, nodes, r_grid, chunk=60_000):
-    """sum_k w_k g_k exp(-i sigma_k r_j), chunked to bound memory."""
-    out = np.zeros(len(r_grid), dtype=complex)
-    wg = weights * gvals
-    for lo in range(0, len(nodes), chunk):
-        hi = min(lo + chunk, len(nodes))
-        phases = np.exp(np.outer(nodes[lo:hi], -1j * r_grid))
-        out += wg[lo:hi] @ phases
-    return out
+def _phases(sigma, r_grid):
+    """e^{-i sigma_j r_l}, one row per sigma."""
+    out = np.outer(sigma, -1j * r_grid)
+    return np.exp(out, out=out)
 
 
 def _refined_panels(fun, sigma_hi, r_grid, feature_scale, tol, complex_out=False):
-    """Integral of fun(s) e^{-i s r} over [0, sigma_hi], refined in GL order."""
+    """Integral of fun(s) e^{-i s r} over [0, sigma_hi], refined in GL order.
+
+    Every node is s = m_j + h x_k, with m_j the panel midpoints, h the half
+    panel width and x_k the order's abscissae, so
+    e^{-i s r} = e^{-i m_j r} e^{-i h x_k r}. Each order multiplies the
+    (panels x order) block of w g by the (order x lags) table
+    e^{-i h x_k r}, and reduces the (panels x lags) product against the
+    panel phases e^{-i m_j r}. A block of panels holds at most _PHASE_BLOCK
+    entries (or one panel, at more lags than that), so no temporary grows
+    with the number of lags; when the whole panel-phase table fits in one
+    block it is built once and shared by every order.
+    """
     r_max = max(float(np.max(np.abs(r_grid))), 1e-12)
     panel_len = min(np.pi / (2.0 * r_max), feature_scale / 4.0)
     n_panels = max(8, int(np.ceil(sigma_hi / panel_len)))
+    mids, half = _panels(0.0, sigma_hi, n_panels)
+    step = max(1, _PHASE_BLOCK // len(r_grid))
+    shared = _phases(mids, r_grid) if step >= n_panels else None
     prev, err = None, np.inf
-    for order in (8, 16, 32):
-        nodes, weights = _panel_nodes(0.0, sigma_hi, n_panels, order)
-        vals = _phase_accumulate(fun(nodes), weights, nodes, r_grid)
+    for order in _ORDERS:
+        x, w = _gl(order)
+        wg = (half * w) * np.asarray(fun((mids[:, None] + half * x).ravel())
+                                     ).reshape(n_panels, order)
+        local = _phases(half * x, r_grid)
+        vals = np.zeros(len(r_grid), dtype=complex)
+        for lo in range(0, n_panels, step):
+            block = wg[lo:lo + step] @ local
+            block *= shared if shared is not None else _phases(mids[lo:lo + step], r_grid)
+            vals += block.sum(axis=0)
         if not complex_out:
             vals = vals.real
         if prev is not None:

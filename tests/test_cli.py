@@ -442,6 +442,27 @@ class TestProbeCommand:
         assert arrival["t_star"] == pytest.approx(t_peak, rel=0.05)
 
 
+    def test_one_detection_call_over_all_times(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(init, det, barrier, t):
+            calls.append(np.shape(t))
+            return detection(init, det, barrier, t)
+
+        detection = ev.gaussian_detection
+        monkeypatch.setattr(ev, "gaussian_detection", spy)
+        cfg = write_cfg(tmp_path, "p.json", FLAG_CONFIGS["probe"])
+        assert run(["probe", "--config", cfg, "--out", tmp_path]) == 0
+        assert calls == [(3,)]
+        rows = read_csv(tmp_path / "probe.csv")
+        init, det = ev.GaussianState(-40.0, 1.0, 25.0), ev.GaussianState(40.0, 1.0, 25.0)
+        for row in rows:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                one = detection(init, det, DeltaBarrier(2.0), float(row["t"]))
+            assert float(row["w_total"]) == pytest.approx(one.w_total, rel=1e-12)
+
+
 class TestValidateCommand:
     def test_subset_passes(self, tmp_path):
         cfg = write_cfg(tmp_path, "v.json", {

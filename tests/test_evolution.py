@@ -391,6 +391,42 @@ class TestGaussianDetection:
         assert w_grid == pytest.approx(w_closed, rel=1e-3)
 
 
+class TestDetectionOverTimes:
+    # the amplitudes do not depend on t, so one call over an array of times
+    # evaluates each of 1/a and -conj(b)/a on two node sets (Gauss orders 12
+    # and 24) whatever the number of times; numeric ``probe`` once re-solved
+    # them for every time (the numeric-probe line in CHANGES.md)
+    # packets at -+d; the table's sit near it, where its node sets are 5x smaller
+    @pytest.mark.parametrize("bar, d, times", [
+        pytest.param(DeltaBarrier(2.0), 40.0, np.linspace(30.0, 50.0, 9), id="delta"),
+        pytest.param(PoschlTellerBarrier(1.0, 0.4), 40.0, np.linspace(30.0, 50.0, 5),
+                     id="poschl_teller"),
+        pytest.param(_sech2_table(), 8.0, np.array([6.0, 9.0]), id="sech2_table"),
+    ])
+    def test_array_of_times_equals_scalar_calls(self, bar, d, times):
+        init, det = GaussianState(-d, 1.0, 25.0), GaussianState(d, 1.0, 25.0)
+        cls = type(bar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with mock.patch.object(cls, "amplitude_a", autospec=True,
+                                   side_effect=cls.amplitude_a) as amp, \
+                    mock.patch.object(cls, "reflection_lr", autospec=True,
+                                      side_effect=cls.reflection_lr) as refl:
+                res = gaussian_detection(init, det, bar, times)
+            assert (amp.call_count, refl.call_count) == (2, 2)
+            singles = [gaussian_detection(init, det, bar, float(t)) for t in times]
+        for name in ("w_total", "w_t", "w_r", "w_s", "amplitude_t", "amplitude_r"):
+            got = getattr(res, name)
+            assert got.shape == times.shape
+            want = np.array([getattr(one, name) for one in singles])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_scalar_time_gives_numbers(self):
+        res = gaussian_detection(_incident(), GaussianState(40.0, 1.0, 25.0),
+                                 DeltaBarrier(2.0), 40.0)
+        assert type(res.w_total) is float and type(res.amplitude_t) is complex
+
+
 class TestArrivalTime:
     def test_free_motion(self):
         t = arrival_time_estimate(_incident(), GaussianState(40.0, 1.0, 25.0),

@@ -101,6 +101,32 @@ class TestQuadratureRoute:
             assert kt.singular_weight == 1.0
             assert kr.singular_weight == 0.0
 
+    def test_memory_does_not_grow_with_lag_count(self):
+        # the panel and node phases are built in bounded blocks; a phase per
+        # node and lag peaks at 0.9 GB on this call (5.8 GB at 2000 lags)
+        r = np.linspace(-10.0, 60.0, 300)
+        tracemalloc.start()
+        try:
+            kt, kr = kernel_by_quadrature(DeltaBarrier(2.0), 1.0, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160e6
+        t_c, r_c = delta_kernels(2.0, 1.0, r)
+        assert np.max(np.abs(kt.density - t_c)) <= kt.error_estimate
+        assert np.max(np.abs(kr.density - r_c)) <= kr.error_estimate
+
+    def test_unmet_tolerance_warns_with_both_numbers(self):
+        # four lags in the band of a wide PT barrier: the estimate stays at
+        # 1.9e-7 for every tol from 1e-9 down
+        bar = PoschlTellerBarrier(4.17 / 1.2, 1.2)
+        with pytest.warns(RuntimeWarning) as record:
+            kt, _ = kernel_by_quadrature(bar, 1.666, [0.01, 0.02, 0.04, 0.06], tol=1e-9,
+                                         which="T")
+        assert kt.error_estimate > 1e-7
+        message = str(record[0].message)
+        assert f"{kt.error_estimate:.3g}" in message and "1e-09" in message
+
     def test_causality(self):
         bar = DeltaBarrier(2.0)
         r = np.linspace(-2.0, -0.05, 25)
