@@ -48,18 +48,39 @@ def _atomic_write(path, text):
 
 
 _NUM = "%.17g"
+# stands for a line's q text in a p-line template; no %.17g text holds it
+_Q_SLOT = "\0"
 
 
 def _fmt(x):
     return _NUM % float(x)
 
 
-def _write_csv(path, header_lines, names, *columns):
+def _p_line_template(p):
+    """The t-independent text of a grid's rows: "<q slot>,<p>,%.17g\n" per p."""
+    return "".join(f"{_Q_SLOT},{_fmt(v)},{_NUM}\n" for v in np.asarray(p, dtype=float).tolist())
+
+
+def _write_csv(path, header_lines, names, *columns, q_major=None):
     """Write equal-length columns as CSV rows below the header lines.
 
     A column of str is written as it is, any other column as floats with
     %.17g. The rows are filled from one %-template in a single pass.
+
+    With ``q_major=(q, p_lines)`` the one column holds a grid's values in
+    q-major order, p varying fastest, and each row is written as q, p,
+    value: for each q, ``p_lines`` (from ``_p_line_template``) takes that
+    q's text in its slots and one grid row's values. The text is the same
+    as from q, p and value columns.
     """
+    head = "".join(line + "\n" for line in header_lines) + ",".join(names) + "\n"
+    if q_major is not None:
+        q, p_lines = q_major
+        values = np.asarray(columns[0], dtype=float).reshape(len(q), -1)
+        _atomic_write(path, "".join([head] + [
+            p_lines.replace(_Q_SLOT, _NUM % qv) % tuple(row.tolist())
+            for qv, row in zip(np.asarray(q, dtype=float).tolist(), values)]))
+        return
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError("CSV columns differ in length")
@@ -72,7 +93,6 @@ def _write_csv(path, header_lines, names, *columns):
         else:
             specs.append(_NUM)
             cells[j::k] = np.asarray(col, dtype=float).tolist()
-    head = "".join(line + "\n" for line in header_lines) + ",".join(names) + "\n"
     _atomic_write(path, head + ((",".join(specs) + "\n") * n) % tuple(cells))
 
 
@@ -251,9 +271,10 @@ def cmd_evolve(cfg, out_dir, args):
     p_axis = _grid_from_config(cfg["p_axis"], "p_axis", n_min=8)
     times = _times_from_config(cfg["times"], "times")
     interference = bool(cfg.get("include_interference", False))
-    if not barrier.is_meromorphic:
+    if isinstance(barrier, _b.EikonalBarrier):
         raise MethodCompatibilityError(
-            f"evolve needs S-matrix poles; barrier kind {barrier.kind!r} is not meromorphic")
+            "evolve cannot close the mass accounting on an eikonal barrier: its b is "
+            "identically 0 while |a|^-2 < 1 below the top, so the reflected sector is empty")
 
     grid0 = ev.gaussian_to_grid(state, q_axis, p_axis)
     marg = grid0.momentum_marginal()
@@ -264,28 +285,25 @@ def cmd_evolve(cfg, out_dir, args):
 
     accounting = {"initial_mass": initial, "predicted_transmitted": pred_t,
                   "predicted_reflected": initial - pred_t, "times": []}
-    for idx, t in enumerate(times):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            gt = ev.barrier_propagate(grid0, barrier, t,
-                                      include_interference=interference)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grids = ev.barrier_propagate(grid0, barrier, times,
+                                     include_interference=interference)
+    # rows in q-major order: each p text is formatted once per command
+    p_lines = _p_line_template(grid0.p)
+    for idx, (t, gt) in enumerate(zip(times, grids)):
         m_t, m_r = ev.sector_masses(gt)
         accounting["times"].append({
             "t": t, "transmitted": m_t, "reflected": m_r,
             "total": m_t + m_r,
             "accounting_error": abs(m_t + m_r - initial) / initial,
         })
-        # rows in q-major order: each axis value is formatted once
-        q_txt = [_NUM % v for v in gt.q.tolist()]
-        p_txt = [_NUM % v for v in gt.p.tolist()]
         _write_csv(os.path.join(out_dir, f"evolve_t{idx}.csv"),
                    [UNITS_NOTE,
                     f"# t = {_fmt(t)}",
                     f"# q_axis: min={_fmt(gt.q[0])} max={_fmt(gt.q[-1])} n={len(gt.q)}",
                     f"# p_axis: min={_fmt(gt.p[0])} max={_fmt(gt.p[-1])} n={len(gt.p)}"],
-                   ["q", "p", "value"],
-                   [qs for qs in q_txt for _ in p_txt], p_txt * len(q_txt),
-                   gt.values.ravel())
+                   ["q", "p", "value"], gt.values.ravel(), q_major=(gt.q, p_lines))
     _write_json(os.path.join(out_dir, "mass_accounting.json"), accounting)
     return EXIT_OK
 

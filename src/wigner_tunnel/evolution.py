@@ -7,9 +7,13 @@ momentum-diagonal transmission/reflection kernels as convolutions along q
 over the lag distance; the optional interference term is a full
 phase-space double integral and is off by default (it is negligible for
 packets prepared with a narrow momentum spread).
-Each momentum p > 0, forward or adjoint, is one lag lattice and one
-``kernel_row`` call for (T, R) (``_kernel_rows``), whose weighted rows are
-FFT-correlated with spline-resampled source rows (``_lag_convolve``).
+The kernels depend on the barrier and p alone; time enters only through
+the shear 2pt. So one momentum walk serves every time of a call: one pole
+search for the lag ranges (``_kernel_ranges``), and per momentum p > 0,
+forward or adjoint, one lag lattice and one ``kernel_row`` call for (T, R)
+(``_kernel_rows``) and one spline fit per source row. Per time, the
+weighted rows are FFT-correlated with the spline-resampled source rows
+(``_lag_convolve``).
 
 Gaussian packets follow the unnormalized convention
 rho = exp[-(q-Q)^2/lambda - lambda (p-P)^2] of mass pi; all detection
@@ -174,7 +178,8 @@ _REFINE = 4
 def _kernel_ranges(barrier):
     """(r_hi, r_lo): T lags on [0, r_hi], R on [r_lo, r_hi], r_hi ~12 decay lengths.
 
-    They depend on the barrier alone, so one pole search serves every row.
+    They depend on the barrier alone, so one pole search serves every row
+    and every time of a propagation call.
     """
     poles = _b.find_poles(barrier, 1)
     decay = 1.0 / (2.0 * abs(poles[0].kappa.imag))
@@ -199,9 +204,19 @@ def barrier_propagate(grid, barrier, t, include_interference=False):
     initial row at -p convolved with the reflection density. Setting
     ``include_interference`` adds the oscillatory two-sided term as a full
     double integral (validation use; it is costly).
+
+    ``t`` is one time, giving one grid, or a sequence of times, giving a
+    list of grids in the given order. Every time shares one momentum walk:
+    one pole search, one kernel row per momentum and one spline fit per
+    source row. The lag lattice is cut where the largest time's lags stop
+    reaching the grid, so at a smaller time the lags past its own cut
+    sample only zeros.
     """
-    if t < 0:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(times < 0):
         raise ValueError("barrier propagation requires t >= 0")
+    if len(times) == 0:
+        return []
     neg_mass = float(np.sum(np.abs(grid.values[:, grid.p <= 0])))
     tot_mass = float(np.sum(np.abs(grid.values)))
     if tot_mass == 0:
@@ -210,28 +225,34 @@ def barrier_propagate(grid, barrier, t, include_interference=False):
         raise ValueError("initial support must lie on p > 0 (incident from the left)")
     if barrier.integral_strength() == 0.0:
         # vanishing potential: both kernels collapse to the free spike
-        return free_propagate(grid, t)
+        outs = [free_propagate(grid, tk) for tk in times]
+    else:
+        for tk in times:
+            _warn_if_not_cleared(grid, barrier, tk)
+        outs = _propagate_rows(grid, barrier, times, adjoint=False)
+        if include_interference:
+            for tk, out in zip(times, outs):
+                out += _interference_grid(grid, barrier, tk)
+        outs = [WignerGrid(grid.q, grid.p, out) for out in outs]
+    return outs[0] if np.ndim(t) == 0 else outs
 
-    _warn_if_not_cleared(grid, barrier, t)
-    out = _propagate_rows(grid, barrier, t, adjoint=False)
-    if include_interference:
-        out += _interference_grid(grid, barrier, t)
-    return WignerGrid(grid.q, grid.p, out)
 
-
-def _propagate_rows(grid, barrier, t, adjoint):
+def _propagate_rows(grid, barrier, times, adjoint):
     """Momentum walk of the propagator (adjoint=False) or of its adjoint.
 
-    Each momentum p > 0 makes one kernel row (T, R). Forward, the row at
-    +p transmits into column +p and reflects into column -p; adjoint,
-    column +p gathers the row at +p through T and the row at -p through R.
+    Returns one value array per time. Each momentum p > 0 makes one kernel
+    row (T, R) and fits each source row once, for every time. Forward, the
+    row at +p transmits into column +p and reflects into column -p;
+    adjoint, column +p gathers the row at +p through T and the row at -p
+    through R.
     """
-    out = np.zeros_like(grid.values)
+    outs = [np.zeros_like(grid.values) for _ in times]
     # rows carrying < 1e-10 of the peak contribute below every tolerance
     # here and would push the kernels into their p -> 0 blow-up
     floor = 1e-10 * float(np.max(np.abs(grid.values)))
     p_zero = _zero_momentum(grid)
     ranges = _kernel_ranges(barrier)
+    t_max = float(np.max(times))
     momenta = list(grid.p[grid.p > p_zero])
     if not adjoint:   # a column -p with no node at +p reflects the row interpolated there
         momenta += [-pk for pk in grid.p[grid.p < -p_zero]
@@ -244,17 +265,18 @@ def _propagate_rows(grid, barrier, t, adjoint):
                  if j is not None and src is not None and np.max(np.abs(src)) > floor]
         if not terms:
             continue
-        t_w, r_w, r_start, refine, dr = _kernel_rows(grid, barrier, p, t, ranges)
+        t_w, r_w, r_start, refine, dr = _kernel_rows(grid, barrier, p, t_max, ranges)
         fitted = None
         for src, j, transmitted in terms:
             if src is not fitted:   # forward, both terms share one source row
                 fitted, fit = src, CubicSpline(grid.q, src, bc_type="natural")
-            shift = 2.0 * abs(grid.p[j]) * t   # the column's |p|: a mirror -p is an ulp off
-            if transmitted:
-                out[:, j] += _transmitted_row(grid, fit, shift, t_w, refine, dr, adjoint)
-            else:
-                out[:, j] += _reflected_row(grid, fit, shift, r_start, r_w, refine, dr)
-    return out
+            for t, out in zip(times, outs):
+                shift = 2.0 * abs(grid.p[j]) * t   # the column's |p|: a mirror -p is an ulp off
+                if transmitted:
+                    out[:, j] += _transmitted_row(grid, fit, shift, t_w, refine, dr, adjoint)
+                else:
+                    out[:, j] += _reflected_row(grid, fit, shift, r_start, r_w, refine, dr)
+    return outs
 
 
 def _zero_momentum(grid):
@@ -305,8 +327,9 @@ def _kernel_rows(grid, barrier, p, t, ranges):
     """(T, R, r_start, refine, dr): the Simpson-weighted kernel rows at p > 0.
 
     One lattice r = m dr, m = -m0 .. n-1 (m0 even, n odd, m0 dr >= -r_lo;
-    lags past 2 (q span) + 2pt + dq only sample zeros) and one kernel_row
-    call: T takes m >= 0 and R every m, each an odd-count Simpson rule.
+    lags past 2 (q span) + 2pt + dq only sample zeros, so t is the largest
+    time the rows serve) and one kernel_row call: T takes m >= 0 and R
+    every m, each an odd-count Simpson rule.
     dr <= pi / (24 p) resolves the kernels' oscillation; r = 0 is ZERO_LAG (0+).
     """
     r_hi, r_lo = ranges
@@ -555,7 +578,7 @@ def detector_propagate(grid, barrier, t):
     if barrier.integral_strength() == 0.0:
         # vanishing potential: the adjoint of the free shear q -> q + 2pt
         return WignerGrid(grid.q, grid.p, _resample_rows(grid, -2.0 * t * grid.p))
-    return WignerGrid(grid.q, grid.p, _propagate_rows(grid, barrier, t, adjoint=True))
+    return WignerGrid(grid.q, grid.p, _propagate_rows(grid, barrier, [t], adjoint=True)[0])
 
 
 def purity_bound(grid):

@@ -75,6 +75,26 @@ class TestCsvWriter:
                      "4.9406564584124654e-324,", "-3,q,-inf"):
             assert f"\n{line}" in expected
 
+    def test_q_major_rows_match_columns_on_edge_values(self, tmp_path):
+        # evolve's writer fills a per-p line template for each q; its text
+        # must be what the generic writer makes of q, p and value columns
+        q = np.array([-1.5, -0.0, 5e-324, 1e300])
+        p = np.array([-0.0, 0.1, -2.0 ** 0.5])
+        values = np.array([[-0.0, math.nan, math.inf],
+                           [-math.inf, 5e-324, -1e-310],
+                           [0.0, 1.0 / 3.0, 123456789.123456789],
+                           [1e-300, -5e-324, 2.0]])
+        head, names = ["# h"], ["q", "p", "value"]
+        generic, q_major = tmp_path / "generic.csv", tmp_path / "q_major.csv"
+        cli._write_csv(str(generic), head, names,
+                       [g17(x) for x in q for _ in p], [g17(x) for x in p] * len(q),
+                       values.ravel())
+        cli._write_csv(str(q_major), head, names, values.ravel(),
+                       q_major=(q, cli._p_line_template(p)))
+        assert q_major.read_bytes() == generic.read_bytes()
+        for line in ("-1.5,-0,-0", "-0,-0,-inf", "4.9406564584124654e-324,-0,0"):
+            assert f"\n{line}\n" in generic.read_text()
+
     def test_empty_and_ragged_columns(self, tmp_path):
         path = tmp_path / "t.csv"
         cli._write_csv(str(path), ["# h"], ["a", "b"], [], np.array([]))
@@ -357,6 +377,49 @@ class TestEvolveCommand:
         assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "mass_accounting.json").read_text())
         assert report["times"][0]["accounting_error"] < 1e-4
+
+    def test_times_share_one_propagation(self, tmp_path, monkeypatch):
+        # one barrier_propagate call serves every time; zero, repeated and
+        # unsorted times write the files that single-time runs write
+        times = [25.0, 0.0, 40.0, 25.0]
+        calls = []
+        propagate = ev.barrier_propagate
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "barrier_propagate", counted)
+        base = {"barrier": {"kind": "delta", "v0": 2.0},
+                "state": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+                "q_axis": {"min": -150.0, "max": 110.0, "n": 200},
+                "p_axis": {"min": -1.9, "max": 1.9, "n": 41}}
+        out = tmp_path / "all"
+        assert run(["evolve", "--config", write_cfg(tmp_path, "all.json",
+                                                    dict(base, times=times)),
+                    "--out", out]) == 0
+        assert calls == [times]
+        report = json.loads((out / "mass_accounting.json").read_text())
+        for idx, t in enumerate(times):
+            one = tmp_path / f"one{idx}"
+            assert run(["evolve", "--config", write_cfg(tmp_path, f"one{idx}.json",
+                                                        dict(base, times=[t])),
+                        "--out", one]) == 0
+            assert ((out / f"evolve_t{idx}.csv").read_bytes()
+                    == (one / "evolve_t0.csv").read_bytes()), t
+            single = json.loads((one / "mass_accounting.json").read_text())
+            assert report["times"][idx] == single["times"][0]
+
+    def test_no_times_write_no_grids(self, tmp_path):
+        cfg = write_cfg(tmp_path, "e.json", delta_cfg({
+            "state": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+            "q_axis": {"min": -150.0, "max": 110.0, "n": 200},
+            "p_axis": {"min": -1.9, "max": 1.9, "n": 41},
+            "times": []}))
+        assert run(["evolve", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        report = json.loads((tmp_path / "out" / "mass_accounting.json").read_text())
+        assert report["times"] == []
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     @pytest.mark.parametrize("n_p", [41, 40])
     def test_eikonal_barrier_is_incompatible(self, tmp_path, capsys, n_p):

@@ -22,7 +22,7 @@ from wigner_tunnel.evolution import (
     purity_bound,
     sector_masses,
 )
-from wigner_tunnel import evolution, kernels
+from wigner_tunnel import barriers, evolution, kernels
 from wigner_tunnel.kernels import delta_kernels, kernel_by_quadrature, total_probabilities
 
 
@@ -247,6 +247,87 @@ class TestBarrierPropagate:
                 warnings.simplefilter("ignore")
                 barrier_propagate(g, DeltaBarrier(2.0), 25.0)
         assert sorted(call.args[1] for call in row.call_args_list) == sources.tolist()
+
+    # one call over several times walks the momenta once; zero, repeated
+    # and unsorted times each give what a call at that time alone gives
+    TIMES = [25.0, 0.0, 40.0, 25.0, 10.0]
+
+    @pytest.mark.parametrize("bar", [DeltaBarrier(2.0), PoschlTellerBarrier(1.0, 0.4)],
+                             ids=["delta", "poschl_teller"])
+    @pytest.mark.parametrize("p_axis", [
+        np.linspace(-1.9, 1.9, 21),
+        np.linspace(-1.0, 1.9, 30),   # its -p columns mirror +p nodes
+    ], ids=["symmetric", "asymmetric"])
+    def test_times_equal_scalar_calls_bit_for_bit(self, bar, p_axis):
+        g = gaussian_to_grid(_incident(), np.linspace(-100.0, 80.0, 300), p_axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            outs = barrier_propagate(g, bar, self.TIMES)
+            singles = [barrier_propagate(g, bar, t) for t in self.TIMES]
+        assert len(outs) == len(self.TIMES)
+        for out, one in zip(outs, singles):
+            np.testing.assert_array_equal(out.values, one.values)
+
+    def test_times_with_interference_equal_scalar_calls(self):
+        g = gaussian_to_grid(_incident(), np.linspace(-100.0, 80.0, 300),
+                             np.linspace(-1.9, 1.9, 21))
+        bar = DeltaBarrier(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            outs = barrier_propagate(g, bar, [40.0, 25.0], include_interference=True)
+            singles = [barrier_propagate(g, bar, t, include_interference=True)
+                       for t in (40.0, 25.0)]
+        for out, one in zip(outs, singles):
+            np.testing.assert_array_equal(out.values, one.values)
+
+    def test_lattice_cut_at_largest_time_samples_zeros(self):
+        # at v0 = 0.02 the kernels decay over 12/v0 = 600, past the cut
+        # 2 (q span) + 2pt + dq of every time here, so the smaller times
+        # run longer lattices than alone; the extra lags add rounding only
+        g = gaussian_to_grid(_incident(), np.linspace(-100.0, 80.0, 300),
+                             np.linspace(-1.9, 1.9, 21))
+        bar = DeltaBarrier(0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            outs = barrier_propagate(g, bar, [10.0, 25.0, 40.0])
+            singles = [barrier_propagate(g, bar, t) for t in (10.0, 25.0, 40.0)]
+        for out, one in zip(outs, singles):
+            peak = np.max(np.abs(one.values))
+            assert np.max(np.abs(out.values - one.values)) <= 1e-14 * peak
+        np.testing.assert_array_equal(outs[-1].values, singles[-1].values)
+
+    def test_one_walk_serves_every_time(self):
+        # one pole search, one kernel row per momentum and one spline fit per
+        # source row for three times, as for one
+        p = np.linspace(-1.9, 1.9, 21)
+        g = gaussian_to_grid(_incident(), np.linspace(-100.0, 80.0, 300), p)
+        floor = 1e-10 * np.max(np.abs(g.values))
+        sources = p[(p > 1e-9 * g.dp) & (np.max(np.abs(g.values), axis=0) > floor)]
+        with mock.patch.object(barriers, "find_poles", wraps=barriers.find_poles) as poles, \
+                mock.patch.object(kernels, "kernel_row", wraps=kernels.kernel_row) as row, \
+                mock.patch.object(evolution, "CubicSpline",
+                                  wraps=evolution.CubicSpline) as fit:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                outs = barrier_propagate(g, DeltaBarrier(2.0), [10.0, 25.0, 40.0])
+        assert len(outs) == 3
+        assert poles.call_count == 1
+        assert sorted(call.args[1] for call in row.call_args_list) == sources.tolist()
+        assert fit.call_count == len(sources)
+
+    @pytest.mark.parametrize("t", [-1.0, [10.0, -1.0, 25.0]], ids=["scalar", "sequence"])
+    def test_negative_time_rejected(self, t):
+        q, p = _std_axes()
+        g = gaussian_to_grid(_incident(), q, p)
+        with pytest.raises(ValueError, match="requires t >= 0"):
+            barrier_propagate(g, DeltaBarrier(2.0), t)
+
+    def test_no_times_give_no_grids(self):
+        q, p = _std_axes()
+        g = gaussian_to_grid(_incident(), q, p)
+        with mock.patch.object(barriers, "find_poles", wraps=barriers.find_poles) as poles:
+            assert barrier_propagate(g, DeltaBarrier(2.0), []) == []
+        assert poles.call_count == 0
 
     def test_pt_rows_run_no_quadrature(self, monkeypatch):
         # T at the zero lag is exact, and T and R are interpolated across
