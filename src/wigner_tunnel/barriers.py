@@ -32,6 +32,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (
     BranchAmbiguityError,
+    GammaPoleError,
     NoBarrierError,
     NonMeromorphicError,
     PoleSearchError,
@@ -48,6 +49,11 @@ def _log_sinh(z):
     zz = np.where(flip, -z, z)
     out = zz - math.log(2.0) + np.log(-np.expm1(-2.0 * zz))
     return np.where(flip, out + 1j * np.pi, out)
+
+
+def _pi_reduced(y):
+    """pi y, y first reduced exactly modulo 2: keeps the zeros of sinh(u + i pi y) sharp."""
+    return np.pi * (y - 2.0 * np.round(0.5 * y))
 
 __all__ = [
     "Barrier",
@@ -226,7 +232,7 @@ class PoschlTellerBarrier(Barrier):
         One log-Gamma quotient on the whole plane: the factors individually
         leave double range for |s kappa| beyond ~230. At an exact zero of a
         a Gamma argument is a non-positive integer, and GammaPoleError is
-        raised.
+        raised, as it is at the poles s kappa = -i n, n = 1, 2, ...
         """
         kappa = np.asarray(kappa, dtype=complex)
         if np.any(kappa == 0):
@@ -239,13 +245,19 @@ class PoschlTellerBarrier(Barrier):
         return complex(out) if out.ndim == 0 else out
 
     def amplitude_b(self, kappa):
+        """b = -i cos(pi w) / sinh(pi s k), Im(s k) reduced modulo 2 before it is
+        scaled by pi. GammaPoleError at its poles s kappa = i n, n != 0 (for
+        n < 0 also poles of a)."""
         kappa = np.asarray(kappa, dtype=complex)
         scalar = kappa.ndim == 0
         kappa = np.atleast_1d(kappa)
         if np.any(kappa == 0):
             raise ZeroDivisionError("amplitudes undefined at kappa = 0")
+        y = self.s * kappa.imag
+        if np.any((kappa.real == 0.0) & (y == np.round(y))):
+            raise GammaPoleError("b has a pole at s kappa = i n")
         with np.errstate(over="ignore", invalid="ignore"):
-            denom = np.sinh(np.pi * self.s * kappa)
+            denom = np.sinh(np.pi * self.s * kappa.real + 1j * _pi_reduced(y))
             out = -1j * np.cos(np.pi * self.omega) / denom
         # sinh overflow means b has underflowed to zero
         out = np.where(np.isfinite(out), out, 0.0)
@@ -254,12 +266,12 @@ class PoschlTellerBarrier(Barrier):
     def ba_ratio(self, kappa):
         """b/a = -cos(pi w) s k Gamma(1/2+w-is k) Gamma(1/2-w-is k)
         / (sinh(pi s k) Gamma(1-is k)^2), as one log-Gamma quotient; its
-        limit at kappa = 0 is exactly -1."""
+        limit at kappa = 0 is exactly -1. sinh is taken as in amplitude_b."""
         kappa = np.asarray(kappa, dtype=complex)
         x, g1, g2, g3 = self._gamma_args(kappa)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             lg = (log_gamma_right(g2) + log_gamma_right(g3) - 2.0 * log_gamma_right(g1)
-                  + np.log(x) - _log_sinh(np.pi * x))
+                  + np.log(x) - _log_sinh(np.pi * x.real + 1j * _pi_reduced(x.imag)))
             out = np.where(x == 0, -1.0, -np.cos(np.pi * self.omega) * np.exp(lg))
         return complex(out) if out.ndim == 0 else out
 

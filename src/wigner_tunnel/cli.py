@@ -214,11 +214,10 @@ def _kernel_one_method(barrier, method, p, r_grid, n_poles, tol):
         return t_d, r_d, np.zeros_like(r_grid), None
     if method == "semiclassical":
         res = _k.semiclassical_kernel(barrier, p, r_grid, mode="quadrature")
-        w = barrier.integral_strength()
-        flags = ((r_grid * p >= 1.0) & (p <= 0.2 * w)
-                 & (r_grid * p * p <= 0.2 * w)).astype(float)
+        regime = _k.small_lag_regime(barrier.integral_strength(), p, r_grid)
+        flags = np.all(list(regime.values()), axis=0).astype(float)
         return np.asarray(res.value), np.full_like(r_grid, np.nan), \
-            np.zeros_like(r_grid), flags
+            np.full_like(r_grid, res.error_estimate), flags
     raise ConfigError(f"unknown kernel method {method!r}")
 
 

@@ -31,9 +31,11 @@ from .errors import (
     KernelAccuracyError,
     MethodCompatibilityError,
 )
-# adaptive_complex_quad has no caller here: perfbench/tracing.py wraps it by this name
-from .quadrature import adaptive_complex_quad, fourier_halfline, fourier_symmetric
 from .specfun import airy_ai, gamma_cx, hyp4f3_coefficients
+# adaptive_complex_quad and fourier_halfline have no caller here:
+# perfbench/tracing.py wraps them by these names
+from .quadrature import adaptive_complex_quad, fourier_symmetric
+fourier_halfline = fourier_symmetric
 
 __all__ = [
     "KernelDensity",
@@ -46,6 +48,7 @@ __all__ = [
     "interference_eval",
     "semiclassical_kernel",
     "SemiclassicalValue",
+    "small_lag_regime",
     "classical_limit_lag",
     "ClassicalLag",
     "PT_SERIES_RMIN_FACTOR",
@@ -449,9 +452,20 @@ def interference_eval(barrier, q, p, q0, p0, t):
 
 @dataclass(frozen=True)
 class SemiclassicalValue:
+    """A semiclassical kernel; error_estimate is 0 for the closed forms."""
     value: float
     regime_ok: bool
     violations: tuple
+    error_estimate: float = 0.0
+
+
+def small_lag_regime(w, p, r):
+    """The small-lag asymptotic's three conditions by name, each over the
+    lags r; "<<" reads as at most 0.2 w."""
+    r = np.asarray(r, dtype=float)
+    return {"r*p >= 1": r * p >= 1.0,
+            "p << w": np.full(r.shape, p <= 0.2 * w),
+            "r*p^2 << w": r * p * p <= 0.2 * w}
 
 
 def _eikonal_spline(barrier, kappa_max, kappa_reach):
@@ -482,8 +496,11 @@ def semiclassical_kernel(barrier, p, r, mode="quadrature", tol=5e-6):
     """Semiclassical transmission kernel density at lag r.
 
     Modes: 'quadrature' evaluates the stationary-phase integral built on
-    the eikonal action (any barrier exposing a potential); 'small_r' is
-    the high-energy small-lag asymptotic driven by the potential area w;
+    the eikonal action (any barrier exposing a potential) as a whole-line
+    Fourier transform by ``fourier_symmetric``; ``tol`` is the target for
+    its error estimate on the returned kernel, which comes back as
+    ``error_estimate``; 'small_r' is the
+    high-energy small-lag asymptotic driven by the potential area w;
     'airy' is the deep-tunneling Airy form, Poschl-Teller only. Regime
     checks are reported, never enforced: the value is computed anyway.
     """
@@ -491,21 +508,15 @@ def semiclassical_kernel(barrier, p, r, mode="quadrature", tol=5e-6):
     scalar = np.ndim(r) == 0
     w = barrier.integral_strength()
 
+    violations, err = (), 0.0
     if mode == "small_r":
-        p_ok = bool(np.all(r_arr * p >= 1.0))
-        deep = p <= 0.2 * w
-        asym = bool(np.all(r_arr * p * p <= 0.2 * w))
-        violations = tuple(n for n, ok in
-                           [("r*p >= 1", p_ok), ("p << w", deep), ("r*p^2 << w", asym)]
-                           if not ok)
+        violations = tuple(name for name, ok in small_lag_regime(w, p, r_arr).items()
+                           if not np.all(ok))
         x = 2.0 * w * r_arr
         vals = (x ** 0.25) / (r_arr * math.sqrt(math.pi)) * np.cos(
             2.0 * np.sqrt(x) + 0.25 * math.pi)
         vals = np.where(r_arr > 0, vals, 0.0)
-        out = float(vals[0]) if scalar else vals
-        return SemiclassicalValue(out, not violations, violations)
-
-    if mode == "airy":
+    elif mode == "airy":
         if not isinstance(barrier, _b.PoschlTellerBarrier):
             raise MethodCompatibilityError("airy mode is the Poschl-Teller closed form")
         v0, s = barrier.v0, barrier.s
@@ -519,33 +530,30 @@ def semiclassical_kernel(barrier, p, r, mode="quadrature", tol=5e-6):
         weight = math.exp(-2.0 * math.pi * s * (v0 - p))
         vals = weight * alpha * airy_ai(alpha * (r_arr - phi1))
         violations = () if p <= 0.5 * v0 else ("p <= v0/2",)
-        out = float(vals[0]) if scalar else vals
-        return SemiclassicalValue(out, not violations, violations)
+    elif mode == "quadrature":
+        if not barrier.has_potential_function():
+            raise MethodCompatibilityError("eikonal quadrature needs a pointwise potential")
+        fs, sigma_hint = _sigma_scales(barrier, p)
+        sigma_cap = 8.0 * sigma_hint
+        # fourier_symmetric probes sigma up to 2.11 sigma_cap, so it samples S
+        # at |kappa| = |sigma/2 +- p| below p + 1.06 sigma_cap
+        S = _eikonal_spline(barrier, p + 2.0 * sigma_hint, p + 1.06 * sigma_cap)
 
-    if mode != "quadrature":
+        def h(sig):
+            # exponent of 1/(a+ a-) with a = e^{iS}; the spline continuation
+            # (odd real part, even imaginary part) keeps |1/a| <= 1 on both
+            # sides below the barrier top, where the printed difference form
+            # S(p + s/2) - S(p - s/2) only applies to real actions. It gives
+            # h(-sigma) = conj h(sigma) and the tail -2iw/sigma - 2w^2/sigma^2 + ...
+            return np.exp(-1j * (S(0.5 * sig + p) + S(0.5 * sig - p))) - 1.0
+
+        # tol / pi: (1/pi) Re of the half-line integral is what comes back
+        vals, err = fourier_symmetric(h, r_arr, feature_scale=fs, c1=-2j * w,
+                                      tol=tol / math.pi, sigma0=sigma_hint, sigma_cap=sigma_cap)
+    else:
         raise ValueError(f"unknown semiclassical mode {mode!r}")
-
-    if not barrier.has_potential_function():
-        raise MethodCompatibilityError("eikonal quadrature needs a pointwise potential")
-    fs, sigma_hint = _sigma_scales(barrier, p)
-    sigma_cap = 8.0 * sigma_hint
-    # fourier_halfline probes sigma up to 1.82 sigma_cap, so it samples S
-    # at |kappa| = |sigma/2 +- p| below p + sigma_cap
-    S = _eikonal_spline(barrier, p + 2.0 * sigma_hint, p + sigma_cap)
-
-    def h(sig):
-        # exponent of 1/(a+ a-) with a = e^{iS}; the spline continuation
-        # (odd real part, even imaginary part) keeps |1/a| <= 1 on both
-        # sides below the barrier top, where the printed difference form
-        # S(p + s/2) - S(p - s/2) only applies to real actions
-        phase = S(0.5 * sig + p) + S(0.5 * sig - p)
-        return np.exp(-1j * phase) - 1.0
-
-    vals_c, err = fourier_halfline(h, r_arr, feature_scale=fs, c1=-2j * w,
-                                   tol=tol, sigma0=sigma_hint, sigma_cap=sigma_cap)
-    vals = vals_c.real / math.pi
     out = float(vals[0]) if scalar else vals
-    return SemiclassicalValue(out, True, ())
+    return SemiclassicalValue(out, not violations, violations, err)
 
 
 @dataclass(frozen=True)

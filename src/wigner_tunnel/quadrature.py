@@ -1,21 +1,21 @@
 """Oscillatory Fourier quadrature with algebraic-tail subtraction.
 
 The kernel integrands decay only like 1/sigma times an oscillation, so a
-naive adaptive rule stalls. The scheme here: subtract rational functions
-carrying the known 1/sigma and fitted 1/sigma^2 tails (their Fourier
-transforms are closed forms), integrate the remainder over panels no
-longer than a half oscillation with Gauss-Legendre rules, and bound what
-is left beyond the cutoff by the measured residual decay.
+naive adaptive rule stalls. One routine, ``fourier_symmetric``, serves the
+exact and the semiclassical kernels: it subtracts rational functions
+carrying the known 1/sigma and fitted 1/sigma^2 and 1/sigma^3 tails (their
+Fourier transforms are closed forms), integrates the remainder over panels
+no longer than a half oscillation with Gauss-Legendre rules, and bounds
+what is left beyond the cutoff by the measured residual decay.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import QuadratureError
 
-__all__ = ["fourier_symmetric", "fourier_halfline", "adaptive_complex_quad"]
+__all__ = ["fourier_symmetric", "adaptive_complex_quad"]
 
 _gl_cache = {}
 
@@ -46,8 +46,9 @@ def _phases(sigma, r_grid):
     return np.exp(out, out=out)
 
 
-def _refined_panels(fun, sigma_hi, r_grid, feature_scale, tol, complex_out=False):
-    """Integral of fun(s) e^{-i s r} over [0, sigma_hi], refined in GL order.
+def _refined_panels(fun, sigma_hi, r_grid, feature_scale, tol):
+    """Real part of the integral of fun(s) e^{-i s r} over [0, sigma_hi],
+    refined in GL order.
 
     Every node is s = m_j + h x_k, with m_j the panel midpoints, h the half
     panel width and x_k the order's abscissae, so
@@ -71,13 +72,11 @@ def _refined_panels(fun, sigma_hi, r_grid, feature_scale, tol, complex_out=False
         wg = (half * w) * np.asarray(fun((mids[:, None] + half * x).ravel())
                                      ).reshape(n_panels, order)
         local = _phases(half * x, r_grid)
-        vals = np.zeros(len(r_grid), dtype=complex)
+        vals = np.zeros(len(r_grid))
         for lo in range(0, n_panels, step):
             block = wg[lo:lo + step] @ local
             block *= shared if shared is not None else _phases(mids[lo:lo + step], r_grid)
-            vals += block.sum(axis=0)
-        if not complex_out:
-            vals = vals.real
+            vals += block.sum(axis=0).real
         if prev is not None:
             err = float(np.max(np.abs(vals - prev)))
             if err < tol:
@@ -148,41 +147,6 @@ def fourier_symmetric(gfun, r_grid, *, feature_scale, c1, sigma0, tol=5e-7,
               + 0.5 * c2 * decay / lam
               + 0.25 * c3.imag * r_grid * decay / lam)
     return core + closed, core_err / np.pi + tail_err
-
-
-def fourier_halfline(hfun, r_grid, *, feature_scale, c1, sigma0, tol=5e-6,
-                     sigma_cap=2.0e5):
-    """integral_0^inf h(sigma) e^{-i sigma r} dsigma, h regular at 0, ~ c1/sigma at infinity.
-
-    The [0, cutoff] part is integrated directly on oscillation-limited
-    panels; beyond the cutoff the c1/sigma tail is taken in closed form
-    via the exponential integral and the residual is bounded by its
-    measured decay. At r = 0 the tail's imaginary part diverges
-    logarithmically and is dropped (only the real part is meaningful
-    there). Returns (complex values, error estimate).
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    c1 = complex(c1)
-
-    def probe(sig):
-        probes = sig * np.array([1.0, 1.37, 1.82])
-        hp = np.asarray(hfun(probes), dtype=complex) - c1 / probes
-        e2 = float(np.max(np.abs(probes ** 2 * hp)))
-        return (e2 / sig,)
-
-    sigma, (tail_err,) = _grow_cutoff(probe, sigma0, tol, sigma_cap)
-
-    vals, core_err = _refined_panels(hfun, sigma, r_grid, feature_scale, tol,
-                                     complex_out=True)
-
-    tails = np.zeros_like(vals)
-    pos = r_grid > 0
-    neg = r_grid < 0
-    if np.any(pos):
-        tails[pos] = c1 * exp1(1j * sigma * r_grid[pos])
-    if np.any(neg):
-        tails[neg] = c1 * np.conj(exp1(1j * sigma * np.abs(r_grid[neg])))
-    return vals + tails, core_err + tail_err
 
 
 def adaptive_complex_quad(f, a, b, tol=1e-9, max_depth=40):

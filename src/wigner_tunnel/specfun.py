@@ -4,7 +4,7 @@ The complex Gamma and log-Gamma functions, the Faddeeva function and
 the Airy function Ai are thin wrappers over scipy.special; the Gamma
 wrappers add the pole and branch contracts the scattering formulas rely
 on. scipy has no 4F3, so the generalized hypergeometric series is summed
-here directly.
+here directly, from one vectorised table of its coefficients.
 """
 
 from __future__ import annotations
@@ -84,55 +84,32 @@ class Hyp4F3Result:
     terms: int
 
 
-def _check_4f3_parameters(lam):
-    for lm in lam:
-        lm = np.asarray(lm, dtype=complex)
-        bad = (lm.imag == 0.0) & (lm.real <= 0.0) & (lm.real == np.floor(lm.real))
-        if np.any(bad):
-            raise SeriesConvergenceError(
-                f"4F3 lower parameter {lm[bad][0]} is a non-positive integer")
-
-
 def hyp4f3(xi, lam, zeta, tol=1e-14, max_terms=100_000):
     """Generalized hypergeometric 4F3 by direct summation.
 
     Parameters are the four upper entries ``xi``, three lower entries
-    ``lam`` and the argument ``zeta`` with |zeta| < 1. Terms are updated
-    multiplicatively (one complex multiply-divide per term, no Gamma
-    calls). Summation stops once three consecutive terms fall below
-    ``tol`` times the partial sum.
+    ``lam`` and the argument ``zeta`` with |zeta| < 1. The value is the
+    polynomial in zeta of the first n ``hyp4f3_coefficients``; n doubles
+    from 64, up to ``max_terms``, until the geometric tail bound
+    |last term| |zeta| / (1 - |zeta|) is at most ``tol`` times the sum.
+    That bound is the truncation error, and ``terms`` is n.
     """
     if len(xi) != 4 or len(lam) != 3:
         raise ValueError("hyp4f3 takes 4 upper and 3 lower parameters")
     zeta = complex(zeta)
     if abs(zeta) >= 1.0:
         raise SeriesConvergenceError(f"|zeta| = {abs(zeta)} >= 1: outside the series disk")
-    _check_4f3_parameters(lam)
-
-    xi = [complex(v) for v in xi]
-    lam = [complex(v) for v in lam]
-    term = complex(1.0)
-    acc = complex(1.0)
-    small_streak = 0
-    for n in range(max_terms):
-        ratio = zeta / (n + 1.0)
-        for x in xi:
-            ratio *= x + n
-        for l in lam:
-            ratio /= l + n
-        term = term * ratio
-        acc += term
-        if abs(term) <= tol * abs(acc):
-            small_streak += 1
-            if small_streak >= 3:
-                tail = abs(term) * abs(zeta) / max(1.0 - abs(zeta), 1e-16)
-                return Hyp4F3Result(acc, tail, n + 2)
-        else:
-            small_streak = 0
-        if term == 0.0:  # a terminating (polynomial) case
-            return Hyp4F3Result(acc, 0.0, n + 2)
-    raise SeriesConvergenceError(
-        f"4F3 did not converge within {max_terms} terms (|zeta|={abs(zeta):.6f})")
+    n_terms = min(64, max_terms)
+    while True:
+        c = hyp4f3_coefficients(xi, lam, n_terms)
+        value = complex(np.polynomial.polynomial.polyval(zeta, c))
+        tail = float(abs(c[-1])) * abs(zeta) ** n_terms / (1.0 - abs(zeta))
+        if tail <= tol * abs(value):
+            return Hyp4F3Result(value, tail, n_terms)
+        if n_terms >= max_terms:
+            raise SeriesConvergenceError(
+                f"4F3 did not converge within {max_terms} terms (|zeta|={abs(zeta):.6f})")
+        n_terms = min(2 * n_terms, max_terms)
 
 
 def hyp4f3_coefficients(xi, lam, n_terms):
@@ -143,13 +120,17 @@ def hyp4f3_coefficients(xi, lam, n_terms):
     the cumulative product of those term ratios. Scalar parameters give
     one vector; parameters broadcasting to shape S give shape S + (n_terms,).
     """
-    _check_4f3_parameters(lam)
     n = np.arange(n_terms - 1, dtype=float)
     ratio = 1.0 / (n + 1.0)
     for x in xi:
         ratio = ratio * (np.asarray(x, dtype=complex)[..., None] + n)
-    for l in lam:
-        ratio = ratio / (np.asarray(l, dtype=complex)[..., None] + n)
+    for lm in lam:
+        lm = np.asarray(lm, dtype=complex)
+        bad = (lm.imag == 0.0) & (lm.real <= 0.0) & (lm.real == np.floor(lm.real))
+        if np.any(bad):
+            raise SeriesConvergenceError(
+                f"4F3 lower parameter {lm[bad][0]} is a non-positive integer")
+        ratio = ratio / (lm[..., None] + n)
     c = np.empty(ratio.shape[:-1] + (n_terms,), dtype=complex)
     c[..., 0] = 1.0
     np.cumprod(ratio, axis=-1, out=c[..., 1:])

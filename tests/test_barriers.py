@@ -134,6 +134,16 @@ class TestPoschlTellerAmplitudes:
                 bar.amplitude_a(0.375 - (0.5 + n) * 1j)
         assert abs(bar.amplitude_a(0.375 - 0.5j + 1e-9)) < 1e-8
 
+    def test_b_raises_at_every_zero_of_sinh(self):
+        # sinh(pi s kappa) vanishes at s kappa = i n; in the upper half-plane
+        # a is finite there, and Im(s kappa) reduced to 0 must not read as b = 0
+        bar = PoschlTellerBarrier(0.25, 1.0)
+        for n in (-3, -1, 1, 2):
+            with pytest.raises(GammaPoleError):
+                bar.amplitude_b(n * 1j)
+        assert np.isfinite(bar.amplitude_a(2j))
+        assert abs(bar.amplitude_b(2j + 1e-9)) > 1e7
+
     def test_matches_high_precision(self):
         for k in (0.3, 1.1, 2.7):
             a_ref, b_ref = oracles.pt_amplitudes(1.0, 0.4, k)

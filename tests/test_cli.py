@@ -259,6 +259,19 @@ class TestKernelCommand:
         flags = [float(r["regime_ok"]) for r in rows]
         assert 0.0 in flags    # p/w condition violated somewhere on the grid
 
+    def test_semiclassical_writes_its_error_estimate(self, tmp_path):
+        q = np.linspace(-2.0, 2.0, 41)
+        table = [[float(x), float(1.0 / np.cosh(x / 0.4) ** 2)] for x in q]
+        cfg = write_cfg(tmp_path, "k.json", {
+            "barrier": {"kind": "eikonal", "table": table},
+            "p": 1.6, "r_grid": {"min": 0.1, "max": 1.3, "n": 4},
+            "method": "semiclassical"})
+        assert run(["kernel", "--config", cfg, "--out", tmp_path]) == 0
+        errs = {float(r["truncation_error"])
+                for r in read_csv(tmp_path / "kernel_semiclassical.csv")}
+        assert len(errs) == 1
+        assert 0.0 < errs.pop() < math.inf
+
     def test_residues_on_eikonal_is_incompatible(self, tmp_path):
         q = np.linspace(-2.0, 2.0, 101)
         table = [[float(x), float(np.exp(-x * x))] for x in q]

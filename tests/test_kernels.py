@@ -580,6 +580,43 @@ class TestSemiclassical:
         semiclassical_kernel(bar, p, np.array([0.1, 0.5, 0.9, 1.3]), mode="quadrature")
         assert fits and all(top <= last for last, top in fits)
 
+    def test_quadrature_mode_converges_on_a_wide_table(self, monkeypatch):
+        # against the whole-line transform of the same spline integrand at a
+        # 64 sigma0 cutoff and tol 1e-10, the spline's action extended past
+        # its reach; a cutoff that models only the 1/sigma tail misses by 4e-2
+        from wigner_tunnel.barriers import eikonal_action
+        from wigner_tunnel.quadrature import fourier_symmetric
+        s, p = 3.0, 2.5
+        bar = EikonalBarrier.from_callable(
+            lambda q: 1.0 / np.cosh(q / s) ** 2, -17 * s, 17 * s, 2401)
+        spline_cls, nodes = kernels.CubicSpline, []
+
+        class KeepNodes(spline_cls):
+            def __init__(self, x, y, *args, **kwargs):
+                nodes.append((x, y))
+                super().__init__(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "CubicSpline", KeepNodes)
+        r = np.linspace(-1.0, 3.0, 9)
+        res = semiclassical_kernel(bar, p, r, mode="quadrature")
+        (ks, vals), = nodes
+        fs, sigma0 = kernels._sigma_scales(bar, p)
+        extra = np.geomspace(ks[-1], p + 1.06 * 64 * sigma0, 101)[1:]
+        spline = spline_cls(np.concatenate([ks, extra]),
+                            np.concatenate([vals, eikonal_action(bar, extra)]))
+
+        def S(kappa):
+            val = spline(np.clip(np.abs(kappa), ks[0], None))
+            return val.real * np.sign(kappa) + 1j * val.imag
+
+        def h(sig):
+            return np.exp(-1j * (S(0.5 * sig + p) + S(0.5 * sig - p))) - 1.0
+
+        ref, _ = fourier_symmetric(h, r, feature_scale=fs, c1=-2j * bar.integral_strength(),
+                                   tol=1e-10, sigma0=sigma0, sigma_cap=64 * sigma0)
+        assert np.max(np.abs(res.value - ref)) <= 2e-6
+        assert res.error_estimate >= np.max(np.abs(res.value - ref))
+
     def test_above_barrier_peak_near_classical_delay(self):
         # for a wide barrier and p comfortably above it the kernel
         # concentrates near the classical lag -S'(p), within the cubic

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import eikonal_action_piecewise, numeric_amplitudes_dop853, panel_fourier_direct
@@ -63,6 +63,10 @@ off_axis = st.one_of(
 
 @settings(derandomized, max_examples=300)
 @given(vs=strength, s=width, sign=st.sampled_from([-1.0, 1.0]), where=off_axis)
+# s kappa = -i, a pole of a and of b; and s kappa = -26.99609375i, next to a
+# zero of sinh(pi s kappa), where b needs Im(s kappa) reduced before scaling
+@example(vs=0.25, s=1.0, sign=1.0, where=("plane", 0.0, 1.0))
+@example(vs=0.25, s=3.0, sign=1.0, where=("plane", 0.0, 26.99609375))
 def test_pt_amplitudes_off_axis_schwarz_and_ratio(vs, s, sign, where):
     bar = PoschlTellerBarrier(vs / s, s)
     kind, u, v = where
@@ -72,6 +76,12 @@ def test_pt_amplitudes_off_axis_schwarz_and_ratio(vs, s, sign, where):
         zero = -1j * (u + 0.5 + sign * bar.omega)
         sk = zero + 1e-7 * cmath.exp(1j * v) if kind == "zero" else zero - 2.0 * s * v
     k = sk / s
+    if k.real == 0.0 and s * k.imag == round(s * k.imag):
+        # s kappa = -i n: both amplitudes raise at the pole
+        for amplitude in (bar.amplitude_a, bar.amplitude_b):
+            with pytest.raises(GammaPoleError):
+                amplitude(k)
+        return
     a, b = bar.amplitude_a(k), bar.amplitude_b(k)
     assert np.isfinite(a) and a != 0
     assert abs(bar.amplitude_a(-k.conjugate()) - a.conjugate()) <= 1e-12 * abs(a)
@@ -129,10 +139,9 @@ def test_factorised_panel_sum_matches_direct_sum(sigma_hi, r_max, lags, feature_
 
     with mock.patch.object(quadrature, "_ORDERS", (order,)), \
             mock.patch.object(quadrature, "_PHASE_BLOCK", per_block * len(r) + spare % len(r)):
-        vals, _ = quadrature._refined_panels(g, sigma_hi, r, feature_scale, tol=0.0,
-                                             complex_out=True)
+        vals, _ = quadrature._refined_panels(g, sigma_hi, r, feature_scale, tol=0.0)
     ref, scale = panel_fourier_direct(g, sigma_hi, seen[0] // order, order, r)
-    assert np.max(np.abs(vals - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(vals - ref.real)) <= 1e-13 * scale
 
 
 @settings(derandomized, max_examples=8)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,6 +158,22 @@ class TestHyp4F3:
         # upper (a, b, c, d) with lower (b, c, d) collapses to (1-z)^(-a)
         res = hyp4f3([1.0, 2.3, 0.7, 1.1], [2.3, 0.7, 1.1], 0.5)
         assert res.value == pytest.approx(2.0, rel=1e-13)
+
+    def test_terminating_series_is_its_polynomial(self):
+        # the upper parameter -3 ends the series after the cubic term; the
+        # parameters are exact binary fractions, so the reference is exact
+        xi, lam, z = [-3.0, 1.5, 2.0, 0.75], [1.25, 0.5, 2.5], -0.375
+        term = ref = Fraction(1)
+        for n in range(3):
+            for x in xi:
+                term *= Fraction(x) + n
+            for lm in lam:
+                term /= Fraction(lm) + n
+            term *= Fraction(z) / (n + 1)
+            ref += term
+        res = hyp4f3(xi, lam, z)
+        assert abs(res.value - float(ref)) <= 1e-15 * abs(float(ref))
+        assert res.truncation_error == 0.0
 
     def test_generic_complex_vs_oracle(self):
         xi = [1.2 + 0.3j, 0.5 - 1j, 2.0, 0.9]
