@@ -386,17 +386,35 @@ class _TabulatedBarrier(Barrier):
 
 # steps <= MAGNUS_STEP / sqrt(max(max V, 1)); 0.01 left errors of 2.5e-7 |a| on jagged tables
 MAGNUS_STEP = 0.005
+# kappa x step entries in one block of the real-axis product: on the 41- and
+# 241-row sech^2 tables 2^14 was up to a third slower, and 2^16 no faster
+_PRODUCT_ENTRIES = 1 << 15
 
 
 class NumericBarrier(_TabulatedBarrier):
     """Arbitrary tabulated barrier; amplitudes from a transfer-matrix product.
 
     (y, y') starts at q_min on the exp(-i kappa q) branch and is carried to
-    q_max by a fourth-order Magnus product, vectorised over every kappa of a
-    call: each fixed step is the closed-form exponential of a traceless 2x2
-    matrix from V at two Gauss points, and the knots and clip kinks are step
-    edges (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151). (a, b)
-    follow from y and y' together, with no differencing noise.
+    q_max by a fourth-order Magnus product: each fixed step is the
+    closed-form exponential of a traceless 2x2 matrix from V at two Gauss
+    points, and the knots and clip kinks are step edges (Blanes, Casas, Oteo
+    & Ros, Phys. Rep. 470 (2009) 151). (a, b) follow from y and y'
+    together, with no differencing noise.
+
+    The product is formed in one of two ways, chosen for each kappa alone,
+    so no kappa's result depends on the rest of the call:
+
+    - real kappa: every step matrix is real. All of them are built at once
+      for a block of kappa and multiplied pairwise, later . earlier, level
+      by level, and the one product meets the incoming wave; no Python loop
+      runs over the steps. Only |kappa| is solved, so a(-kappa) =
+      conj a(kappa) holds bit for bit.
+    - complex kappa: the steps act on (y, y') one at a time, in order. A
+      product of step matrices grows like e^{|Im kappa| L} over a support of
+      length L, far faster than the solution, and applying it cancels
+      digits. On a 241-row sech^2 table on [-4.8, 4.8] the pairwise product
+      missed an rtol-1e-13 ODE solve by 4.9e-9 at kappa = 0.5 - i and by 4.0
+      at 0.1 - 2i, where the ordered steps miss by 2.5e-11 and 4.0e-7.
     """
 
     kind = "numeric"
@@ -410,8 +428,9 @@ class NumericBarrier(_TabulatedBarrier):
         g = math.sqrt(3.0) / 6.0   # Gauss points at 1/2 -+ g of each step
         v1, v2 = self.table(q0 + (0.5 - g) * h), self.table(q0 + (0.5 + g) * h)
         # per step: length h, commutator term c and Gauss-mean potential
-        c = 0.5 * g * h * h * (v1 - v2)
-        self._steps = list(zip(h.tolist(), c.tolist(), (0.5 * (v1 + v2)).tolist()))
+        self._h = h
+        self._c = 0.5 * g * h * h * (v1 - v2)
+        self._vbar = 0.5 * (v1 + v2)
 
     def _solve(self, kappa):
         """(a, b) for a scalar kappa, or two arrays of kappa's shape."""
@@ -419,12 +438,100 @@ class NumericBarrier(_TabulatedBarrier):
         k = np.asarray(kappa, dtype=complex).ravel()
         if np.any(k == 0):
             raise ZeroDivisionError("amplitudes undefined at kappa = 0")
+        a = np.empty_like(k)
+        b = np.empty_like(k)
+        real = k.imag == 0
+        if np.any(real):
+            a[real], b[real] = self._solve_real(k.real[real])
+        if not np.all(real):
+            a[~real], b[~real] = self._solve_ordered(k[~real])
+        if not shape:
+            return complex(a[0]), complex(b[0])
+        return a.reshape(shape), b.reshape(shape)
+
+    def _solve_real(self, kappa):
+        """(a, b) at real kappa: per block of kappa, one pairwise product of
+        the real step matrices, met by the incoming wave."""
+        k = np.abs(kappa)
+        n = len(self._h)
+        size = min(len(k), max(1, _PRODUCT_ENTRIES // n))
+        # One set of buffers serves every block: fresh arrays for each block
+        # spent more time in page faults than in arithmetic. Columns [0, n)
+        # of m hold the step matrices, and each level of pairwise products
+        # follows the level before it.
+        m = np.empty((2, 2, size, 2 * n + n.bit_length()))
+        work = np.empty((2, size, n))
+        tmp = np.empty((2, 2, size, n // 2))
+        prod = np.empty((2, 2, len(k)))
+        for i in range(0, len(k), size):
+            kb = k[i:i + size]
+            j = len(kb)
+            mb = m[:, :, :j]
+            self._step_matrices(kb, mb[..., :n], *work[:, :j])
+            lo, hi = 0, n
+            while hi - lo > 1:
+                # later . earlier over adjacent pairs; an odd last product waits a level
+                p, odd = divmod(hi - lo, 2)
+                e, l = mb[..., lo:lo + 2 * p:2], mb[..., lo + 1:lo + 2 * p:2]
+                out = np.multiply(l[:, :1], e[:1], out=mb[..., hi:hi + p])
+                out += np.multiply(l[:, 1:], e[1:], out=tmp[:, :, :j, :p])
+                if odd:
+                    mb[..., hi + p] = mb[..., hi - 1]
+                lo, hi = hi, hi + p + odd
+            prod[..., i:i + j] = mb[..., lo]
+        (m11, m12), (m21, m22) = prod
+        # (y, y') = M (1, -ik) e^{-ik qa} = a e^{-ik q} (1, -ik) + b e^{ik q} (1, ik) at qb
+        qa, qb = self.table.q_min, self.table.q_max
+        a = (0.5 * (m11 + m22) - 0.5j * (k * m12 - m21 / k)) * np.exp(1j * k * (qb - qa))
+        b = (0.5 * (m11 - m22) - 0.5j * (k * m12 + m21 / k)) * np.exp(-1j * k * (qa + qb))
+        # a(-kappa) = conj a(kappa) on the real axis, bit for bit
+        flip = kappa < 0
+        return np.where(flip, a.conj(), a), np.where(flip, b.conj(), b)
+
+    def _step_matrices(self, k, m, th, t):
+        """Write exp([[c, h], [w, -c]]) of every step at real kappa k into m
+        (2, 2, kappa, step); th and t are scratch of shape (kappa, step).
+
+        The exponential is ch + sh [[c, h], [w, -c]], with ch, sh = cos(th),
+        sin(th)/th at th^2 = -u > 0 and cosh(th), sinh(th)/th at th^2 = u > 0,
+        u = c^2 + h w. Both come from t = tan(th/2), or tanh(th/2): numpy's tan
+        is vectorised, and ran 5 to 10 times faster than its cos and sin
+        together on an AVX-512 x86-64 core. m's entries serve as scratch until
+        they are written.
+        """
+        h, c = self._h, self._c
+        w = np.subtract(self._vbar, (k * k)[:, None], out=m[1, 0])
+        w *= h
+        u = np.multiply(h, w, out=th)
+        u += c * c
+        up = u > 0
+        np.sqrt(np.abs(u, out=th), out=th)
+        half = np.multiply(th, 0.5, out=m[0, 1])
+        np.tan(half, out=t)
+        tt = np.multiply(t, t, out=m[1, 1])
+        if np.any(up):
+            np.tanh(half, out=t, where=up)
+            np.multiply(t, -t, out=tt, where=up)
+        den = np.add(tt, 1.0, out=m[0, 0])
+        ch = np.subtract(1.0, tt, out=tt)
+        ch /= den
+        den *= th
+        sh = np.multiply(t, 2.0, out=t)
+        np.divide(sh, den, out=sh, where=th != 0)
+        sh[th == 0] = 1.0
+        np.multiply(sh, h, out=m[0, 1])
+        w *= sh
+        sh *= c
+        np.add(ch, sh, out=m[0, 0])
+        ch -= sh
+
+    def _solve_ordered(self, k):
+        """(a, b) at any kappa, stepping (y, y') through the steps in order."""
         qa, qb = self.table.q_min, self.table.q_max
         k2 = k * k
         y = np.exp(-1j * k * qa)
         yp = -1j * k * y
-        for h, c, vbar in self._steps:
-            # exp([[c, h], [w, -c]]) = cosh(th) + sinh(th)/th [[c, h], [w, -c]]
+        for h, c, vbar in zip(self._h.tolist(), self._c.tolist(), self._vbar.tolist()):
             w = h * (vbar - k2)
             th = np.sqrt(c * c + h * w)
             ch = np.cosh(th)
@@ -433,9 +540,7 @@ class NumericBarrier(_TabulatedBarrier):
         # y = a e^{-ik q} + b e^{ik q}; solve the 2x2 system with y and y'.
         a = (1j * k * y - yp) * np.exp(1j * k * qb) / (2j * k)
         b = (1j * k * y + yp) * np.exp(-1j * k * qb) / (2j * k)
-        if not shape:
-            return complex(a[0]), complex(b[0])
-        return a.reshape(shape), b.reshape(shape)
+        return a, b
 
     def amplitude_a(self, kappa):
         return self._solve(kappa)[0]

@@ -464,25 +464,30 @@ class DetectionResult:
     amplitude_r: complex
 
 
-def _oscillatory_gauss_quad(amp, center, lam_sum, q_shift, times):
+def _oscillatory_gauss_quad(amp, center, lam_sum, q_shift, times, kinks=()):
     """Per time t: integral of amp(k) e^{-lam_sum (k-center)^2/2 - ik(q_shift+kt)}.
 
     The range is center +- 14 sig, sig = lam_sum^-1/2, on panels limited
     by the phase rate at the largest |t|, so one node set per Gauss order
-    (12, 24) serves every time and amp is evaluated once on each. A time
-    whose two orders differ by more than 1e-6 (relative) raises.
+    (12, 24) serves every time and amp is evaluated once on each. Panels
+    end at every kink of amp inside the range, each piece cut into at
+    least 8 panels. A time whose two orders differ by more than 1e-6
+    (relative) raises.
     """
     sig = math.sqrt(1.0 / lam_sum)
     lo, hi = center - 14.0 * sig, center + 14.0 * sig
     rate = abs(q_shift) + 2.0 * float(np.max(np.abs(times))) * (abs(center) + 14.0 * sig)
     panel = min(sig / 2.0, math.pi / (2.0 * max(rate, 1e-12)))
-    n_panels = max(8, int(math.ceil((hi - lo) / panel)))
-    mids, half = _panels(lo, hi, n_panels)
+    cuts = [lo] + sorted(x for x in kinks if lo < x < hi) + [hi]
+    pieces = [_panels(a, b, max(8, int(math.ceil((b - a) / panel))))
+              for a, b in zip(cuts[:-1], cuts[1:])]
+    mids = np.concatenate([m for m, _ in pieces])
+    half = np.concatenate([np.full(len(m), h) for m, h in pieces])[:, None]
     sums = []
     for order in (12, 24):
         x, w = _gl(order)
         k = (mids[:, None] + half * x).ravel()
-        wa = np.tile(half * w, n_panels) * amp(k)
+        wa = (half * w).ravel() * amp(k)
         gauss = -0.5 * lam_sum * (k - center) ** 2
         sums.append(np.array([np.sum(wa * np.exp(gauss - 1j * k * (q_shift + k * t)))
                               for t in times]))
@@ -516,9 +521,14 @@ def gaussian_detection(init, det, barrier, t):
     _warn_if_barrier_overlap(init, det, barrier)
 
     times = np.atleast_1d(np.asarray(t, dtype=float))
+    kinks = ()
+    if not barrier.is_meromorphic:
+        # the eikonal a has a kink at the barrier top, kappa^2 = max V
+        top = math.sqrt(barrier.max_potential())
+        kinks = (-top, top)
     A = _oscillatory_gauss_quad(lambda k: 1.0 / barrier.amplitude_a(k), P_plus,
-                                lam_sum, Q_minus, times)
-    B = _oscillatory_gauss_quad(barrier.reflection_lr, P_minus, lam_sum, Q_plus, times)
+                                lam_sum, Q_minus, times, kinks)
+    B = _oscillatory_gauss_quad(barrier.reflection_lr, P_minus, lam_sum, Q_plus, times, kinks)
 
     base = 0.5 * math.sqrt(l0 * ld)
     ex = l0 * ld / lam_sum

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wigner_tunnel.barriers import DeltaBarrier, NumericBarrier, PoschlTellerBarrier
+from wigner_tunnel.barriers import DeltaBarrier, EikonalBarrier, NumericBarrier, PoschlTellerBarrier
 from wigner_tunnel.errors import AxisMismatchError, GridCoverageError
 from wigner_tunnel.evolution import (
     GaussianState,
@@ -506,6 +506,15 @@ class TestDetectionOverTimes:
         res = gaussian_detection(_incident(), GaussianState(40.0, 1.0, 25.0),
                                  DeltaBarrier(2.0), 40.0)
         assert type(res.w_total) is float and type(res.amplitude_t) is complex
+
+    def test_eikonal_panels_end_at_the_barrier_top(self):
+        # the eikonal 1/a has a kink at kappa = +-sqrt(max V) = +-1; panels
+        # across it gave 0.712212945909 at t = 38. The pinned value is what the
+        # finer node sets sized for t = 84 and t = 336 give at t = 38.
+        q = np.linspace(-2.0, 2.0, 41)
+        bar = EikonalBarrier(q, 1.0 / np.cosh(q / 0.4) ** 2)
+        w_t = gaussian_detection(_incident(), GaussianState(40.0, 1.0, 25.0), bar, 38.0).w_t
+        assert abs(w_t - 0.712212976987) <= 1e-10
 
 
 class TestArrivalTime:

@@ -215,6 +215,15 @@ def test_numeric_amplitudes_unitary_and_schwarz(bar, ks):
 
 
 @settings(derandomized, max_examples=30)
+@given(bar=tables, ks=real_kappas)
+def test_numeric_schwarz_symmetry_is_exact(bar, ks):
+    ks = np.array(ks)
+    a, b = bar.amplitudes(ks)
+    a_neg, b_neg = bar.amplitudes(-ks)
+    assert np.array_equal(a_neg, a.conj()) and np.array_equal(b_neg, b.conj())
+
+
+@settings(derandomized, max_examples=30)
 @given(bar=_tables(EikonalBarrier), ks=real_kappas)
 def test_eikonal_amplitudes_schwarz(bar, ks):
     # below the barrier top too, where |a| > 1 on both sides of kappa = 0
@@ -251,10 +260,25 @@ def test_numeric_amplitudes_match_dop853_oracle(bar, ks, zs):
     depth = min(K, 22.0 / (hi - lo))
     kappa = np.array(ks + [K * x - 1j * depth * y for x, y in zs])
     a, b = bar.amplitudes(kappa)
+    # a real-only call takes the step-matrix product for every kappa; the
+    # real kappa lead ``kappa``, so zip pairs its results with their references
+    refs = [numeric_amplitudes_dop853(bar, k) for k in kappa]
+    for got_a, got_b in ((a, b), bar.amplitudes(np.array(ks))):
+        for (a_ref, b_ref), ak, bk in zip(refs, got_a, got_b):
+            assert abs(ak - a_ref) <= 1e-7 * abs(a_ref)
+            assert abs(bk - b_ref) <= 1e-7 * abs(a_ref)
+
+
+@settings(derandomized, max_examples=30)
+@given(bar=tables, ks=real_kappas, zs=window_points, seed=st.integers(0, 2**32 - 1))
+def test_numeric_amplitudes_do_not_depend_on_the_batch(bar, ks, zs, seed):
+    # real kappa take the step-matrix product and the others the ordered
+    # steps; each kappa's bits are the same alone as in any mixed array
+    kappa = np.array(ks + [-k for k in ks] + [x - 1j * y for x, y in zs])
+    np.random.default_rng(seed).shuffle(kappa)
+    a, b = bar.amplitudes(kappa)
     for k, ak, bk in zip(kappa, a, b):
-        a_ref, b_ref = numeric_amplitudes_dop853(bar, k)
-        assert abs(ak - a_ref) <= 1e-7 * abs(a_ref)
-        assert abs(bk - b_ref) <= 1e-7 * abs(a_ref)
+        assert bar.amplitudes(k) == (ak, bk)
 
 
 def test_numeric_barrier_holds_no_per_call_state():
