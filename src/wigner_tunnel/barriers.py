@@ -460,14 +460,13 @@ class NumericBarrier(_TabulatedBarrier):
         # of m hold the step matrices, and each level of pairwise products
         # follows the level before it.
         m = np.empty((2, 2, size, 2 * n + n.bit_length()))
-        work = np.empty((2, size, n))
         tmp = np.empty((2, 2, size, n // 2))
         prod = np.empty((2, 2, len(k)))
         for i in range(0, len(k), size):
             kb = k[i:i + size]
             j = len(kb)
             mb = m[:, :, :j]
-            self._step_matrices(kb, mb[..., :n], *work[:, :j])
+            self._step_matrices(kb, mb[..., :n])
             lo, hi = 0, n
             while hi - lo > 1:
                 # later . earlier over adjacent pairs; an odd last product waits a level
@@ -488,42 +487,26 @@ class NumericBarrier(_TabulatedBarrier):
         flip = kappa < 0
         return np.where(flip, a.conj(), a), np.where(flip, b.conj(), b)
 
-    def _step_matrices(self, k, m, th, t):
+    def _step_matrices(self, k, m):
         """Write exp([[c, h], [w, -c]]) of every step at real kappa k into m
-        (2, 2, kappa, step); th and t are scratch of shape (kappa, step).
+        (2, 2, kappa, step).
 
-        The exponential is ch + sh [[c, h], [w, -c]], with ch, sh = cos(th),
-        sin(th)/th at th^2 = -u > 0 and cosh(th), sinh(th)/th at th^2 = u > 0,
-        u = c^2 + h w. Both come from t = tan(th/2), or tanh(th/2): numpy's tan
-        is vectorised, and ran 5 to 10 times faster than its cos and sin
-        together on an AVX-512 x86-64 core. m's entries serve as scratch until
-        they are written.
+        The exponential is ch + sh [[c, h], [w, -c]], u = c^2 + h w, with
+        ch, sh = cosh(th), sinh(th)/th where u = th^2 > 0 and cos(th),
+        sin(th)/th where u = -th^2 < 0.
         """
         h, c = self._h, self._c
-        w = np.subtract(self._vbar, (k * k)[:, None], out=m[1, 0])
-        w *= h
-        u = np.multiply(h, w, out=th)
-        u += c * c
+        w = h * (self._vbar - (k * k)[:, None])
+        u = c * c + h * w
         up = u > 0
-        np.sqrt(np.abs(u, out=th), out=th)
-        half = np.multiply(th, 0.5, out=m[0, 1])
-        np.tan(half, out=t)
-        tt = np.multiply(t, t, out=m[1, 1])
-        if np.any(up):
-            np.tanh(half, out=t, where=up)
-            np.multiply(t, -t, out=tt, where=up)
-        den = np.add(tt, 1.0, out=m[0, 0])
-        ch = np.subtract(1.0, tt, out=tt)
-        ch /= den
-        den *= th
-        sh = np.multiply(t, 2.0, out=t)
-        np.divide(sh, den, out=sh, where=th != 0)
-        sh[th == 0] = 1.0
-        np.multiply(sh, h, out=m[0, 1])
-        w *= sh
-        sh *= c
-        np.add(ch, sh, out=m[0, 0])
-        ch -= sh
+        th = np.sqrt(np.abs(u))
+        ch = np.where(up, np.cosh(th), np.cos(th))
+        sh = np.where(up, np.sinh(th), np.sin(th))
+        sh = np.divide(sh, th, out=np.ones_like(th), where=th != 0)
+        m[0, 0] = ch + sh * c
+        m[0, 1] = sh * h
+        m[1, 0] = sh * w
+        m[1, 1] = ch - sh * c
 
     def _solve_ordered(self, k):
         """(a, b) at any kappa, stepping (y, y') through the steps in order."""

@@ -186,7 +186,8 @@ def cmd_amplitudes(cfg, out_dir, args):
             raise ConfigError(f"kappa_grid: |a|^2 overflows at kappa = {float(k)!r}; "
                               "kappa is too close to 0") from exc
 
-    rows = [one(*row) for row in zip(ks, *barrier.amplitudes(ks), barrier.ba_ratio(ks))]
+    rows = [one(*row) for row in zip(ks, barrier.amplitude_a(ks), barrier.amplitude_b(ks),
+                                     barrier.ba_ratio(ks))]
     _write_csv(os.path.join(out_dir, "amplitudes.csv"),
                [UNITS_NOTE, f"# barrier: {json.dumps(barrier.descriptor())[:160]}"],
                ["kappa", "re_a", "im_a", "re_b", "im_b",

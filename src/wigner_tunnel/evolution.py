@@ -464,7 +464,7 @@ class DetectionResult:
     amplitude_r: complex
 
 
-def _oscillatory_gauss_quad(amp, center, lam_sum, q_shift, times, kinks=()):
+def _oscillatory_gauss_quad(amp, center, lam_sum, q_shift, times, kinks):
     """Per time t: integral of amp(k) e^{-lam_sum (k-center)^2/2 - ik(q_shift+kt)}.
 
     The range is center +- 14 sig, sig = lam_sum^-1/2, on panels limited
@@ -523,12 +523,13 @@ def gaussian_detection(init, det, barrier, t):
     times = np.atleast_1d(np.asarray(t, dtype=float))
     kinks = ()
     if not barrier.is_meromorphic:
-        # the eikonal a has a kink at the barrier top, kappa^2 = max V
+        # the eikonal a has a kink at the barrier top, kappa^2 = max V; its b,
+        # and so B's integrand, is 0
         top = math.sqrt(barrier.max_potential())
         kinks = (-top, top)
     A = _oscillatory_gauss_quad(lambda k: 1.0 / barrier.amplitude_a(k), P_plus,
                                 lam_sum, Q_minus, times, kinks)
-    B = _oscillatory_gauss_quad(barrier.reflection_lr, P_minus, lam_sum, Q_plus, times, kinks)
+    B = _oscillatory_gauss_quad(barrier.reflection_lr, P_minus, lam_sum, Q_plus, times, ())
 
     base = 0.5 * math.sqrt(l0 * ld)
     ex = l0 * ld / lam_sum

@@ -202,7 +202,7 @@ class TestAmplitudesCommand:
             "barrier": {"kind": "numeric", "table": table},
             "kappa_grid": {"min": 0.2, "max": 3.0, "n": 10}})
         assert run(["amplitudes", "--config", cfg, "--out", tmp_path]) == 0
-        assert sizes == [10, 10]   # (a, b) from one call, then b/a
+        assert sizes == [10, 10, 10]   # a, b and b/a
 
     def test_one_eikonal_action_per_kappa(self, tmp_path, monkeypatch):
         from wigner_tunnel import barriers

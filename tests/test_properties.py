@@ -192,17 +192,24 @@ def _tables(cls):
 
 tables = _tables(NumericBarrier)
 real_kappas = st.lists(st.floats(0.2, 4.0), min_size=1, max_size=6, unique=True)
+# fractions of the Newton pole search's seed box: Re kappa in [-K, K],
+# Im kappa in [-depth, -depth/30]
+window_points = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1.0 / 30.0, 1.0)),
+                         min_size=1, max_size=3)
 
 
 @settings(derandomized, max_examples=30)
-@given(bar=tables, ks=real_kappas)
-def test_numeric_array_call_matches_scalar_calls(bar, ks):
-    a, b = bar.amplitudes(np.array(ks))
-    for k, ak, bk in zip(ks, a, b):
+@given(bar=tables, ks=real_kappas, zs=window_points, seed=st.integers(0, 2**32 - 1))
+def test_numeric_array_call_matches_scalar_calls(bar, ks, zs, seed):
+    # real kappa take the step-matrix product and the others the ordered
+    # steps; each kappa's bits are the same alone as in any mixed array
+    kappa = np.array(ks + [-k for k in ks] + [x - 1j * y for x, y in zs])
+    np.random.default_rng(seed).shuffle(kappa)
+    a, b = bar.amplitudes(kappa)
+    for k, ak, bk in zip(kappa, a, b):
         a1, b1 = bar.amplitudes(k)
         assert isinstance(a1, complex) and isinstance(b1, complex)
-        assert abs(ak - a1) <= 1e-7 * abs(a1)
-        assert abs(bk - b1) <= 1e-7 * abs(a1)
+        assert (a1, b1) == (ak, bk)
 
 
 @settings(derandomized, max_examples=30)
@@ -211,14 +218,6 @@ def test_numeric_amplitudes_unitary_and_schwarz(bar, ks):
     ks = np.array(ks)
     a, b = bar.amplitudes(ks)
     assert np.all(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2 - 1.0) <= 1e-6)
-    assert np.all(np.abs(bar.amplitude_a(-ks) - np.conj(a)) <= 1e-7 * np.abs(a))
-
-
-@settings(derandomized, max_examples=30)
-@given(bar=tables, ks=real_kappas)
-def test_numeric_schwarz_symmetry_is_exact(bar, ks):
-    ks = np.array(ks)
-    a, b = bar.amplitudes(ks)
     a_neg, b_neg = bar.amplitudes(-ks)
     assert np.array_equal(a_neg, a.conj()) and np.array_equal(b_neg, b.conj())
 
@@ -244,12 +243,6 @@ def test_left_reflection_is_mirror_right_reflection(bar, ks):
     assert np.all(np.abs(bar.reflection_lr(ks) - rho) <= 1e-9 * np.abs(rho) + 1e-14)
 
 
-# fractions of the Newton pole search's seed box: Re kappa in [-K, K],
-# Im kappa in [-depth, -depth/30]
-window_points = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1.0 / 30.0, 1.0)),
-                         min_size=1, max_size=3)
-
-
 @settings(derandomized, max_examples=20)
 @given(bar=tables, ks=real_kappas, zs=window_points)
 def test_numeric_amplitudes_match_dop853_oracle(bar, ks, zs):
@@ -267,18 +260,6 @@ def test_numeric_amplitudes_match_dop853_oracle(bar, ks, zs):
         for (a_ref, b_ref), ak, bk in zip(refs, got_a, got_b):
             assert abs(ak - a_ref) <= 1e-7 * abs(a_ref)
             assert abs(bk - b_ref) <= 1e-7 * abs(a_ref)
-
-
-@settings(derandomized, max_examples=30)
-@given(bar=tables, ks=real_kappas, zs=window_points, seed=st.integers(0, 2**32 - 1))
-def test_numeric_amplitudes_do_not_depend_on_the_batch(bar, ks, zs, seed):
-    # real kappa take the step-matrix product and the others the ordered
-    # steps; each kappa's bits are the same alone as in any mixed array
-    kappa = np.array(ks + [-k for k in ks] + [x - 1j * y for x, y in zs])
-    np.random.default_rng(seed).shuffle(kappa)
-    a, b = bar.amplitudes(kappa)
-    for k, ak, bk in zip(kappa, a, b):
-        assert bar.amplitudes(k) == (ak, bk)
 
 
 def test_numeric_barrier_holds_no_per_call_state():
