@@ -7,12 +7,16 @@ Exit codes: 0 success, 2 config error, 3 method/barrier incompatibility,
 timestamps, no seeded randomness, deterministic quadrature orders. Every
 number in a CSV file is printed with ``%.17g``, so it reads back to the
 same float; ``evolve`` writes its rows in q-major order, p varying
-fastest.
+fastest. ``evolve``'s grid values are formatted in numpy
+(``_g17_fields``), byte-identical to Python's ``%.17g``, with Python as
+the fallback for the values the numpy digits cannot decide. Warnings of
+``evolve`` and ``probe`` go into their JSON files, under "warnings".
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -48,17 +52,182 @@ def _atomic_write(path, text):
 
 
 _NUM = "%.17g"
-# stands for a line's q text in a p-line template; no %.17g text holds it
-_Q_SLOT = "\0"
 
 
 def _fmt(x):
     return _NUM % float(x)
 
 
-def _p_line_template(p):
-    """The t-independent text of a grid's rows: "<q slot>,<p>,%.17g\n" per p."""
-    return "".join(f"{_Q_SLOT},{_fmt(v)},{_NUM}\n" for v in np.asarray(p, dtype=float).tolist())
+# Grid values are formatted in numpy, one field of _FIELD bytes per value
+# holding the "%.17g" text padded with _PAD, which no such text holds.
+_FIELD = 24                 # len("-4.9406564584124654e-324")
+_PAD = b"\0"
+_BLOCK = 1 << 14            # most grid values formatted at once
+_POW10_K = 300              # the table holds 10**k for |k| <= _POW10_K
+_SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitter
+
+
+@functools.cache
+def _pow10_table():
+    """Rows hi, hi_head, hi_tail, lo over k = -_POW10_K.._POW10_K.
+
+    hi is 10**k correctly rounded, lo the correctly rounded rest, and
+    hi = hi_head + hi_tail splits hi into 26-bit halves. Only exact int
+    arithmetic and correctly rounded int division are used.
+    """
+    rows = []
+    for k in range(-_POW10_K, _POW10_K + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        m, d = hi.as_integer_ratio()
+        lo = (num * d - m * den) / (den * d)
+        c = _SPLIT * hi
+        head = c - (c - hi)
+        rows.append((hi, head, hi - head, lo))
+    return np.array(rows).T.copy()
+
+
+def _fixed_layouts():
+    """Per exponent e in [-4, 16], where each byte of a fixed-notation field
+    comes from: 0 pad, 1 sign, 2 point, 3 "0", 4 + i digit i."""
+    out = np.zeros((21, _FIELD), np.intp)
+    for e in range(-4, 17):
+        if e >= 0:
+            cols = [1, *range(4, 5 + e), 2, *range(5 + e, 21)]
+        else:
+            cols = [1, 3, 2] + [3] * (-e - 1) + list(range(4, 21))
+        out[e + 4, :len(cols)] = cols
+    return out
+
+
+_FIXED = _fixed_layouts()
+
+
+def _times_pow10(a, k):
+    """a * 10**k as hi + lo, within about 1e-31 of it relative.
+
+    hi + err is Dekker's exact product of a and the table's hi, by
+    Veltkamp splits, since numpy has no fma; a times the table's lo adds
+    the rest. Needs |a| and |a * 10**k| well inside the normal range.
+    """
+    hi, head, tail, lo = _pow10_table()[:, k + _POW10_K]
+    p = a * hi
+    c = _SPLIT * a
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    err = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
+    return p, err + a * lo
+
+
+def _decade_step(hi, lo):
+    """+1, -1 or 0: the exponent's correction for y = hi + lo.
+
+    Any y in [1e16 - 0.01, 1e17 + 0.01) is kept. Just outside [1e16, 1e17)
+    both exponents round to the same text, and the margin is far wider than
+    the product's error, so the correction cannot cycle.
+    """
+    return ((hi - 1e17) + lo >= 0.01).astype(np.int64) - ((hi - 1e16) + lo < -0.01)
+
+
+def _g17_fields(x):
+    """Fields of "%.17g" % v for the values v of x: (x.size, _FIELD) bytes.
+
+    With e = floor(log10|v|), the 17 digits are round(y), y = |v| 10**(16 - e)
+    formed by ``_times_pow10`` within 1e-14. log10 only guesses e, and
+    ``_decade_step`` corrects it, so no last bit of a libm result matters.
+    Python formats every value within 1e-9 of a rounding tie, outside
+    [1e-280, 1e280) or not finite. Returns the fields, a view of a
+    transposed array, and the indices Python formatted.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a < 1e280)
+    a[~fast] = 1.0          # keeps their arithmetic finite; their text is replaced
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y_hi, y_lo = _times_pow10(a, 16 - e)
+    rows, step = np.arange(a.size), _decade_step(y_hi, y_lo)
+    while True:
+        moved = step != 0
+        if not moved.any():
+            break
+        rows, step = rows[moved], step[moved]
+        e[rows] += step
+        y_hi[rows], y_lo[rows] = h, l = _times_pow10(a[rows], 16 - e[rows])
+        step = _decade_step(h, l)
+    # every kept y_hi is above 1e16 - 0.01 - |y_lo| > 2**53, so an integer
+    r = np.rint(y_lo)
+    fast &= np.abs(np.abs(y_lo - r) - 0.5) >= 1e-9
+    n = y_hi.astype(np.int64) + r.astype(np.int64)
+    top = n == 10 ** 17
+    n[top] = 10 ** 16
+    e += top
+
+    d = np.empty((17, a.size), np.uint8)     # digit i of n, as ASCII, in row i
+    for part, digits in zip(np.divmod(n, 10 ** 9), (range(7, -1, -1), range(16, 7, -1))):
+        part = part.astype(np.int32)
+        for i in digits:
+            q = part // 10
+            d[i] = part - q * 10
+            part = q
+    d += ord("0")
+    keep = np.empty((17, a.size), bool)      # digit i is not a trailing zero
+    keep[16] = d[16] != ord("0")
+    for i in range(15, -1, -1):
+        np.logical_or(keep[i + 1], d[i] != ord("0"), out=keep[i])
+
+    # scientific layout: sign, d0, point, d1..d16, "e", exponent sign, 3 digits
+    f = np.zeros((_FIELD, a.size), np.uint8)
+    f[0] = np.signbit(x) * np.uint8(ord("-"))
+    f[1] = d[0]
+    f[2] = keep[1] * np.uint8(ord("."))
+    np.multiply(d[1:], keep[1:], out=f[3:19])
+    f[19] = ord("e")
+    f[20] = np.where(e < 0, ord("-"), ord("+"))
+    ae = np.abs(e).astype(np.int32)
+    hundreds, tens = ae // 100, ae // 10
+    f[21] = np.where(hundreds > 0, hundreds + ord("0"), 0)
+    f[22] = tens - hundreds * 10 + ord("0")
+    f[23] = ae - tens * 10 + ord("0")
+
+    # fixed notation for -4 <= e < 17, as C's %g, gathered by _FIXED
+    sel = np.flatnonzero(fast & (e >= -4) & (e < 17))
+    if sel.size:
+        es = e[sel]
+        ks = keep[:, sel] | (np.arange(17)[:, None] <= es)   # integer digits stay
+        src = np.zeros((21, sel.size), np.uint8)
+        src[1] = f[0, sel]
+        src[3] = ord("0")
+        src[4:] = d[:, sel] * ks
+        point = np.maximum(es, -1)
+        at = np.arange(sel.size)
+        src[2] = ((point < 16) & ks[np.minimum(point + 1, 16), at]) * np.uint8(ord("."))
+        f[:, sel] = src.ravel().take(_FIXED[es + 4].T * sel.size + at)
+
+    zero = np.flatnonzero(x == 0)
+    f[1:, zero] = 0
+    f[1, zero] = ord("0")
+    slow = np.flatnonzero(~fast & (x != 0))
+    if slow.size:
+        texts = np.array([(_NUM % v).encode() for v in x[slow].tolist()], f"S{_FIELD}")
+        f[:, slow] = texts.view(np.uint8).reshape(-1, _FIELD).T
+    return f.T, slow
+
+
+def _axis_fields(axis):
+    """Each value's "%.17g," text as a row of bytes padded with _PAD."""
+    texts = [(_fmt(v) + ",").encode() for v in axis.tolist()]
+    return np.array(texts).view(np.uint8).reshape(len(texts), -1)
+
+
+def _grid_rows(q_text, p_text, values):
+    """The CSV bytes of a block of grid rows: q, p and value, q-major."""
+    wq, wp = q_text.shape[1], p_text.shape[1]
+    block = np.empty(values.shape + (wq + wp + _FIELD + 1,), np.uint8)
+    block[..., :wq] = q_text[:, None]
+    block[..., wq:wq + wp] = p_text
+    block[..., wq + wp:-1] = _g17_fields(values)[0].reshape(values.shape + (_FIELD,))
+    block[..., -1] = ord("\n")
+    return block.tobytes().translate(None, _PAD)
 
 
 def _write_csv(path, header_lines, names, *columns, q_major=None):
@@ -67,19 +236,23 @@ def _write_csv(path, header_lines, names, *columns, q_major=None):
     A column of str is written as it is, any other column as floats with
     %.17g. The rows are filled from one %-template in a single pass.
 
-    With ``q_major=(q, p_lines)`` the one column holds a grid's values in
+    With ``q_major=(q, p)`` the one column holds a grid's values in
     q-major order, p varying fastest, and each row is written as q, p,
-    value: for each q, ``p_lines`` (from ``_p_line_template``) takes that
-    q's text in its slots and one grid row's values. The text is the same
-    as from q, p and value columns.
+    value. The values are formatted in numpy by ``_g17_fields`` in blocks
+    of at most ``_BLOCK``; the text is the same as from q, p and value
+    columns.
     """
     head = "".join(line + "\n" for line in header_lines) + ",".join(names) + "\n"
     if q_major is not None:
-        q, p_lines = q_major
-        values = np.asarray(columns[0], dtype=float).reshape(len(q), -1)
-        _atomic_write(path, "".join([head] + [
-            p_lines.replace(_Q_SLOT, _NUM % qv) % tuple(row.tolist())
-            for qv, row in zip(np.asarray(q, dtype=float).tolist(), values)]))
+        q, p = (np.asarray(axis, dtype=float) for axis in q_major)
+        values = np.asarray(columns[0], dtype=float).reshape(len(q), len(p))
+        q_text, p_text = _axis_fields(q), _axis_fields(p)
+        rows = max(1, _BLOCK // len(p))
+        # the list of blocks dies with the join, the joined bytes with the
+        # decode: the file's text is held at most twice at once
+        _atomic_write(path, b"".join([head.encode()] + [
+            _grid_rows(q_text[i:i + rows], p_text, values[i:i + rows])
+            for i in range(0, len(q), rows)]).decode("ascii"))
         return
     n = len(columns[0])
     if any(len(col) != n for col in columns):
@@ -94,6 +267,11 @@ def _write_csv(path, header_lines, names, *columns, q_major=None):
             specs.append(_NUM)
             cells[j::k] = np.asarray(col, dtype=float).tolist()
     _atomic_write(path, head + ((",".join(specs) + "\n") * n) % tuple(cells))
+
+
+def _messages(caught):
+    """The distinct texts of recorded warnings, in first-seen order."""
+    return list(dict.fromkeys(str(w.message) for w in caught))
 
 
 def _write_json(path, payload):
@@ -132,16 +310,40 @@ def _barrier_from_config(cfg, path="barrier"):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _is_real(v):
+    """v is a JSON number, not a bool, and a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:       # an int past the float range
+        return False
+
+
+def _integral(v, path, least):
+    """A config count: an integral number >= least, as int."""
+    if not (_is_real(v) and v == int(v) and v >= least):
+        raise ConfigError(f"{path}: expected an integer >= {least}, got {v!r}")
+    return int(v)
+
+
 def _grid_from_config(cfg, path, n_min=2):
     """{"min": a, "max": b, "n": k} or {"values": [...]} -> ndarray."""
-    if "values" in cfg:
+    if isinstance(cfg, dict) and "values" in cfg:
         _check_keys(cfg, ["values"], [], path)
-        arr = np.asarray(cfg["values"], dtype=float)
+        values = cfg["values"]
+        if not (isinstance(values, list) and all(map(_is_real, values))):
+            raise ConfigError(f"{path}.values: expected a list of finite numbers")
+        arr = np.array(values, dtype=float)
     else:
         _check_keys(cfg, ["min", "max", "n"], [], path)
-        if cfg["n"] < n_min or cfg["max"] <= cfg["min"]:
-            raise ConfigError(f"{path}: need max > min and n >= {n_min}")
-        arr = np.linspace(cfg["min"], cfg["max"], int(cfg["n"]))
+        for key in ("min", "max"):
+            if not _is_real(cfg[key]):
+                raise ConfigError(f"{path}.{key}: expected a finite number, got {cfg[key]!r}")
+        n = _integral(cfg["n"], f"{path}.n", n_min)
+        if cfg["max"] <= cfg["min"]:
+            raise ConfigError(f"{path}: need max > min")
+        arr = np.linspace(cfg["min"], cfg["max"], n)
     if arr.size == 0:
         raise ConfigError(f"{path}: empty grid")
     return arr
@@ -149,15 +351,16 @@ def _grid_from_config(cfg, path, n_min=2):
 
 def _times_from_config(raw, path):
     """A list of finite numbers >= 0 -> list of float."""
-    if not isinstance(raw, list) or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool)
-            and 0.0 <= t < math.inf for t in raw):
+    if not isinstance(raw, list) or not all(_is_real(t) and t >= 0 for t in raw):
         raise ConfigError(f"{path}: expected a list of finite numbers >= 0")
     return [float(t) for t in raw]
 
 
 def _state_from_config(cfg, path):
     _check_keys(cfg, ["Q", "P", "lambda"], [], path)
+    for key in ("Q", "P", "lambda"):
+        if not _is_real(cfg[key]):
+            raise ConfigError(f"{path}.{key}: expected a finite number, got {cfg[key]!r}")
     try:
         return ev.GaussianState(float(cfg["Q"]), float(cfg["P"]), float(cfg["lambda"]))
     except ValueError as exc:
@@ -225,15 +428,20 @@ def cmd_kernel(cfg, out_dir, args):
     _check_keys(cfg, ["barrier", "p", "r_grid"],
                 ["method", "n_poles", "tol"], "config")
     barrier = _barrier_from_config(cfg["barrier"])
-    p = float(cfg["p"])
-    if p <= 0:
-        raise ConfigError("p must be positive (incident from the left)")
+    p = cfg["p"]
+    if not (_is_real(p) and p > 0):
+        raise ConfigError(f"p: expected a finite number > 0 (incident from the left), "
+                          f"got {p!r}")
+    p = float(p)
     r_grid = _grid_from_config(cfg["r_grid"], "r_grid")
     method = args.method or cfg.get("method", "quadrature")
     if method not in _KERNEL_METHODS:
         raise ConfigError(f"method must be one of {_KERNEL_METHODS}")
-    n_poles = int(cfg.get("n_poles", 40))
-    tol = float(args.tol if args.tol is not None else cfg.get("tol", 2e-7))
+    n_poles = _integral(cfg.get("n_poles", 40), "n_poles", 1)
+    tol = args.tol if args.tol is not None else cfg.get("tol", 2e-7)
+    if not (_is_real(tol) and tol > 0):
+        raise ConfigError(f"tol: expected a finite number > 0, got {tol!r}")
+    tol = float(tol)
 
     methods = ["quadrature", "residues", "closed"] if method == "all" else [method]
     t_rows = []
@@ -284,12 +492,11 @@ def cmd_evolve(cfg, out_dir, args):
 
     accounting = {"initial_mass": initial, "predicted_transmitted": pred_t,
                   "predicted_reflected": initial - pred_t, "times": []}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         grids = ev.barrier_propagate(grid0, barrier, times,
                                      include_interference=interference)
-    # rows in q-major order: each p text is formatted once per command
-    p_lines = _p_line_template(grid0.p)
+    accounting["warnings"] = _messages(caught)
     for idx, (t, gt) in enumerate(zip(times, grids)):
         m_t, m_r = ev.sector_masses(gt)
         accounting["times"].append({
@@ -302,7 +509,7 @@ def cmd_evolve(cfg, out_dir, args):
                     f"# t = {_fmt(t)}",
                     f"# q_axis: min={_fmt(gt.q[0])} max={_fmt(gt.q[-1])} n={len(gt.q)}",
                     f"# p_axis: min={_fmt(gt.p[0])} max={_fmt(gt.p[-1])} n={len(gt.p)}"],
-                   ["q", "p", "value"], gt.values.ravel(), q_major=(gt.q, p_lines))
+                   ["q", "p", "value"], gt.values.ravel(), q_major=(gt.q, gt.p))
     _write_json(os.path.join(out_dir, "mass_accounting.json"), accounting)
     return EXIT_OK
 
@@ -314,8 +521,8 @@ def cmd_probe(cfg, out_dir, args):
     det = _state_from_config(cfg["detector"], "detector")
     times = _grid_from_config(cfg["times"], "times")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         res = ev.gaussian_detection(init, det, barrier, times)
     _write_csv(os.path.join(out_dir, "probe.csv"),
                [UNITS_NOTE], ["t", "w_total", "w_t", "w_r", "w_s"],
@@ -325,7 +532,7 @@ def cmd_probe(cfg, out_dir, args):
     except ZeroDivisionError:
         t_star = math.nan
     _write_json(os.path.join(out_dir, "arrival.json"),
-                {"t_star": t_star})
+                {"t_star": t_star, "warnings": _messages(caught)})
     return EXIT_OK
 
 

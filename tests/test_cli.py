@@ -75,9 +75,10 @@ class TestCsvWriter:
                      "4.9406564584124654e-324,", "-3,q,-inf"):
             assert f"\n{line}" in expected
 
-    def test_q_major_rows_match_columns_on_edge_values(self, tmp_path):
-        # evolve's writer fills a per-p line template for each q; its text
-        # must be what the generic writer makes of q, p and value columns
+    def test_q_major_rows_match_columns_on_edge_values(self, tmp_path, monkeypatch):
+        # evolve's writer formats the values in numpy, in blocks of whole q
+        # rows; its text must be what the generic writer makes of q, p and
+        # value columns, wherever the blocks split the grid
         q = np.array([-1.5, -0.0, 5e-324, 1e300])
         p = np.array([-0.0, 0.1, -2.0 ** 0.5])
         values = np.array([[-0.0, math.nan, math.inf],
@@ -89,9 +90,11 @@ class TestCsvWriter:
         cli._write_csv(str(generic), head, names,
                        [g17(x) for x in q for _ in p], [g17(x) for x in p] * len(q),
                        values.ravel())
-        cli._write_csv(str(q_major), head, names, values.ravel(),
-                       q_major=(q, cli._p_line_template(p)))
-        assert q_major.read_bytes() == generic.read_bytes()
+        # one block, two blocks of two q rows, one q row per block
+        for block in (cli._BLOCK, 2 * len(p), 1):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            cli._write_csv(str(q_major), head, names, values.ravel(), q_major=(q, p))
+            assert q_major.read_bytes() == generic.read_bytes(), block
         for line in ("-1.5,-0,-0", "-0,-0,-inf", "4.9406564584124654e-324,-0,0"):
             assert f"\n{line}\n" in generic.read_text()
 
@@ -130,6 +133,40 @@ def test_flag_a_command_does_not_read_is_rejected(tmp_path, capsys, command, fla
     assert exc.value.code == cli.EXIT_CONFIG
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+KERNEL_CFG = delta_cfg({"p": 1.0, "r_grid": {"min": 0.5, "max": 2.0, "n": 4}})
+
+
+@pytest.mark.parametrize("command, cfg, extra, key", [
+    ("amplitudes", {"kappa_grid": {"min": 0.5, "max": 1.0, "n": "5"}}, [], "kappa_grid.n"),
+    ("amplitudes", {"kappa_grid": {"min": "a", "max": 1.0, "n": 3}}, [], "kappa_grid.min"),
+    ("amplitudes", {"kappa_grid": {"values": [0.5, "x"]}}, [], "kappa_grid.values"),
+    ("amplitudes", {"kappa_grid": {"min": 0.5, "max": 1.0, "n": 2.7}}, [], "kappa_grid.n"),
+    ("amplitudes", {"kappa_grid": {"min": 0.5, "max": math.nan, "n": 3}}, [],
+     "kappa_grid.max"),
+    ("kernel", {"n_poles": 0, "method": "residues"}, [], "n_poles"),
+    ("kernel", {"n_poles": -3, "method": "residues"}, [], "n_poles"),
+    ("kernel", {"n_poles": "x", "method": "residues"}, [], "n_poles"),
+    ("kernel", {"n_poles": 2.5, "method": "residues"}, [], "n_poles"),
+    ("kernel", {"tol": "x"}, [], "tol"),
+    ("kernel", {"tol": 0}, [], "tol"),
+    ("kernel", {"tol": -1.0}, [], "tol"),
+    ("kernel", {}, ["--tol", 0.0], "tol"),
+    ("kernel", {"p": "x"}, [], "p"),
+    ("amplitudes", {"kappa_grid": 5}, [], "kappa_grid"),
+    ("probe", {"init": {"Q": None, "P": 1.0, "lambda": 25.0}}, [], "init.Q"),
+    ("probe", {"detector": {"Q": 40.0, "P": 1.0, "lambda": math.nan}}, [], "detector.lambda"),
+], ids=["n_string", "min_string", "values_string", "n_fraction", "max_nan",
+        "n_poles_zero", "n_poles_negative", "n_poles_string", "n_poles_fraction",
+        "tol_string", "tol_zero", "tol_negative", "tol_flag_zero", "p_string",
+        "grid_number", "state_null", "state_nan"])
+def test_malformed_config_number_is_config_error(tmp_path, capsys, command, cfg, extra, key):
+    base = {"amplitudes": delta_cfg({}), "kernel": KERNEL_CFG,
+            "probe": FLAG_CONFIGS["probe"]}[command]
+    path = write_cfg(tmp_path, "c.json", {**base, **cfg})
+    assert run([command, "--config", path, "--out", tmp_path / "out", *extra]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
 
 
 class TestAmplitudesCommand:
@@ -359,6 +396,18 @@ class TestEvolveCommand:
         assert entry["transmitted"] == pytest.approx(
             report["predicted_transmitted"], rel=1e-3)
 
+    def test_warnings_go_to_mass_accounting(self, tmp_path):
+        # at t = 25 the slowest momenta of the packet have not passed the
+        # barrier, which the propagator warns of once per time
+        cfg = write_cfg(tmp_path, "e.json", FLAG_CONFIGS["evolve"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "mass_accounting.json").read_text())
+        assert len(report["warnings"]) == 1
+        assert report["warnings"][0].startswith(
+            "slowest support has not classically cleared the barrier region")
+
     def test_csv_matches_row_writer(self, tmp_path):
         q = np.linspace(-150.0, 110.0, 650)
         p = np.linspace(-1.9, 1.9, 96)
@@ -517,6 +566,20 @@ class TestProbeCommand:
         t_peak = -coef[1] / (2 * coef[0])
         assert arrival["t_star"] == pytest.approx(t_peak, rel=0.05)
 
+
+    @pytest.mark.parametrize("detector_q, expected", [
+        (40.0, []),
+        (0.0, ["detector overlaps the barrier region; closed-form detection "
+               "assumes well-separated packets"])], ids=["clear", "overlap"])
+    def test_warnings_go_to_arrival(self, tmp_path, detector_q, expected):
+        cfg = dict(FLAG_CONFIGS["probe"],
+                   detector={"Q": detector_q, "P": 1.0, "lambda": 25.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["probe", "--config", write_cfg(tmp_path, "p.json", cfg),
+                        "--out", tmp_path]) == 0
+        arrival = json.loads((tmp_path / "arrival.json").read_text())
+        assert arrival["warnings"] == expected
 
     def test_one_detection_call_over_all_times(self, tmp_path, monkeypatch):
         calls = []

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import eikonal_action_piecewise, numeric_amplitudes_dop853, panel_fourier_direct
-from wigner_tunnel import kernels, quadrature
+from wigner_tunnel import cli, kernels, quadrature
 from wigner_tunnel.barriers import (
     EikonalBarrier,
     NumericBarrier,
@@ -329,3 +329,50 @@ def test_eikonal_array_call_matches_scalar_calls(bar, ks):
         one = eikonal_action(bar, k)
         assert isinstance(one, complex)
         assert abs(got - one) <= 1e-14 * abs(one)
+
+
+def _grid_texts(x):
+    """Each value's text from evolve's numpy formatter."""
+    fields, _ = cli._g17_fields(x)
+    return [row.tobytes().replace(cli._PAD, b"").decode() for row in fields]
+
+
+def _assert_g17(x):
+    x = np.asarray(x, dtype=np.float64)
+    got = _grid_texts(x)
+    assert len(got) == x.size
+    for v, text in zip(x.tolist(), got):
+        assert text == "%.17g" % v, v
+
+
+@settings(derandomized, max_examples=300)
+@given(xs=st.lists(st.floats(), max_size=40),
+       bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40))
+def test_grid_formatter_matches_python_g17(xs, bits):
+    # any double: nan, +-inf, subnormals and +-0 from st.floats, and raw
+    # bit patterns, which reach every exponent evenly
+    _assert_g17(np.concatenate([np.array(xs, dtype=np.float64),
+                                np.array(bits, dtype=np.uint64).view(np.float64)]))
+
+
+def _neighbours(x, ulps):
+    """The positive doubles within ``ulps`` steps of each positive double of x."""
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)[:, None] + np.arange(-ulps, ulps + 1)
+    bits = bits[(bits >= 0) & (bits < np.float64(np.inf).view(np.int64))]
+    return bits.view(np.float64)
+
+
+def test_grid_formatter_on_hard_cases():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    decades = [float(f"{m}e{k}") for m in (1, 2, 5) for k in range(-307, 308)]
+    cases = np.concatenate([
+        _neighbours(powers, 8),                                 # 10**k and its neighbours
+        np.arange(-1000, 1001) + 0.5,                           # halves
+        2.0 ** 53 + 2.0 * np.arange(-1000, 1001),               # past 2**53
+        _neighbours([1e-5, 1e-4, 1e16, 1e17], 64),              # fixed <-> scientific
+        # just below 10**k, 2*10**k and 5*10**k: the 17th digit can round
+        # up into the next decade
+        np.nextafter([float("%.16e" % t) for t in decades], 0.0),
+        [5e-324, 0.0],
+    ])
+    _assert_g17(np.concatenate([cases, -cases]))
