@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     BranchAmbiguityError,
@@ -321,6 +320,8 @@ class _TabulatedPotential:
     """Piecewise-cubic potential over a finite support; exactly 0 outside."""
 
     def __init__(self, q, v, q_min=None, q_max=None):
+        from scipy.interpolate import CubicSpline
+
         q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
         if q.ndim != 1 or q.shape != v.shape or len(q) < 4:

@@ -10,7 +10,15 @@ same float; ``evolve`` writes its rows in q-major order, p varying
 fastest. ``evolve``'s grid values are formatted in numpy
 (``_g17_fields``), byte-identical to Python's ``%.17g``, with Python as
 the fallback for the values the numpy digits cannot decide. Warnings of
-``evolve`` and ``probe`` go into their JSON files, under "warnings".
+``evolve``, ``probe`` and ``validate`` go into their JSON files, under
+"warnings".
+
+Importing this module loads numpy and no scipy module: the package
+imports each scipy function inside the function that calls it. A command
+then loads only the scipy subpackages its barrier and route use, and a
+short command does not wait for the ones it never calls (importing
+``scipy.interpolate`` alone takes longer than a delta ``kernel`` or
+``probe`` run).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .errors import (
     MethodCompatibilityError,
     NonMeromorphicError,
     WignerTunnelError,
+    warning_messages,
 )
 
 UNITS_NOTE = "# units: hbar=1, 2m=1, velocity v=2p"
@@ -269,11 +278,6 @@ def _write_csv(path, header_lines, names, *columns, q_major=None):
     _atomic_write(path, head + ((",".join(specs) + "\n") * n) % tuple(cells))
 
 
-def _messages(caught):
-    """The distinct texts of recorded warnings, in first-seen order."""
-    return list(dict.fromkeys(str(w.message) for w in caught))
-
-
 def _write_json(path, payload):
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -477,7 +481,9 @@ def cmd_evolve(cfg, out_dir, args):
     q_axis = _grid_from_config(cfg["q_axis"], "q_axis", n_min=8)
     p_axis = _grid_from_config(cfg["p_axis"], "p_axis", n_min=8)
     times = _times_from_config(cfg["times"], "times")
-    interference = bool(cfg.get("include_interference", False))
+    interference = cfg.get("include_interference", False)
+    if not isinstance(interference, bool):
+        raise ConfigError("include_interference: expected true or false")
     if isinstance(barrier, _b.EikonalBarrier):
         raise MethodCompatibilityError(
             "evolve cannot close the mass accounting on an eikonal barrier: its b is "
@@ -496,7 +502,7 @@ def cmd_evolve(cfg, out_dir, args):
         warnings.simplefilter("always")
         grids = ev.barrier_propagate(grid0, barrier, times,
                                      include_interference=interference)
-    accounting["warnings"] = _messages(caught)
+    accounting["warnings"] = warning_messages(caught)
     for idx, (t, gt) in enumerate(zip(times, grids)):
         m_t, m_r = ev.sector_masses(gt)
         accounting["times"].append({
@@ -532,7 +538,7 @@ def cmd_probe(cfg, out_dir, args):
     except ZeroDivisionError:
         t_star = math.nan
     _write_json(os.path.join(out_dir, "arrival.json"),
-                {"t_star": t_star, "warnings": _messages(caught)})
+                {"t_star": t_star, "warnings": warning_messages(caught)})
     return EXIT_OK
 
 

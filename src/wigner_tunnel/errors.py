@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text of recorded warnings."""
 
 
 class WignerTunnelError(Exception):
@@ -68,3 +68,8 @@ class ConfigError(WignerTunnelError):
 
 class MethodCompatibilityError(WignerTunnelError):
     """Requested method cannot be applied to the given barrier."""
+
+
+def warning_messages(caught):
+    """The distinct texts of recorded warnings, in first-seen order."""
+    return list(dict.fromkeys(str(w.message) for w in caught))

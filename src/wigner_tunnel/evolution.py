@@ -28,9 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.interpolate import CubicSpline
-from scipy.special import erf
 
 from . import barriers as _b
 from . import kernels as _k
@@ -119,6 +116,8 @@ class GaussianState:
 
     def mass_inside(self, q_lo, q_hi, p_lo, p_hi):
         """Analytic mass fraction inside a box (total mass is pi)."""
+        from scipy.special import erf
+
         rt = math.sqrt(self.lam)
         f_q = 0.5 * (erf((q_hi - self.Q) / rt) - erf((q_lo - self.Q) / rt))
         f_p = 0.5 * (erf(rt * (p_hi - self.P)) - erf(rt * (p_lo - self.P)))
@@ -143,6 +142,8 @@ def gaussian_to_grid(state, q_axis, p_axis, coverage_tol=1e-6):
 
 def _resample_rows(grid, shifts):
     """Cubic resample of each momentum row at q - shift_j, zero outside."""
+    from scipy.interpolate import CubicSpline
+
     out = np.zeros_like(grid.values)
     for j in range(len(grid.p)):
         row = grid.values[:, j]
@@ -246,6 +247,8 @@ def _propagate_rows(grid, barrier, times, adjoint):
     adjoint, column +p gathers the row at +p through T and the row at -p
     through R.
     """
+    from scipy.interpolate import CubicSpline
+
     outs = [np.zeros_like(grid.values) for _ in times]
     # rows carrying < 1e-10 of the peak contribute below every tolerance
     # here and would push the kernels into their p -> 0 blow-up
@@ -356,6 +359,8 @@ def _simpson(n, dr):
 
 def fftconvolve(in1, in2):
     """scipy.signal.fftconvolve(in1, in2, "valid") without importing scipy.signal."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
     if len(in2) > len(in1):   # as scipy does; the spectral product then matches bit for bit
         in1, in2 = in2, in1
     n = len(in1) + len(in2) - 1

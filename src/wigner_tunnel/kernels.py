@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import barriers as _b
 from .errors import (
@@ -471,6 +470,8 @@ def small_lag_regime(w, p, r):
 def _eikonal_spline(barrier, kappa_max, kappa_reach):
     """S(kappa) on (0, kappa_reach], splined, uniform up to kappa_max and
     graded past it; odd-real/even-imag continuation."""
+    from scipy.interpolate import CubicSpline
+
     v_max = barrier.max_potential()
     k_top = math.sqrt(v_max)
     ks = np.unique(np.concatenate([

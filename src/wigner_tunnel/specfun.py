@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import airy, gamma, loggamma, wofz
 
 from .errors import GammaPoleError, SeriesConvergenceError
 
@@ -44,6 +43,8 @@ def log_gamma_right(z):
     Raises GammaPoleError if any entry is exactly a non-positive integer,
     where ``loggamma`` would return nan.
     """
+    from scipy.special import loggamma
+
     z = np.asarray(z, dtype=complex)
     _check_poles(z)
     return loggamma(z)
@@ -55,6 +56,8 @@ def gamma_cx(z):
     Accepts a complex scalar or array. Raises GammaPoleError if any entry
     is exactly a non-positive integer.
     """
+    from scipy.special import gamma
+
     z = np.asarray(z, dtype=complex)
     _check_poles(z)
     return gamma(z)
@@ -62,6 +65,8 @@ def gamma_cx(z):
 
 def faddeeva_w(z):
     """Faddeeva function w(z) = exp(-z^2) erfc(-iz) of one complex argument."""
+    from scipy.special import wofz
+
     return complex(wofz(complex(z)))
 
 
@@ -72,6 +77,8 @@ def big_w(z):
 
 def airy_ai(x):
     """Airy function Ai(x) on the real line: a float for a scalar, else an array."""
+    from scipy.special import airy
+
     out = airy(np.asarray(x, dtype=float))[0]
     return float(out) if out.ndim == 0 else out
 

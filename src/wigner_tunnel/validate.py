@@ -19,6 +19,7 @@ from . import barriers as _b
 from . import evolution as ev
 from . import kernels as _k
 from . import transients as tr
+from .errors import warning_messages
 
 __all__ = ["run_suites", "SUITES"]
 
@@ -129,10 +130,8 @@ _INIT = ev.GaussianState(-40.0, 1.0, 25.0)
 
 def _grid_detection(propagate, src, dst, bar, t, q, p):
     """Overlap of ``dst`` with ``src`` carried by ``propagate`` on the q x p grid."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ev.detect(propagate(ev.gaussian_to_grid(src, q, p), bar, t),
-                         ev.gaussian_to_grid(dst, q, p))
+    return ev.detect(propagate(ev.gaussian_to_grid(src, q, p), bar, t),
+                     ev.gaussian_to_grid(dst, q, p))
 
 
 def suite_gaussian_master(fast=False):
@@ -148,16 +147,14 @@ def suite_gaussian_master(fast=False):
     recs = []
     for bar, name in ((_b.DeltaBarrier(2.0), "delta"),
                       (_b.PoschlTellerBarrier(1.0, 0.4), "poschl_teller")):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            # one propagation call serves every config time of the barrier
-            grids = ev.barrier_propagate(grid0, bar, [t for _, t in configs])
-            for (det, t), gt in zip(configs, grids):
-                w_grid = ev.detect(gt, ev.gaussian_to_grid(det, q, p))
-                w_closed = ev.gaussian_detection(_INIT, det, bar, t).w_total
-                dev = abs(w_grid - w_closed) / max(abs(w_closed), 1e-12)
-                recs.append(_record(f"gaussian_master/{name} t={t}", dev, 1e-3,
-                                    f"grid={w_grid:.6g} closed={w_closed:.6g}"))
+        # one propagation call serves every config time of the barrier
+        grids = ev.barrier_propagate(grid0, bar, [t for _, t in configs])
+        for (det, t), gt in zip(configs, grids):
+            w_grid = ev.detect(gt, ev.gaussian_to_grid(det, q, p))
+            w_closed = ev.gaussian_detection(_INIT, det, bar, t).w_total
+            dev = abs(w_grid - w_closed) / max(abs(w_closed), 1e-12)
+            recs.append(_record(f"gaussian_master/{name} t={t}", dev, 1e-3,
+                                f"grid={w_grid:.6g} closed={w_closed:.6g}"))
     return recs
 
 
@@ -235,14 +232,18 @@ def run_suites(names=None, fast=True, tolerance_override=None):
 
     ``tolerance_override``, when given, replaces every suite tolerance --
     overriding to 0 makes every check fail, which is itself a sensitivity
-    check of the reporting path.
+    check of the reporting path. Warnings raised by the suites are
+    recorded, not shown: "warnings" lists their distinct messages in
+    first-seen order.
     """
     names = list(SUITES) if not names else list(names)
     records = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown validation suite {name!r}")
-        records.extend(SUITES[name](fast=fast))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name in names:
+            if name not in SUITES:
+                raise KeyError(f"unknown validation suite {name!r}")
+            records.extend(SUITES[name](fast=fast))
     if tolerance_override is not None:
         for rec in records:
             rec["tolerance"] = float(tolerance_override)
@@ -251,4 +252,5 @@ def run_suites(names=None, fast=True, tolerance_override=None):
         "checks": records,
         "passed": all(r["passed"] for r in records),
         "n_failed": sum(not r["passed"] for r in records),
+        "warnings": warning_messages(caught),
     }

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -167,6 +170,50 @@ def test_malformed_config_number_is_config_error(tmp_path, capsys, command, cfg,
     path = write_cfg(tmp_path, "c.json", {**base, **cfg})
     assert run([command, "--config", path, "--out", tmp_path / "out", *extra]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
+
+
+# run in a fresh interpreter: import the CLI, run the command given as JSON
+# argv (if any) and print the scipy modules then loaded
+IMPORT_SET_CODE = """
+import json, sys
+from wigner_tunnel import cli
+args = json.loads(sys.argv[1])
+if args:
+    assert cli.main(args) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))    # the package under test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SET_CODE, json.dumps(args)],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("command, cfg, extra", [
+    (None, None, []),
+    ("kernel", KERNEL_CFG, ["--method", "all"]),
+    ("probe", FLAG_CONFIGS["probe"], []),
+], ids=["import", "delta_kernel_all", "delta_probe"])
+def test_delta_commands_load_no_scipy(tmp_path, command, cfg, extra):
+    # scipy is imported where it is called, and no delta route calls it
+    args = [] if command is None else [
+        command, "--config", str(write_cfg(tmp_path, "c.json", cfg)),
+        "--out", str(tmp_path / "out"), *extra]
+    assert scipy_modules_after(args) == set()
+
+
+def test_pt_amplitudes_load_only_scipy_special(tmp_path):
+    cfg = write_cfg(tmp_path, "a.json", {
+        "barrier": {"kind": "poschl_teller", "v0": 1.0, "s": 0.4},
+        "kappa_grid": {"min": 0.05, "max": 5.0, "n": 20}})
+    loaded = scipy_modules_after(["amplitudes", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.interpolate", "scipy.fft"}
 
 
 class TestAmplitudesCommand:
@@ -408,6 +455,31 @@ class TestEvolveCommand:
         assert report["warnings"][0].startswith(
             "slowest support has not classically cleared the barrier region")
 
+    def test_include_interference_must_be_a_bool(self, tmp_path, capsys, monkeypatch):
+        # the string "false" once turned interference on; true, false and an
+        # absent key reach the propagator as they did
+        calls = []
+        propagate = ev.barrier_propagate
+
+        def spy(*args, include_interference):
+            calls.append(include_interference)
+            return propagate(*args, include_interference=include_interference)
+
+        monkeypatch.setattr(ev, "barrier_propagate", spy)
+        outs = {}
+        for name, extra in (("absent", {}), ("false", {"include_interference": False}),
+                            ("true", {"include_interference": True})):
+            cfg = write_cfg(tmp_path, f"{name}.json", dict(FLAG_CONFIGS["evolve"], **extra))
+            assert run(["evolve", "--config", cfg, "--out", tmp_path / name]) == 0
+            outs[name] = (tmp_path / name / "evolve_t0.csv").read_bytes()
+        assert calls == [False, False, True]
+        assert outs["absent"] == outs["false"] != outs["true"]
+        cfg = write_cfg(tmp_path, "string.json",
+                        dict(FLAG_CONFIGS["evolve"], include_interference="false"))
+        assert run(["evolve", "--config", cfg, "--out", tmp_path / "string"]) == 2
+        assert "config error: include_interference:" in capsys.readouterr().err
+        assert calls == [False, False, True]
+
     def test_csv_matches_row_writer(self, tmp_path):
         q = np.linspace(-150.0, 110.0, 650)
         p = np.linspace(-1.9, 1.9, 96)
@@ -611,6 +683,20 @@ class TestValidateCommand:
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert report["passed"]
         assert report["n_failed"] == 0
+        assert report["warnings"] == []
+
+    def test_warnings_go_to_report(self, tmp_path):
+        # the fast gaussian_master grids warn that the slowest momenta have
+        # not cleared the barrier; the report records it and nothing is shown
+        cfg = write_cfg(tmp_path, "v.json", {"suites": ["gaussian_master"], "fast": True})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["validate", "--config", cfg, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "validate_report.json").read_text())
+        assert report["warnings"]
+        assert all(w.startswith("slowest support has not classically cleared the barrier")
+                   for w in report["warnings"])
+        assert len(set(report["warnings"])) == len(report["warnings"])
 
     @pytest.mark.parametrize("payload", [
         {"suites": ["unitarty"]}, {"suites": "unitarity"}, {"suites": [1]},

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
 import oracles
 from wigner_tunnel.barriers import DeltaBarrier, EikonalBarrier, NumericBarrier, PoschlTellerBarrier
@@ -22,7 +23,7 @@ from wigner_tunnel.evolution import (
     purity_bound,
     sector_masses,
 )
-from wigner_tunnel import barriers, evolution, kernels
+from wigner_tunnel import barriers, kernels
 from wigner_tunnel.kernels import delta_kernels, kernel_by_quadrature, total_probabilities
 
 
@@ -224,8 +225,8 @@ class TestBarrierPropagate:
             g = gaussian_to_grid(_incident(), q, p)
             floor = 1e-10 * np.max(np.abs(g.values))
             sources = np.sum((p > 1e-9 * g.dp) & (np.max(np.abs(g.values), axis=0) > floor))
-            with mock.patch.object(evolution, "CubicSpline",
-                                   wraps=evolution.CubicSpline) as fit:
+            with mock.patch.object(scipy.interpolate, "CubicSpline",
+                                   wraps=scipy.interpolate.CubicSpline) as fit:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     barrier_propagate(g, DeltaBarrier(2.0), 25.0)
@@ -305,8 +306,8 @@ class TestBarrierPropagate:
         sources = p[(p > 1e-9 * g.dp) & (np.max(np.abs(g.values), axis=0) > floor)]
         with mock.patch.object(barriers, "find_poles", wraps=barriers.find_poles) as poles, \
                 mock.patch.object(kernels, "kernel_row", wraps=kernels.kernel_row) as row, \
-                mock.patch.object(evolution, "CubicSpline",
-                                  wraps=evolution.CubicSpline) as fit:
+                mock.patch.object(scipy.interpolate, "CubicSpline",
+                                  wraps=scipy.interpolate.CubicSpline) as fit:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 outs = barrier_propagate(g, DeltaBarrier(2.0), [10.0, 25.0, 40.0])

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
 import oracles
 from wigner_tunnel import kernels
@@ -571,12 +572,12 @@ class TestSemiclassical:
         # features; the spline's nodes must reach every |kappa| sampled
         fits = []
 
-        class SpySpline(kernels.CubicSpline):
+        class SpySpline(scipy.interpolate.CubicSpline):
             def __call__(self, x, *args, **kwargs):
                 fits.append((self.x[-1], float(np.max(x))))
                 return super().__call__(x, *args, **kwargs)
 
-        monkeypatch.setattr(kernels, "CubicSpline", SpySpline)
+        monkeypatch.setattr(scipy.interpolate, "CubicSpline", SpySpline)
         semiclassical_kernel(bar, p, np.array([0.1, 0.5, 0.9, 1.3]), mode="quadrature")
         assert fits and all(top <= last for last, top in fits)
 
@@ -589,14 +590,14 @@ class TestSemiclassical:
         s, p = 3.0, 2.5
         bar = EikonalBarrier.from_callable(
             lambda q: 1.0 / np.cosh(q / s) ** 2, -17 * s, 17 * s, 2401)
-        spline_cls, nodes = kernels.CubicSpline, []
+        spline_cls, nodes = scipy.interpolate.CubicSpline, []
 
         class KeepNodes(spline_cls):
             def __init__(self, x, y, *args, **kwargs):
                 nodes.append((x, y))
                 super().__init__(x, y, *args, **kwargs)
 
-        monkeypatch.setattr(kernels, "CubicSpline", KeepNodes)
+        monkeypatch.setattr(scipy.interpolate, "CubicSpline", KeepNodes)
         r = np.linspace(-1.0, 3.0, 9)
         res = semiclassical_kernel(bar, p, r, mode="quadrature")
         (ks, vals), = nodes
