@@ -38,6 +38,7 @@ from . import evolution as ev
 from . import kernels as _k
 from . import validate as _v
 from .errors import (
+    BranchAmbiguityError,
     ConfigError,
     MethodCompatibilityError,
     NonMeromorphicError,
@@ -393,8 +394,13 @@ def cmd_amplitudes(cfg, out_dir, args):
             raise ConfigError(f"kappa_grid: |a|^2 overflows at kappa = {float(k)!r}; "
                               "kappa is too close to 0") from exc
 
-    rows = [one(*row) for row in zip(ks, barrier.amplitude_a(ks), barrier.amplitude_b(ks),
-                                     barrier.ba_ratio(ks))]
+    try:
+        amps = barrier.amplitude_a(ks), barrier.amplitude_b(ks), barrier.ba_ratio(ks)
+    except BranchAmbiguityError as exc:   # an eikonal kappa^2 on the barrier top
+        k = ks[np.argmin(np.abs(np.abs(ks) - math.sqrt(barrier.max_potential())))]
+        raise ConfigError(f"kappa_grid: kappa = {float(k)!r} puts kappa^2 on max V, "
+                          "where the eikonal square-root branch is undefined") from exc
+    rows = [one(*row) for row in zip(ks, *amps)]
     _write_csv(os.path.join(out_dir, "amplitudes.csv"),
                [UNITS_NOTE, f"# barrier: {json.dumps(barrier.descriptor())[:160]}"],
                ["kappa", "re_a", "im_a", "re_b", "im_b",

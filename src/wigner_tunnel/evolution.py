@@ -11,9 +11,11 @@ The kernels depend on the barrier and p alone; time enters only through
 the shear 2pt. So one momentum walk serves every time of a call: one pole
 search for the lag ranges (``_kernel_ranges``), and per momentum p > 0,
 forward or adjoint, one lag lattice and one ``kernel_row`` call for (T, R)
-(``_kernel_rows``) and one spline fit per source row. Per time, the
-weighted rows are FFT-correlated with the spline-resampled source rows
-(``_lag_convolve``).
+(``_kernel_rows``). One batched natural-spline fit per call covers every
+source row (``_NaturalSplines``). Per momentum and term, every time's
+resampled source row is FFT-correlated with the weighted kernel row in
+one call (``_lag_convolve``). The module imports no scipy: the splines
+are its own and the FFT is numpy's.
 
 Gaussian packets follow the unnormalized convention
 rho = exp[-(q-Q)^2/lambda - lambda (p-P)^2] of mass pi; all detection
@@ -116,11 +118,9 @@ class GaussianState:
 
     def mass_inside(self, q_lo, q_hi, p_lo, p_hi):
         """Analytic mass fraction inside a box (total mass is pi)."""
-        from scipy.special import erf
-
         rt = math.sqrt(self.lam)
-        f_q = 0.5 * (erf((q_hi - self.Q) / rt) - erf((q_lo - self.Q) / rt))
-        f_p = 0.5 * (erf(rt * (p_hi - self.P)) - erf(rt * (p_lo - self.P)))
+        f_q = 0.5 * (math.erf((q_hi - self.Q) / rt) - math.erf((q_lo - self.Q) / rt))
+        f_p = 0.5 * (math.erf(rt * (p_hi - self.P)) - math.erf(rt * (p_lo - self.P)))
         return float(f_q * f_p)
 
 
@@ -140,20 +140,66 @@ def gaussian_to_grid(state, q_axis, p_axis, coverage_tol=1e-6):
     return WignerGrid(q_axis, p_axis, vals)
 
 
+class _NaturalSplines:
+    """Natural cubic splines through every column of ys on the shared knots x.
+
+    One Thomas sweep over the knots, vectorised across columns, gives each
+    column's second derivatives M, zero at both ends (de Boor, *A Practical
+    Guide to Splines*, ch. IV). On [x_i, x_i+1], with d = x - x_i, a column
+    is y_i + d (s_i + d (M_i / 2 + d (M_i+1 - M_i) / (6 h_i))), where s_i is
+    the slope at x_i.
+    """
+
+    def __init__(self, x, ys):
+        self.x = x = np.asarray(x, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        h = np.diff(x)[:, None]
+        chord = np.diff(ys, axis=0) / h
+        # interior knot k: h_k-1 M_k-1 + 2 (h_k-1 + h_k) M_k + h_k M_k+1 = rhs_k,
+        # solved in place in the interior rows of m
+        m = np.zeros_like(ys)
+        rhs = m[1:-1]
+        np.multiply(np.diff(chord, axis=0), 6.0, out=rhs)
+        hs = h[:, 0].tolist()
+        diag = [2.0 * (a + b) for a, b in zip(hs[:-1], hs[1:])]
+        for k in range(1, len(diag)):
+            w = hs[k] / diag[k - 1]
+            diag[k] -= w * hs[k]
+            rhs[k] -= w * rhs[k - 1]
+        rhs /= np.array(diag)[:, None]
+        for k in range(len(diag) - 2, -1, -1):
+            rhs[k] -= (hs[k + 1] / diag[k]) * rhs[k + 1]
+        # coef[col] = (y, slope, M/2, dM/6h), each over the intervals
+        self.coef = coef = np.empty((ys.shape[1], 4, len(h)))
+        coef[:, 0] = ys[:-1].T
+        coef[:, 1] = (chord - h * (2.0 * m[:-1] + m[1:]) / 6.0).T
+        coef[:, 2] = 0.5 * m[:-1].T
+        coef[:, 3] = (np.diff(m, axis=0) / (6.0 * h)).T
+        self.dx = (x[-1] - x[0]) / (len(x) - 1)   # the mean knot spacing
+
+    def sample(self, col, starts, step, n):
+        """Column col at starts[k] + m step, m < n, one row per start; 0 off [x0, x_end]."""
+        x = self.x
+        pts = np.asarray(starts, dtype=float)[:, None] + step * np.arange(n)
+        # interval floor((pts - x0) / dx), clipped into range before the
+        # cast, which truncates as floor does on what is left
+        u = np.minimum((pts - x[0]) / self.dx, len(x) - 2)
+        i = np.maximum(u, 0.0, out=u).astype(np.intp)
+        d = pts - x[:-1].take(i)
+        y, slope, half_m, dm = self.coef[col]
+        vals = dm.take(i)
+        for c in (half_m, slope, y):
+            vals *= d
+            vals += c.take(i)
+        np.copyto(vals, 0.0, where=(pts < x[0]) | (pts > x[-1]))
+        return vals
+
+
 def _resample_rows(grid, shifts):
     """Cubic resample of each momentum row at q - shift_j, zero outside."""
-    from scipy.interpolate import CubicSpline
-
-    out = np.zeros_like(grid.values)
-    for j in range(len(grid.p)):
-        row = grid.values[:, j]
-        if not np.any(row):
-            continue
-        spline = CubicSpline(grid.q, row, bc_type="natural")
-        x = grid.q - shifts[j]
-        m = (x >= grid.q[0]) & (x <= grid.q[-1])
-        out[m, j] = spline(x[m])
-    return out
+    fit = _NaturalSplines(grid.q, grid.values)
+    return np.column_stack([fit.sample(j, [grid.q[0] - shift], grid.dq, len(grid.q))[0]
+                            for j, shift in enumerate(shifts)])
 
 
 def free_propagate(grid, t, mass_tol=1e-8):
@@ -208,8 +254,8 @@ def barrier_propagate(grid, barrier, t, include_interference=False):
 
     ``t`` is one time, giving one grid, or a sequence of times, giving a
     list of grids in the given order. Every time shares one momentum walk:
-    one pole search, one kernel row per momentum and one spline fit per
-    source row. The lag lattice is cut where the largest time's lags stop
+    one pole search, one kernel row per momentum and one batched spline
+    fit for every source row. The lag lattice is cut where the largest time's lags stop
     reaching the grid, so at a smaller time the lags past its own cut
     sample only zeros.
     """
@@ -241,25 +287,24 @@ def barrier_propagate(grid, barrier, t, include_interference=False):
 def _propagate_rows(grid, barrier, times, adjoint):
     """Momentum walk of the propagator (adjoint=False) or of its adjoint.
 
-    Returns one value array per time. Each momentum p > 0 makes one kernel
-    row (T, R) and fits each source row once, for every time. Forward, the
-    row at +p transmits into column +p and reflects into column -p;
-    adjoint, column +p gathers the row at +p through T and the row at -p
-    through R.
+    Returns one value array per time. A first pass collects each momentum
+    p > 0's terms and the distinct source rows they read, and one
+    ``_NaturalSplines`` call fits them all. The second pass makes one
+    kernel row (T, R) per momentum and, per term, every time's row at once.
+    Forward, the row at +p transmits into column +p and reflects into
+    column -p; adjoint, column +p gathers the row at +p through T and the
+    row at -p through R.
     """
-    from scipy.interpolate import CubicSpline
-
-    outs = [np.zeros_like(grid.values) for _ in times]
+    outs = np.zeros((len(times),) + grid.values.shape)
     # rows carrying < 1e-10 of the peak contribute below every tolerance
     # here and would push the kernels into their p -> 0 blow-up
     floor = 1e-10 * float(np.max(np.abs(grid.values)))
     p_zero = _zero_momentum(grid)
-    ranges = _kernel_ranges(barrier)
-    t_max = float(np.max(times))
     momenta = list(grid.p[grid.p > p_zero])
     if not adjoint:   # a column -p with no node at +p reflects the row interpolated there
         momenta += [-pk for pk in grid.p[grid.p < -p_zero]
                     if _row_at_momentum(grid, -pk)[0] is None]
+    walk, sources = [], []
     for p in momenta:
         col, row = _row_at_momentum(grid, p)
         mirror, mirror_row = _row_at_momentum(grid, -p)
@@ -268,18 +313,25 @@ def _propagate_rows(grid, barrier, times, adjoint):
                  if j is not None and src is not None and np.max(np.abs(src)) > floor]
         if not terms:
             continue
-        t_w, r_w, r_start, refine, dr = _kernel_rows(grid, barrier, p, t_max, ranges)
-        fitted = None
+        walk.append((p, []))
         for src, j, transmitted in terms:
-            if src is not fitted:   # forward, both terms share one source row
-                fitted, fit = src, CubicSpline(grid.q, src, bc_type="natural")
-            for t, out in zip(times, outs):
-                shift = 2.0 * abs(grid.p[j]) * t   # the column's |p|: a mirror -p is an ulp off
-                if transmitted:
-                    out[:, j] += _transmitted_row(grid, fit, shift, t_w, refine, dr, adjoint)
-                else:
-                    out[:, j] += _reflected_row(grid, fit, shift, r_start, r_w, refine, dr)
-    return outs
+            if not sources or src is not sources[-1]:   # forward, both terms share one row
+                sources.append(src)
+            walk[-1][1].append((len(sources) - 1, j, transmitted))
+    if not walk:
+        return list(outs)
+    fit = _NaturalSplines(grid.q, np.column_stack(sources))
+    ranges = _kernel_ranges(barrier)
+    t_max = float(np.max(times))
+    for p, terms in walk:
+        t_w, r_w, r_start, refine, dr = _kernel_rows(grid, barrier, p, t_max, ranges)
+        for k, j, transmitted in terms:
+            shifts = 2.0 * abs(grid.p[j]) * times   # the column's |p|: a mirror -p is an ulp off
+            if transmitted:
+                outs[:, :, j] += _transmitted_rows(grid, fit, k, shifts, t_w, refine, dr, adjoint)
+            else:
+                outs[:, :, j] += _reflected_rows(grid, fit, k, shifts, r_start, r_w, refine, dr)
+    return list(outs)
 
 
 def _zero_momentum(grid):
@@ -357,62 +409,77 @@ def _simpson(n, dr):
     return w * (dr / 3.0)
 
 
+def _next_fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n, the real-FFT length pocketfft transforms fastest."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def fftconvolve(in1, in2):
-    """scipy.signal.fftconvolve(in1, in2, "valid") without importing scipy.signal."""
-    from scipy.fft import irfft, next_fast_len, rfft
+    """scipy.signal.fftconvolve(in1, in2, "valid"), bit for bit, on numpy's FFT.
 
-    if len(in2) > len(in1):   # as scipy does; the spectral product then matches bit for bit
-        in1, in2 = in2, in1
-    n = len(in1) + len(in2) - 1
-    nfft = next_fast_len(n, True)
-    full = irfft(rfft(in1, nfft) * rfft(in2, nfft), nfft)[:n]
-    return full[len(in2) - 1:len(in1)]
+    A 2-D in1 gives one valid convolution per row, with in2's spectrum
+    computed once.
+    """
+    n1, n2 = np.shape(in1)[-1], len(in2)
+    n = n1 + n2 - 1
+    nfft = _next_fast_len(n)
+    sp1, sp2 = np.fft.rfft(in1, nfft), np.fft.rfft(in2, nfft)
+    # the longer factor first, as scipy orders them: the product then matches bit for bit
+    spectrum = sp1 * sp2 if n1 >= n2 else sp2 * sp1
+    full = np.fft.irfft(spectrum, nfft)[..., :n]
+    return full[..., min(n1, n2) - 1:max(n1, n2)]
 
 
-def _lag_convolve(grid, spline, start, kernel, refine, dr):
-    """Correlate a weighted kernel row with a row resampled by its spline.
+def _lag_convolve(grid, fit, col, starts, kernel, refine, dr):
+    """Correlate a weighted kernel row with a fitted source row, one row per start.
 
-    Returns (fine, smooth): the row sampled on start + m dr (zero off the
-    grid) and smooth[i] = sum_k kernel[k] fine[i refine + k] per q node.
+    Returns (fine, smooth): the source sampled on starts[k] + m dr (zero
+    off the grid) and smooth[k, i] = sum_m kernel[m] fine[k, i refine + m]
+    per q node.
     """
     n_fine = (len(grid.q) - 1) * refine + len(kernel)
-    x = start + dr * np.arange(n_fine)
-    fine = np.zeros(n_fine)
-    m = (x >= grid.q[0]) & (x <= grid.q[-1])
-    fine[m] = spline(x[m])
-    smooth = fftconvolve(fine, kernel[::-1])[::refine]
+    fine = fit.sample(col, starts, dr, n_fine)
+    smooth = fftconvolve(fine, kernel[::-1])[:, ::refine]
     return fine, smooth
 
 
-def _transmitted_row(grid, spline, shift, kernel, refine, dr, adjoint):
-    """Free spike plus the transmission lag integral of the row (spline) at p > 0.
+def _transmitted_rows(grid, fit, col, shifts, kernel, refine, dr, adjoint):
+    """Free spike plus the transmission lag integral of the fitted row at p > 0.
 
-    kernel: the weighted T on r = m dr, m >= 0; shift: 2pt.
+    kernel: the weighted T on r = m dr, m >= 0; shifts: 2pt, one per time.
     Forward: out(q) = row(q - 2pt) + int T(r) row(q - 2pt + r) dr.
     Adjoint: out(q) = row(q + 2pt) + int T(r) row(q + 2pt - r) dr.
     """
     if adjoint:
         # q_i + 2pt - r_m = (q_min + 2pt - r_max) + (i*refine + n-1-m) dr
         spike = len(kernel) - 1
-        start = grid.q[0] + shift - dr * spike
+        starts = grid.q[0] + shifts - dr * spike
         kernel = kernel[::-1]
     else:
         # q_i - 2pt + r_m = (q_min - 2pt) + (i*refine + m) dr
         spike = 0
-        start = grid.q[0] - shift
-    fine, smooth = _lag_convolve(grid, spline, start, kernel, refine, dr)
-    return fine[spike::refine][:len(grid.q)] + smooth
+        starts = grid.q[0] - shifts
+    fine, smooth = _lag_convolve(grid, fit, col, starts, kernel, refine, dr)
+    return fine[:, spike::refine][:, :len(grid.q)] + smooth
 
 
-def _reflected_row(grid, spline, shift, r_start, kernel, refine, dr):
-    """Reflection lag integral of the row (spline) at +p, forward and adjoint alike.
+def _reflected_rows(grid, fit, col, shifts, r_start, kernel, refine, dr):
+    """Reflection lag integral of the fitted row at +p, forward and adjoint alike.
 
     out(q_i) = sum_k kernel_k src(r_start + k dr - 2pt - q_i): one fine
-    lattice from r_start - 2pt - q_max, reversed in i.
+    lattice from r_start - 2pt - q_max per time, reversed in i.
     """
-    _, vals = _lag_convolve(grid, spline, r_start - shift - grid.q[-1], kernel,
+    _, vals = _lag_convolve(grid, fit, col, r_start - shifts - grid.q[-1], kernel,
                             refine, dr)
-    return vals[::-1]
+    return vals[:, ::-1]
 
 
 def _interference_grid(grid, barrier, t):
@@ -594,7 +661,8 @@ def detector_propagate(grid, barrier, t):
     if barrier.integral_strength() == 0.0:
         # vanishing potential: the adjoint of the free shear q -> q + 2pt
         return WignerGrid(grid.q, grid.p, _resample_rows(grid, -2.0 * t * grid.p))
-    return WignerGrid(grid.q, grid.p, _propagate_rows(grid, barrier, [t], adjoint=True)[0])
+    times = np.array([t], dtype=float)
+    return WignerGrid(grid.q, grid.p, _propagate_rows(grid, barrier, times, adjoint=True)[0])
 
 
 def purity_bound(grid):

@@ -197,9 +197,11 @@ def scipy_modules_after(args):
     (None, None, []),
     ("kernel", KERNEL_CFG, ["--method", "all"]),
     ("probe", FLAG_CONFIGS["probe"], []),
-], ids=["import", "delta_kernel_all", "delta_probe"])
+    ("evolve", FLAG_CONFIGS["evolve"], []),
+], ids=["import", "delta_kernel_all", "delta_probe", "delta_evolve"])
 def test_delta_commands_load_no_scipy(tmp_path, command, cfg, extra):
-    # scipy is imported where it is called, and no delta route calls it
+    # scipy is imported where it is called, and no delta route calls it:
+    # evolve resamples and convolves its rows with numpy alone
     args = [] if command is None else [
         command, "--config", str(write_cfg(tmp_path, "c.json", cfg)),
         "--out", str(tmp_path / "out"), *extra]
@@ -211,6 +213,16 @@ def test_pt_amplitudes_load_only_scipy_special(tmp_path):
         "barrier": {"kind": "poschl_teller", "v0": 1.0, "s": 0.4},
         "kappa_grid": {"min": 0.05, "max": 5.0, "n": 20}})
     loaded = scipy_modules_after(["amplitudes", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.interpolate", "scipy.fft"}
+
+
+def test_pt_evolve_loads_only_scipy_special(tmp_path):
+    # the Gamma functions of the Poschl-Teller kernels, and no spline or FFT
+    cfg = write_cfg(tmp_path, "e.json", {
+        **FLAG_CONFIGS["evolve"], "barrier": {"kind": "poschl_teller", "v0": 1.0, "s": 0.4}})
+    loaded = scipy_modules_after(["evolve", "--config", str(cfg),
                                   "--out", str(tmp_path / "out")])
     assert "scipy.special" in loaded
     assert not loaded & {"scipy.interpolate", "scipy.fft"}
@@ -269,6 +281,19 @@ class TestAmplitudesCommand:
         assert run(["amplitudes", "--config", cfg, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "1e-160" in err
+
+    def test_eikonal_kappa_on_barrier_top_is_config_error(self, tmp_path, capsys):
+        # kappa = 1.0 of the grid puts kappa^2 on max V = 1 of the 41-row
+        # sech^2 table, where the square-root branch is undefined
+        q = np.linspace(-2.0, 2.0, 41)
+        table = [[float(x), float(1.0 / np.cosh(x / 0.4) ** 2)] for x in q]
+        cfg = write_cfg(tmp_path, "a.json", {
+            "barrier": {"kind": "eikonal", "table": table},
+            "kappa_grid": {"min": 0.5, "max": 1.5, "n": 3}})
+        assert run(["amplitudes", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kappa_grid:") and "kappa = 1.0 " in err
+        assert not (tmp_path / "out" / "amplitudes.csv").exists()
 
     def test_numeric_runs_one_ode_system_per_amplitude_call(self, tmp_path, monkeypatch):
         from wigner_tunnel import barriers

@@ -4,7 +4,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.interpolate
 
 import oracles
 from wigner_tunnel.barriers import DeltaBarrier, EikonalBarrier, NumericBarrier, PoschlTellerBarrier
@@ -23,7 +22,7 @@ from wigner_tunnel.evolution import (
     purity_bound,
     sector_masses,
 )
-from wigner_tunnel import barriers, kernels
+from wigner_tunnel import barriers, evolution, kernels
 from wigner_tunnel.kernels import delta_kernels, kernel_by_quadrature, total_probabilities
 
 
@@ -215,22 +214,24 @@ class TestBarrierPropagate:
             exact = barrier_propagate(WignerGrid(q, p_exact, g.values), bar, 40.0)
         np.testing.assert_array_equal(rounded.values, exact.values)
 
-    def test_one_spline_fit_per_source_row(self):
+    def test_one_spline_fit_per_call(self):
         # on a symmetric p axis the row at p > 0 transmits into p and
-        # reflects into -p, and both resample it through one spline fit;
-        # on 61 nodes most mirror momenta -p round an ulp off their node
+        # reflects into -p, and both resample it from one column of the
+        # call's one fit; on 61 nodes most mirror momenta -p round an ulp
+        # off their node
         q = np.linspace(-100.0, 80.0, 300)
         for n_p in (21, 61):
             p = np.linspace(-1.9, 1.9, n_p)
             g = gaussian_to_grid(_incident(), q, p)
             floor = 1e-10 * np.max(np.abs(g.values))
             sources = np.sum((p > 1e-9 * g.dp) & (np.max(np.abs(g.values), axis=0) > floor))
-            with mock.patch.object(scipy.interpolate, "CubicSpline",
-                                   wraps=scipy.interpolate.CubicSpline) as fit:
+            with mock.patch.object(evolution, "_NaturalSplines",
+                                   wraps=evolution._NaturalSplines) as fit:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     barrier_propagate(g, DeltaBarrier(2.0), 25.0)
-            assert fit.call_count == sources, n_p
+            assert fit.call_count == 1, n_p
+            assert fit.call_args.args[1].shape == (len(q), sources), n_p
 
     @pytest.mark.parametrize("p_axis", [
         np.linspace(-1.9, 1.9, 21),
@@ -298,23 +299,29 @@ class TestBarrierPropagate:
         np.testing.assert_array_equal(outs[-1].values, singles[-1].values)
 
     def test_one_walk_serves_every_time(self):
-        # one pole search, one kernel row per momentum and one spline fit per
-        # source row for three times, as for one
+        # one pole search, one kernel row per momentum and one spline fit,
+        # a column per source row, for three times, as for one; and one
+        # FFT convolution per term (each source row transmits into +p and
+        # reflects into -p) over all three times
         p = np.linspace(-1.9, 1.9, 21)
         g = gaussian_to_grid(_incident(), np.linspace(-100.0, 80.0, 300), p)
         floor = 1e-10 * np.max(np.abs(g.values))
         sources = p[(p > 1e-9 * g.dp) & (np.max(np.abs(g.values), axis=0) > floor)]
         with mock.patch.object(barriers, "find_poles", wraps=barriers.find_poles) as poles, \
                 mock.patch.object(kernels, "kernel_row", wraps=kernels.kernel_row) as row, \
-                mock.patch.object(scipy.interpolate, "CubicSpline",
-                                  wraps=scipy.interpolate.CubicSpline) as fit:
+                mock.patch.object(evolution, "_NaturalSplines",
+                                  wraps=evolution._NaturalSplines) as fit, \
+                mock.patch.object(evolution, "fftconvolve", wraps=evolution.fftconvolve) as fft:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 outs = barrier_propagate(g, DeltaBarrier(2.0), [10.0, 25.0, 40.0])
         assert len(outs) == 3
         assert poles.call_count == 1
         assert sorted(call.args[1] for call in row.call_args_list) == sources.tolist()
-        assert fit.call_count == len(sources)
+        assert fit.call_count == 1
+        assert fit.call_args.args[1].shape == (len(g.q), len(sources))
+        assert fft.call_count == 2 * len(sources)
+        assert all(call.args[0].shape[0] == 3 for call in fft.call_args_list)
 
     @pytest.mark.parametrize("t", [-1.0, [10.0, -1.0, 25.0]], ids=["scalar", "sequence"])
     def test_negative_time_rejected(self, t):

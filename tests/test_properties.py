@@ -8,9 +8,12 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.interpolate
 import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import eikonal_action_piecewise, numeric_amplitudes_dop853, panel_fourier_direct
 from wigner_tunnel import cli, kernels, quadrature
@@ -21,7 +24,7 @@ from wigner_tunnel.barriers import (
     eikonal_action,
 )
 from wigner_tunnel.errors import GammaPoleError
-from wigner_tunnel.evolution import fftconvolve
+from wigner_tunnel.evolution import _NaturalSplines, _next_fast_len, fftconvolve
 from wigner_tunnel.kernels import kernel_by_quadrature, kernel_row
 from wigner_tunnel.specfun import log_gamma_right
 
@@ -281,6 +284,55 @@ def test_fftconvolve_matches_scipy_signal(in1, in2):
     in1, in2 = np.array(in1), np.array(in2)
     assert np.array_equal(fftconvolve(in1, in2),
                           scipy.signal.fftconvolve(in1, in2, mode="valid"))
+
+
+@settings(derandomized, max_examples=100)
+@given(in1=hnp.arrays(float, st.tuples(st.integers(1, 4), st.integers(2, 300)),
+                      elements=st.floats(-1e3, 1e3)),
+       in2=signals)
+def test_fftconvolve_rows_match_scipy_signal(in1, in2):
+    # one call over the rows of a 2-D in1 gives each row's own result
+    in2 = np.array(in2)
+    got = fftconvolve(in1, in2)
+    assert got.shape[0] == len(in1)
+    for row, one in zip(in1, got):
+        assert np.array_equal(one, scipy.signal.fftconvolve(row, in2, mode="valid"))
+
+
+def test_next_fast_len_matches_scipy_below_3000():
+    assert ([_next_fast_len(n) for n in range(1, 3000)]
+            == [scipy.fft.next_fast_len(n, True) for n in range(1, 3000)])
+
+
+@settings(derandomized, max_examples=300)
+@given(n=st.integers(1, 10 ** 6 - 1))
+def test_next_fast_len_matches_scipy(n):
+    assert _next_fast_len(n) == scipy.fft.next_fast_len(n, True)
+
+
+@settings(derandomized, max_examples=200)
+@given(n=st.integers(4, 900), refine=st.integers(1, 5), before=st.integers(0, 40),
+       x0=st.floats(-200.0, 0.0), h=st.floats(0.01, 2.0), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_natural_splines_match_scipy_cubic_spline(n, refine, before, x0, h, scale, seed):
+    # lattices of step h / refine from off the left end, from the first
+    # knot (at refine 1, the knots themselves, bit for bit) and from the
+    # last knot, each past the right end, where the samples are 0
+    x = x0 + h * np.arange(n)
+    ys = scale * np.random.default_rng(seed).normal(size=(n, 3))
+    fit = _NaturalSplines(x, ys)
+    step = h / refine
+    starts = np.array([x[0] - before * step, x[0], x[-1]])
+    n_pts = (n - 1) * refine + 2 * before + 3
+    pts = starts[:, None] + step * np.arange(n_pts)
+    inside = (pts >= x[0]) & (pts <= x[-1])
+    assert inside[:, 0].tolist() == [before == 0, True, True]
+    assert not np.any(inside[:, -1])
+    for col in range(3):
+        spline = scipy.interpolate.CubicSpline(x, ys[:, col], bc_type="natural")
+        ref = np.where(inside, spline(pts), 0.0)
+        got = fit.sample(col, starts, step, n_pts)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ys[:, col]))
 
 
 # jagged eikonal tables: 4 to 41 rows on [-L, L], heights up to 1.5, 40% of them 0
