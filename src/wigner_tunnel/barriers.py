@@ -148,6 +148,11 @@ class Barrier:
     def has_potential_function(self):
         return True
 
+    def support(self):
+        """(front, far): the edges a packet from the left meets and leaves
+        by; V is zero or negligible outside. Every barrier reach uses it."""
+        raise NotImplementedError
+
     def descriptor(self):
         raise NotImplementedError
 
@@ -195,6 +200,9 @@ class DeltaBarrier(Barrier):
 
     def has_potential_function(self):
         return False
+
+    def support(self):
+        return 0.0, 0.0
 
     def poles(self, count):
         """The one zero, kappa = -i v0/2."""
@@ -296,6 +304,10 @@ class PoschlTellerBarrier(Barrier):
 
     def max_potential(self):
         return self.v0 ** 2
+
+    def support(self):
+        # beyond 6 s, V < 2.5e-5 v0^2
+        return -6.0 * self.s, 6.0 * self.s
 
     def poles(self, count):
         """Zeros s*kappa_n = -i(n + 1/2 +- omega), sorted by |Im kappa|.
@@ -795,11 +807,22 @@ def find_poles(barrier, count):
     return [PoleData(kn, barrier) for kn in zeros]
 
 
+def _is_real(v):
+    """v is a JSON number, not a bool, and a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:       # an int past the float range
+        return False
+
+
 def barrier_from_dict(d):
     """Build a Barrier from its JSON descriptor.
 
     Schema: {"kind": "delta"|"poschl_teller"|"numeric"|"eikonal",
              "v0": float, "s": float, "table": [[q, V], ...]}.
+    v0, s and every table entry must be finite reals (not bools or strings).
     """
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError("barrier descriptor must be a dict with a 'kind'")
@@ -814,11 +837,18 @@ def barrier_from_dict(d):
     missing = known[kind] - set(d)
     if missing:
         raise ValueError(f"barrier kind {kind!r} missing keys: {sorted(missing)}")
+    for key in ("v0", "s"):
+        if key in d and not _is_real(d[key]):
+            raise ValueError(f"barrier.{key}: expected a finite number, got {d[key]!r}")
     if kind == "delta":
         return DeltaBarrier(d["v0"])
     if kind == "poschl_teller":
         return PoschlTellerBarrier(d["v0"], d["s"])
-    rows = np.asarray(d["table"], dtype=float)
+    table = d["table"]
+    if not (isinstance(table, list)
+            and all(isinstance(row, list) and all(map(_is_real, row)) for row in table)):
+        raise ValueError("barrier.table: expected [[q, V], ...] of finite numbers")
+    rows = np.asarray(table, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise ValueError("barrier table must be [[q, V], ...]")
     cls = NumericBarrier if kind == "numeric" else EikonalBarrier

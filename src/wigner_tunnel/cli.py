@@ -37,6 +37,7 @@ from . import barriers as _b
 from . import evolution as ev
 from . import kernels as _k
 from . import validate as _v
+from .barriers import _is_real
 from .errors import (
     BranchAmbiguityError,
     ConfigError,
@@ -315,16 +316,6 @@ def _barrier_from_config(cfg, path="barrier"):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _is_real(v):
-    """v is a JSON number, not a bool, and a finite float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:       # an int past the float range
-        return False
-
-
 def _integral(v, path, least):
     """A config count: an integral number >= least, as int."""
     if not (_is_real(v) and v == int(v) and v >= least):
@@ -532,6 +523,8 @@ def cmd_probe(cfg, out_dir, args):
     init = _state_from_config(cfg["init"], "init")
     det = _state_from_config(cfg["detector"], "detector")
     times = _grid_from_config(cfg["times"], "times")
+    if np.any(times < 0):
+        raise ConfigError("times: expected finite numbers >= 0")
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -389,8 +389,36 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             barrier_from_dict(bad)
 
+    @pytest.mark.parametrize("bad, key", [
+        ({"kind": "delta", "v0": math.nan}, "barrier.v0"),
+        ({"kind": "delta", "v0": math.inf}, "barrier.v0"),
+        ({"kind": "delta", "v0": 10 ** 400}, "barrier.v0"),
+        ({"kind": "delta", "v0": True}, "barrier.v0"),
+        ({"kind": "delta", "v0": "2"}, "barrier.v0"),
+        ({"kind": "poschl_teller", "v0": 1.0, "s": True}, "barrier.s"),
+        ({"kind": "numeric", "table": [[-2, 0], [-1, 0.5], [0, True], [1, 0.5], [2, 0]]},
+         "barrier.table"),
+        ({"kind": "eikonal", "table": [[-2, 0], [-1, 0.5], [0, "1"], [1, 0.5], [2, 0]]},
+         "barrier.table"),
+    ], ids=["nan", "inf", "big_int", "v0_bool", "v0_string", "s_bool", "table_bool",
+            "table_string"])
+    def test_numbers_must_be_finite_reals(self, bad, key):
+        with pytest.raises(ValueError, match=f"^{key}: expected"):
+            barrier_from_dict(bad)
+
     def test_s_matrix_unitary(self):
         for bar in (DeltaBarrier(2.0), PoschlTellerBarrier(1.0, 0.4)):
             sm = bar.s_matrix(0.9).as_matrix()
             ident = sm @ sm.conj().T
             assert np.max(np.abs(ident - np.eye(2))) < 1e-12
+
+
+class TestSupport:
+    def test_each_kind_reaches(self):
+        assert DeltaBarrier(2.0).support() == (0.0, 0.0)
+        pt = PoschlTellerBarrier(1.2, 0.4)
+        front, far = pt.support()
+        assert (front, far) == (-6.0 * 0.4, 6.0 * 0.4)
+        assert pt.potential(far) < 2.5e-5 * pt.v0 ** 2
+        q = np.linspace(-1.0, 3.0, 9)
+        assert NumericBarrier(q, np.exp(-(q - 1.0) ** 2)).support() == (-1.0, 3.0)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -170,6 +171,28 @@ def test_malformed_config_number_is_config_error(tmp_path, capsys, command, cfg,
     path = write_cfg(tmp_path, "c.json", {**base, **cfg})
     assert run([command, "--config", path, "--out", tmp_path / "out", *extra]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
+
+
+TABLE_WITH = '[[-2, 0], [-1, 0.5], [0, %s], [1, 0.5], [2, 0]]'
+
+
+@pytest.mark.parametrize("barrier, key", [
+    ('{"kind": "delta", "v0": NaN}', "barrier.v0"),
+    ('{"kind": "delta", "v0": Infinity}', "barrier.v0"),
+    ('{"kind": "delta", "v0": 1e400}', "barrier.v0"),
+    ('{"kind": "delta", "v0": true}', "barrier.v0"),
+    ('{"kind": "poschl_teller", "v0": 1.0, "s": true}', "barrier.s"),
+    ('{"kind": "numeric", "table": %s}' % (TABLE_WITH % "true"), "barrier.table"),
+    ('{"kind": "numeric", "table": %s}' % (TABLE_WITH % '"1"'), "barrier.table"),
+], ids=["v0_nan", "v0_infinity", "v0_overflow", "v0_bool", "s_bool", "table_bool",
+        "table_string"])
+def test_barrier_number_is_config_error(tmp_path, capsys, barrier, key):
+    # each once ran, as nan rows or as 1.0
+    path = tmp_path / "c.json"
+    path.write_text('{"barrier": %s, "kappa_grid": {"min": 0.5, "max": 1.0, "n": 3}}' % barrier)
+    assert run(["amplitudes", "--config", path, "--out", tmp_path / "out"]) == 2
+    assert f"{key}: expected" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []
 
 
 # run in a fresh interpreter: import the CLI, run the command given as JSON
@@ -469,16 +492,39 @@ class TestEvolveCommand:
             report["predicted_transmitted"], rel=1e-3)
 
     def test_warnings_go_to_mass_accounting(self, tmp_path):
-        # at t = 25 the slowest momenta of the packet have not passed the
-        # barrier, which the propagator warns of once per time
+        # at t = 25 about a tenth of the packet's free paths have not passed
+        # the barrier, which the propagator warns of once for that time
         cfg = write_cfg(tmp_path, "e.json", FLAG_CONFIGS["evolve"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "mass_accounting.json").read_text())
         assert len(report["warnings"]) == 1
-        assert report["warnings"][0].startswith(
-            "slowest support has not classically cleared the barrier region")
+        assert re.fullmatch(r"0\.\d+ of the incident mass has not classically cleared the "
+                            r"barrier by t = 25; the asymptotic propagator is approximate here",
+                            report["warnings"][0])
+
+    @pytest.mark.parametrize("offset", [-10.0, 10.0], ids=["before", "after"])
+    def test_not_cleared_warning_measures_the_share_behind(self, tmp_path, offset):
+        # the share of |rho| on p > 0 whose free path q + 2pt is short of the
+        # delta's far edge 0: above 1e-3 at t* - 10, below it at t* + 10
+        state = ev.GaussianState(-40.0, 1.0, 25.0)
+        t = round(ev.arrival_time_estimate(state, ev.GaussianState(40.0, 1.0, 25.0),
+                                           DeltaBarrier(2.0)) + offset, 3)
+        cfg = write_cfg(tmp_path, "e.json", dict(FLAG_CONFIGS["evolve"], times=[t]))
+        assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "mass_accounting.json").read_text())
+        q, p = np.linspace(-150.0, 110.0, 200), np.linspace(-1.9, 1.9, 41)
+        rho = np.abs(ev.gaussian_to_grid(state, q, p).values[:, p > 0])
+        share = np.sum(rho[q[:, None] + 2.0 * p[p > 0] * t < 0.0]) / np.sum(rho)
+        if offset > 0:
+            assert share < 1e-3
+            assert report["warnings"] == []
+        else:
+            assert share > 1e-3
+            assert report["warnings"] == [
+                f"{share:.2g} of the incident mass has not classically cleared the barrier "
+                f"by t = {t:g}; the asymptotic propagator is approximate here"]
 
     def test_include_interference_must_be_a_bool(self, tmp_path, capsys, monkeypatch):
         # the string "false" once turned interference on; true, false and an
@@ -678,6 +724,13 @@ class TestProbeCommand:
         arrival = json.loads((tmp_path / "arrival.json").read_text())
         assert arrival["warnings"] == expected
 
+    def test_negative_times_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "p.json", dict(
+            FLAG_CONFIGS["probe"], times={"min": -10.0, "max": 10.0, "n": 3}))
+        assert run(["probe", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "config error: times" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
     def test_one_detection_call_over_all_times(self, tmp_path, monkeypatch):
         calls = []
 
@@ -710,18 +763,23 @@ class TestValidateCommand:
         assert report["n_failed"] == 0
         assert report["warnings"] == []
 
-    def test_warnings_go_to_report(self, tmp_path):
-        # the fast gaussian_master grids warn that the slowest momenta have
-        # not cleared the barrier; the report records it and nothing is shown
-        cfg = write_cfg(tmp_path, "v.json", {"suites": ["gaussian_master"], "fast": True})
+    def test_warnings_go_to_report(self, tmp_path, monkeypatch):
+        # the fast suites raise no warnings, so a suite that does stands in:
+        # the report records each distinct message once, in first-seen
+        # order, and nothing is shown
+        def noisy(fast):
+            for message in ("first", "second", "first"):
+                warnings.warn(message)
+            return [wt_validate._record("noisy", 0.0, 1.0)]
+
+        monkeypatch.setitem(wt_validate.SUITES, "noisy", noisy)
+        cfg = write_cfg(tmp_path, "v.json", {"suites": ["noisy"], "fast": True})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["validate", "--config", cfg, "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "validate_report.json").read_text())
-        assert report["warnings"]
-        assert all(w.startswith("slowest support has not classically cleared the barrier")
-                   for w in report["warnings"])
-        assert len(set(report["warnings"])) == len(report["warnings"])
+        assert report["passed"]
+        assert report["warnings"] == ["first", "second"]
 
     @pytest.mark.parametrize("payload", [
         {"suites": ["unitarty"]}, {"suites": "unitarity"}, {"suites": [1]},

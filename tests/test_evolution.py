@@ -197,6 +197,16 @@ class TestBarrierPropagate:
         _, kr = kernel_by_quadrature(bar, p, np.linspace(r_lo, r_hi, 321), which="R")
         assert kr.integrated() == pytest.approx(abs(bar.ba_ratio(p)) ** 2, rel=1e-4)
 
+    @pytest.mark.parametrize("bar, r_lo", [
+        (DeltaBarrier(2.0), 0.0),
+        (PoschlTellerBarrier(1.0, 0.4), -6.0 * 0.4),
+        (_sech2_table(), -4.0)], ids=["delta", "poschl_teller", "table"])
+    def test_kernel_ranges_per_kind(self, bar, r_lo):
+        # R lags start at 0 for delta, at the smooth tail -6 s for
+        # Poschl-Teller and at twice a table's front edge
+        decay = 1.0 / (2.0 * abs(barriers.find_poles(bar, 1)[0].kappa.imag))
+        assert _kernel_ranges(bar) == (12.0 * decay, r_lo)
+
     def test_rounded_zero_momentum_node_is_zero(self):
         # linspace puts the middle node at -2.2e-16; at P = 0.958 the row
         # mirrored onto it clears the 1e-10 floor, and treated as a
@@ -542,6 +552,26 @@ class TestArrivalTime:
         expect = (80.0 - dphi) / 2.0
         assert t == pytest.approx(expect, rel=1e-9)
         assert t > 40.0    # the barrier delays the arrival
+
+    @pytest.mark.parametrize("bar", [DeltaBarrier(2.0), PoschlTellerBarrier(1.0, 0.4)],
+                             ids=["delta", "poschl_teller"])
+    def test_one_amplitude_call_per_phase(self, bar):
+        amplitude_a, calls = bar.amplitude_a, []
+
+        def spy(k):
+            calls.append(k)
+            return amplitude_a(k)
+
+        bar.amplitude_a = spy
+        t = arrival_time_estimate(_incident(), GaussianState(40.0, 1.0, 25.0), bar)
+        assert len(calls) == 4
+
+        def phi(k):   # the two-call phase it replaced, at P+ = 1 and h = 1e-5
+            return math.atan2(amplitude_a(k).imag, amplitude_a(k).real)
+
+        d1 = (phi(1.0 + 1e-5) - phi(1.0 - 1e-5)) / 2e-5
+        d2 = (phi(1.0 + 0.5e-5) - phi(1.0 - 0.5e-5)) / 1e-5
+        assert t == (80.0 - (4.0 * d2 - d1) / 3.0) / 2.0
 
     def test_zero_momentum_rejected(self):
         with pytest.raises(ZeroDivisionError):
