@@ -403,6 +403,15 @@ def cmd_amplitudes(cfg, out_dir, args):
 _KERNEL_METHODS = ("quadrature", "residues", "closed", "semiclassical", "all")
 
 
+def _check_method(barrier, method):
+    """Fail fast, before any work, when ``method`` cannot serve ``barrier``."""
+    if method == "residues" and not barrier.is_meromorphic:
+        raise NonMeromorphicError("eikonal amplitude has a branch point; no pole expansion")
+    if method == "closed" and not isinstance(barrier, (_b.DeltaBarrier, _b.PoschlTellerBarrier)):
+        raise MethodCompatibilityError(
+            "closed-form kernels exist for delta and poschl_teller only")
+
+
 def _kernel_one_method(barrier, method, p, r_grid, n_poles, tol):
     if method == "quadrature":
         kt, kr = _k.kernel_by_quadrature(barrier, p, r_grid, tol=tol)
@@ -411,9 +420,6 @@ def _kernel_one_method(barrier, method, p, r_grid, n_poles, tol):
         kt = _k.kernel_by_residues(barrier, p, r_grid, n_poles)
         return kt.density, np.full_like(r_grid, np.nan), kt.truncation_error, None
     if method == "closed":
-        if not isinstance(barrier, (_b.DeltaBarrier, _b.PoschlTellerBarrier)):
-            raise MethodCompatibilityError(
-                "closed-form kernels exist for delta and poschl_teller only")
         t_d, r_d = _k.kernel_row(barrier, p, r_grid)   # reads r = 0 as 0+
         return t_d, r_d, np.zeros_like(r_grid), None
     if method == "semiclassical":
@@ -445,6 +451,8 @@ def cmd_kernel(cfg, out_dir, args):
     tol = float(tol)
 
     methods = ["quadrature", "residues", "closed"] if method == "all" else [method]
+    for m in methods:
+        _check_method(barrier, m)
     t_rows = []
     for m in methods:
         t_d, r_d, trunc, flags = _kernel_one_method(barrier, m, p, r_grid,
@@ -477,6 +485,11 @@ def cmd_evolve(cfg, out_dir, args):
     state = _state_from_config(cfg["state"], "state")
     q_axis = _grid_from_config(cfg["q_axis"], "q_axis", n_min=8)
     p_axis = _grid_from_config(cfg["p_axis"], "p_axis", n_min=8)
+    for path, axis in (("q_axis", q_axis), ("p_axis", p_axis)):
+        try:
+            ev._check_axis(path, axis, n_min=8)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     times = _times_from_config(cfg["times"], "times")
     interference = cfg.get("include_interference", False)
     if not isinstance(interference, bool):
@@ -487,6 +500,10 @@ def cmd_evolve(cfg, out_dir, args):
             "identically 0 while |a|^-2 < 1 below the top, so the reflected sector is empty")
 
     grid0 = ev.gaussian_to_grid(state, q_axis, p_axis)
+    try:
+        ev._check_incident(grid0)
+    except ValueError as exc:
+        raise ConfigError(f"state: {exc}") from exc
     marg = grid0.momentum_marginal()
     pos = p_axis > 0
     t_of_p = np.array([_k.total_probabilities(barrier, pp)[0] for pp in p_axis[pos]])

@@ -53,6 +53,26 @@ __all__ = [
 ]
 
 
+def _check_axis(name, ax, n_min=4):
+    """ValueError naming ``name`` unless ax is 1D with >= n_min uniform
+    ascending points."""
+    if ax.ndim != 1 or len(ax) < n_min:
+        raise ValueError(f"{name}: expected a 1D axis of >= {n_min} points")
+    steps = np.diff(ax)
+    if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
+        raise ValueError(f"{name}: expected uniform ascending values")
+
+
+def _check_incident(grid):
+    """ValueError unless the grid holds a state incident from the left: not
+    all zero, and its |values| at p <= 0 sum to at most 1e-9 of the total."""
+    tot_mass = float(np.sum(np.abs(grid.values)))
+    if tot_mass == 0:
+        raise ValueError("empty state")
+    if float(np.sum(np.abs(grid.values[:, grid.p <= 0]))) > 1e-9 * tot_mass:
+        raise ValueError("initial support must lie on p > 0 (incident from the left)")
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """Sampled quasi-distribution on uniform rectangular axes.
@@ -68,12 +88,8 @@ class WignerGrid:
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        for name, ax in (("q", q), ("p", p)):
-            if ax.ndim != 1 or len(ax) < 4:
-                raise ValueError(f"{name} axis must be 1D with >= 4 points")
-            steps = np.diff(ax)
-            if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
-                raise ValueError(f"{name} axis must be uniform ascending")
+        _check_axis("q axis", q)
+        _check_axis("p axis", p)
         if v.shape != (len(q), len(p)):
             raise ValueError("values shape must be (len(q), len(p))")
         object.__setattr__(self, "q", q)
@@ -125,12 +141,16 @@ class GaussianState:
         return float(f_q * f_p)
 
 
-def gaussian_to_grid(state, q_axis, p_axis, coverage_tol=1e-6):
+# gaussian_to_grid's largest mass share of the state off the grid
+_COVERAGE_TOL = 1e-6
+
+
+def gaussian_to_grid(state, q_axis, p_axis):
     """Sample a Gaussian state; errors out if it leaks off the grid."""
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     inside = state.mass_inside(q_axis[0], q_axis[-1], p_axis[0], p_axis[-1])
-    if 1.0 - inside > coverage_tol:
+    if 1.0 - inside > _COVERAGE_TOL:
         sq = math.sqrt(state.lam / 2.0)
         sp = math.sqrt(0.5 / state.lam)
         raise GridCoverageError(
@@ -203,7 +223,11 @@ def _resample_rows(grid, shifts):
                             for j, shift in enumerate(shifts)])
 
 
-def free_propagate(grid, t, mass_tol=1e-8):
+# free_propagate's largest relative mass change under the shear
+_MASS_TOL = 1e-8
+
+
+def free_propagate(grid, t):
     """Exact free shear q -> q + 2 p t, resampled onto the original axes."""
     if t < 0:
         raise ValueError("free propagation requires t >= 0")
@@ -211,7 +235,7 @@ def free_propagate(grid, t, mass_tol=1e-8):
         return WignerGrid(grid.q, grid.p, grid.values.copy())
     out = _resample_rows(grid, 2.0 * t * grid.p)
     m0, m1 = grid.mass(), float(np.trapezoid(np.trapezoid(out, grid.p, axis=1), grid.q))
-    if abs(m1 - m0) > mass_tol * max(abs(m0), 1e-300):
+    if abs(m1 - m0) > _MASS_TOL * max(abs(m0), 1e-300):
         span = 2.0 * t * float(np.max(np.abs(grid.p)))
         raise GridCoverageError(
             f"free shear lost mass {m1 - m0:.3e} (support left the grid)",
@@ -264,12 +288,7 @@ def barrier_propagate(grid, barrier, t, include_interference=False):
         raise ValueError("barrier propagation requires t >= 0")
     if len(times) == 0:
         return []
-    neg_mass = float(np.sum(np.abs(grid.values[:, grid.p <= 0])))
-    tot_mass = float(np.sum(np.abs(grid.values)))
-    if tot_mass == 0:
-        raise ValueError("empty state")
-    if neg_mass > 1e-9 * tot_mass:
-        raise ValueError("initial support must lie on p > 0 (incident from the left)")
+    _check_incident(grid)
     if barrier.integral_strength() == 0.0:
         # vanishing potential: both kernels collapse to the free spike
         outs = [free_propagate(grid, tk) for tk in times]
@@ -615,7 +634,11 @@ def _warn_if_barrier_overlap(init, det, barrier):
                           "detection assumes well-separated packets", stacklevel=3)
 
 
-def arrival_time_estimate(init, det, barrier, rel_step=1e-5):
+# arrival_time_estimate's phase-derivative step, relative to P+
+_PHASE_STEP = 1e-5
+
+
+def arrival_time_estimate(init, det, barrier):
     """Stationary-phase arrival time of the transmitted packet.
 
     t* = (Q_d - Q_0 - phi'(P+)) / (2 P+), phi = arg a, with the
@@ -625,7 +648,7 @@ def arrival_time_estimate(init, det, barrier, rel_step=1e-5):
     P_plus = (l0 * init.P + ld * det.P) / (l0 + ld)
     if P_plus == 0:
         raise ZeroDivisionError("arrival estimate undefined at P+ = 0")
-    h = rel_step * abs(P_plus)
+    h = _PHASE_STEP * abs(P_plus)
 
     def phi(k):
         return cmath.phase(barrier.amplitude_a(k))

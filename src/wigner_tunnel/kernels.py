@@ -123,48 +123,38 @@ def _sigma_scales(barrier, p):
     return fs, max(64.0 * fs, 16.0 * p + 32.0 * barrier.kappa_scale())
 
 
-def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7, which="TR"):
-    """Transmission and reflection kernels by oscillatory quadrature.
+def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7):
+    """Transmission and reflection kernels by one oscillatory quadrature.
 
-    The transmission integrand is taken as 1/(a+ a-) - 1 so the constant
-    part carries the free delta spike exactly. The reflection integrand is
+    Both integrands take a and b at sigma/2 +- p from one
+    ``Barrier.amplitudes`` call per side, over one node set. The
+    transmission integrand is 1/(a+ a-) - 1 so the constant part carries
+    the free delta spike exactly. The reflection integrand is
     rho(sigma/2 + p) rho(sigma/2 - p) with rho = -conj(b)/a, the amplitude
     of a wave incident from the left (``Barrier.reflection_lr``), so even
-    and asymmetric barriers share one route. ``which`` names the kernels
-    to compute ("T", "R" or "TR"); a kernel not asked for is returned as
-    None. A kernel whose error estimate exceeds ``tol`` comes back with a
-    RuntimeWarning naming both numbers.
+    and asymmetric barriers share one route. A kernel whose error estimate
+    exceeds ``tol`` comes back with a RuntimeWarning naming both numbers.
     """
     if p <= 0:
         raise ValueError("kernel quadrature requires p > 0")
-    if which not in ("T", "R", "TR"):
-        raise ValueError(f"which must be 'T', 'R' or 'TR', not {which!r}")
     r_grid = np.asarray(r_grid, dtype=float)
     fs, sigma0 = _sigma_scales(barrier, p)
-    kd_t = kd_r = None
 
-    if "T" in which:
-        def g_t(sig):
-            a_plus = barrier.amplitude_a(0.5 * sig + p)
-            a_minus = barrier.amplitude_a(0.5 * sig - p)
-            return 1.0 / (a_plus * a_minus) - 1.0
+    def g(sig):
+        a_plus, b_plus = barrier.amplitudes(0.5 * sig + p)
+        a_minus, b_minus = barrier.amplitudes(0.5 * sig - p)
+        inv = 1.0 / (a_plus * a_minus)
+        return np.stack([inv - 1.0, np.conj(b_plus * b_minus) * inv])
 
-        t_vals, t_err = fourier_symmetric(g_t, r_grid, feature_scale=fs,
-                                          c1=-2j * barrier.integral_strength(),
-                                          tol=tol, sigma0=sigma0)
-        kd_t = KernelDensity(r_grid, t_vals, 1.0, "quadrature", t_err)
-
-    if "R" in which:
-        def g_r(sig):
-            return barrier.reflection_lr(0.5 * sig + p) * barrier.reflection_lr(0.5 * sig - p)
-
-        # b falls off at least like 1/sigma, so the product has no 1/sigma tail;
-        # rho(-kappa) = conj(rho(kappa)) keeps g_r(-sigma) = conj(g_r(sigma))
-        r_vals, r_err = fourier_symmetric(g_r, r_grid, feature_scale=fs,
-                                          c1=0.0, tol=tol, sigma0=sigma0)
-        kd_r = KernelDensity(r_grid, r_vals, 0.0, "quadrature", r_err)
+    # b falls off at least like 1/sigma, so R's integrand has no 1/sigma tail;
+    # rho(-kappa) = conj(rho(kappa)) keeps it reflection-symmetric
+    vals, errs = fourier_symmetric(g, r_grid, feature_scale=fs,
+                                   c1=[-2j * barrier.integral_strength(), 0.0],
+                                   tol=tol, sigma0=sigma0)
+    kd_t = KernelDensity(r_grid, vals[0], 1.0, "quadrature", float(errs[0]))
+    kd_r = KernelDensity(r_grid, vals[1], 0.0, "quadrature", float(errs[1]))
     for name, kd in (("T", kd_t), ("R", kd_r)):
-        if kd is not None and kd.error_estimate > tol:
+        if kd.error_estimate > tol:
             warnings.warn(f"{name} kernel error estimate {kd.error_estimate:.3g} exceeds "
                           f"tol {tol:.3g} at p = {p:.6g}", RuntimeWarning, stacklevel=2)
     return kd_t, kd_r
@@ -410,12 +400,12 @@ def kernel_row(barrier, p0, r_vals):
 
     Each barrier gets its fastest exact route: the delta closed form; the
     4F3 series for Poschl-Teller, interpolated with no quadrature across the
-    band |r| <= PT_SERIES_RMIN_FACTOR * s (``_pt_row``); Fourier quadrature
-    for every other barrier. T is exactly 0 at r < 0 for every barrier
-    (causality). Lags in [0, ZERO_LAG] stand in for r = 0+: there T is the
-    exact jump -2w, w the integral of V (the 1/sigma tail -2iw/sigma of
-    1/(a+ a-) - 1 fixes it), and those lags are left out of the series and
-    quadrature calls for T. Both kernels always come back.
+    band |r| <= PT_SERIES_RMIN_FACTOR * s (``_pt_row``); for every other
+    barrier one Fourier quadrature of both kernels over every lag. T is
+    exactly 0 at r < 0 for every barrier (causality). Lags in [0, ZERO_LAG]
+    stand in for r = 0+: there T is the exact jump -2w, w the integral of V
+    (the 1/sigma tail -2iw/sigma of 1/(a+ a-) - 1 fixes it), and those lags
+    are left out of the series call for T. Both kernels always come back.
     """
     r_vals = np.asarray(r_vals, dtype=float)
     spike = (r_vals >= 0.0) & (r_vals <= ZERO_LAG)
@@ -424,12 +414,8 @@ def kernel_row(barrier, p0, r_vals):
     elif isinstance(barrier, _b.PoschlTellerBarrier):
         t_dens, r_dens = _pt_row(barrier, p0, r_vals)
     else:
-        t_dens = np.zeros_like(r_vals)
-        t_lags = r_vals > ZERO_LAG
-        if np.any(t_lags):
-            quad = kernel_by_quadrature(barrier, p0, r_vals[t_lags], which="T")
-            t_dens[t_lags] = quad[0].density
-        r_dens = kernel_by_quadrature(barrier, p0, r_vals, which="R")[1].density
+        t_dens, r_dens = (kd.density for kd in kernel_by_quadrature(barrier, p0, r_vals))
+        t_dens[r_vals < 0.0] = 0.0
     t_dens[spike] = -2.0 * barrier.integral_strength()
     return t_dens, r_dens
 

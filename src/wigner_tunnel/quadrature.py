@@ -47,18 +47,20 @@ def _phases(sigma, r_grid):
 
 
 def _refined_panels(fun, sigma_hi, r_grid, feature_scale, tol):
-    """Real part of the integral of fun(s) e^{-i s r} over [0, sigma_hi],
-    refined in GL order.
+    """Real parts of the integrals of fun(s) e^{-i s r} over [0, sigma_hi],
+    refined in GL order: one row of values and one estimate per component
+    of fun (one for a 1-D fun).
 
     Every node is s = m_j + h x_k, with m_j the panel midpoints, h the half
     panel width and x_k the order's abscissae, so
-    e^{-i s r} = e^{-i m_j r} e^{-i h x_k r}. Each order multiplies the
-    (panels x order) block of w g by the (order x lags) table
+    e^{-i s r} = e^{-i m_j r} e^{-i h x_k r}. Each order multiplies each
+    component's (panels x order) block of w g by the (order x lags) table
     e^{-i h x_k r}, and reduces the (panels x lags) product against the
     panel phases e^{-i m_j r}. A block of panels holds at most _PHASE_BLOCK
     entries (or one panel, at more lags than that), so no temporary grows
     with the number of lags; when the whole panel-phase table fits in one
-    block it is built once and shared by every order.
+    block it is built once and shared by every order. A component keeps the
+    first order within tol of the last, and refinement stops when all have.
     """
     r_max = max(float(np.max(np.abs(r_grid))), 1e-12)
     panel_len = min(np.pi / (2.0 * r_max), feature_scale / 4.0)
@@ -66,37 +68,40 @@ def _refined_panels(fun, sigma_hi, r_grid, feature_scale, tol):
     mids, half = _panels(0.0, sigma_hi, n_panels)
     step = max(1, _PHASE_BLOCK // len(r_grid))
     shared = _phases(mids, r_grid) if step >= n_panels else None
-    prev, err = None, np.inf
+    vals = None
     for order in _ORDERS:
         x, w = _gl(order)
-        wg = (half * w) * np.asarray(fun((mids[:, None] + half * x).ravel())
-                                     ).reshape(n_panels, order)
+        wg = np.asarray(fun((mids[:, None] + half * x).ravel())).reshape(-1, n_panels, order)
+        wg *= half * w
+        if vals is None:
+            vals, errs = np.zeros((len(wg), len(r_grid))), np.full(len(wg), np.inf)
+        live = np.flatnonzero(~(errs < tol))
         local = _phases(half * x, r_grid)
-        vals = np.zeros(len(r_grid))
+        new = np.zeros((len(wg), len(r_grid)))
         for lo in range(0, n_panels, step):
-            block = wg[lo:lo + step] @ local
-            block *= shared if shared is not None else _phases(mids[lo:lo + step], r_grid)
-            vals += block.sum(axis=0).real
-        if prev is not None:
-            err = float(np.max(np.abs(vals - prev)))
-            if err < tol:
-                return vals, err
-        prev = vals
-    return vals, err
+            phases = shared if shared is not None else _phases(mids[lo:lo + step], r_grid)
+            for c in live:
+                new[c] += (wg[c, lo:lo + step] @ local * phases).sum(axis=0).real
+        if order != _ORDERS[0]:
+            errs[live] = np.max(np.abs(new[live] - vals[live]), axis=1)
+        vals[live] = new[live]
+        if np.all(errs < tol):
+            break
+    return vals, errs
 
 
 def _grow_cutoff(probe, sigma0, tol, sigma_cap):
-    """(cutoff, probe(cutoff)): from sigma0 the cutoff doubles until probe's
-    last entry, the tail estimate, is below tol/2, the next step would pass
-    sigma_cap, or the estimate hits the rounding-noise floor (doubling cuts
-    it by less than 30%)."""
+    """(cutoff, probe(cutoff)): from sigma0 the cutoff doubles while some
+    component's tail estimate, in probe's last entry, is at least tol/2 and
+    fell by 30% or more at the doubling (less is the rounding-noise floor),
+    and the next step stays within sigma_cap."""
     sigma = float(sigma0)
     est = probe(sigma)
     for _ in range(24):
-        if est[-1] < 0.5 * tol or sigma * 2.0 > sigma_cap:
+        if np.all(est[-1] < 0.5 * tol) or sigma * 2.0 > sigma_cap:
             break
         nxt = probe(sigma * 2.0)
-        if nxt[-1] >= 0.7 * est[-1]:
+        if np.all((est[-1] < 0.5 * tol) | (nxt[-1] >= 0.7 * est[-1])):
             break
         sigma, est = sigma * 2.0, nxt
     return sigma, est
@@ -106,33 +111,37 @@ def fourier_symmetric(gfun, r_grid, *, feature_scale, c1, sigma0, tol=5e-7,
                       sigma_cap=2.0e5):
     """(1/2pi) * integral over the whole line of g(sigma) e^{-i sigma r}.
 
-    Requires the reflection symmetry g(-sigma) = conj(g(sigma)) (so the
+    g is one integrand with a scalar ``c1``, or one row per component with
+    one ``c1`` each; components share the nodes and the cutoff. Each
+    requires the reflection symmetry g(-sigma) = conj(g(sigma)) (so the
     result is real) and an algebraic tail g ~ c1/sigma + c2/sigma^2 with
     the exact, purely imaginary c1 and a real c2, fitted at the cutoff,
-    which doubles from ``sigma0``. Returns (values, error_estimate)
-    aligned with ``r_grid``.
+    which doubles from ``sigma0``. Returns (values, error_estimate) aligned
+    with ``r_grid``, or a row of values and an estimate per component.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     lam = float(feature_scale)
-    c1 = complex(c1)
+    c1s = np.asarray(c1, dtype=complex).reshape(-1, 1)
+
+    def rows(s):
+        return np.asarray(gfun(s), dtype=complex).reshape(len(c1s), -1)
 
     def probe(sig):
         """Fit the c1/s + c2/s^2 + c3/s^3 tail and bound what remains."""
         probes = sig * np.array([1.0, 1.27, 1.55, 1.83, 2.11])
-        gp = np.asarray(gfun(probes), dtype=complex)
-        g1p = gp - c1 * probes / (probes ** 2 + lam ** 2)
-        c2_e = float(np.mean((probes ** 2 * g1p).real))
+        g1p = rows(probes) - c1s * probes / (probes ** 2 + lam ** 2)
+        c2_e = np.mean((probes ** 2 * g1p).real, axis=1, keepdims=True)
         g2p = g1p - c2_e / (probes ** 2 + lam ** 2)
-        c3_e = 1j * float(np.mean((probes ** 3 * g2p).imag))
+        c3_e = 1j * np.mean((probes ** 3 * g2p).imag, axis=1, keepdims=True)
         g3p = g2p - c3_e * probes / (probes ** 2 + lam ** 2) ** 2
-        e4 = float(np.max(np.abs(probes ** 4 * g3p)))
+        e4 = np.max(np.abs(probes ** 4 * g3p), axis=1, keepdims=True)
         return c2_e, c3_e, e4 / (3.0 * np.pi * sig ** 3)
 
     sigma, (c2, c3, tail_err) = _grow_cutoff(probe, sigma0, tol, sigma_cap)
 
     def g3(s):
-        return (np.asarray(gfun(s), dtype=complex)
-                - c1 * s / (s ** 2 + lam ** 2)
+        return (rows(s)
+                - c1s * s / (s ** 2 + lam ** 2)
                 - c2 / (s ** 2 + lam ** 2)
                 - c3 * s / (s ** 2 + lam ** 2) ** 2)
 
@@ -143,10 +152,11 @@ def fourier_symmetric(gfun, r_grid, *, feature_scale, c1, sigma0, tol=5e-7,
     core = core / np.pi
 
     decay = np.exp(-lam * np.abs(r_grid))
-    closed = (0.5 * c1.imag * np.sign(r_grid) * decay
+    closed = (0.5 * c1s.imag * np.sign(r_grid) * decay
               + 0.5 * c2 * decay / lam
               + 0.25 * c3.imag * r_grid * decay / lam)
-    return core + closed, core_err / np.pi + tail_err
+    vals, errs = core + closed, core_err / np.pi + tail_err[:, 0]
+    return (vals[0], float(errs[0])) if np.ndim(c1) == 0 else (vals, errs)
 
 
 def adaptive_complex_quad(f, a, b, tol=1e-9, max_depth=40):

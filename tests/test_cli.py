@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -413,6 +414,21 @@ class TestKernelCommand:
             "method": "residues"})
         assert run(["kernel", "--config", cfg, "--out", tmp_path]) == 3
 
+    @pytest.mark.parametrize("kind", ["eikonal", "numeric"])
+    def test_method_all_checks_every_method_first(self, tmp_path, capsys, monkeypatch, kind):
+        # an eikonal table has no residues and no table a closed form, so
+        # "all" exits 3 before the quadrature runs and writes no file
+        monkeypatch.setattr(cli._k, "kernel_by_quadrature",
+                            mock.Mock(side_effect=AssertionError("quadrature ran")))
+        cfg = write_cfg(tmp_path, "k.json", {
+            "barrier": {"kind": kind,
+                        "table": [[-2, 0], [-1, 0.5], [0, 1], [1, 0.5], [2, 0]]},
+            "p": 1.0, "r_grid": {"min": 0.1, "max": 2.0, "n": 5}})
+        out = tmp_path / "out"
+        assert run(["kernel", "--config", cfg, "--out", out, "--method", "all"]) == 3
+        assert "incompatible method" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_numeric_quadrature_matches_pt_closed_form(self, tmp_path):
         # a 41-row sech^2 table on [-2, 2] samples the PT barrier (1.0, 0.4);
         # the Fourier quadrature needs amplitudes out to kappa of a few hundred
@@ -640,6 +656,26 @@ class TestEvolveCommand:
         assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 3
         err = capsys.readouterr().err
         assert "evolve" in err and "eikonal" in err
+
+    @pytest.mark.parametrize("key, entry", [
+        ("state", {"state": {"Q": -40.0, "P": -1.0, "lambda": 25.0}}),
+        ("q_axis", {"q_axis": {"values": [-150, -100, -60, -40, -20, 0, 50, 110]}}),
+        ("q_axis", {"q_axis": {"values": [110, 50, 0, -20, -40, -60, -100, -150]}}),
+        ("p_axis", {"p_axis": {"values": [0.5, 1.0, 1.5]}}),
+    ], ids=["negative_momentum", "nonuniform", "descending", "too_few"])
+    def test_bad_state_or_axis_is_config_error(self, tmp_path, capsys, key, entry):
+        # a packet reaching p <= 0, or an axis the grid cannot take
+        payload = delta_cfg({
+            "state": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+            "q_axis": {"min": -150.0, "max": 110.0, "n": 200},
+            "p_axis": {"min": -1.9, "max": 1.9, "n": 41},
+            "times": [25.0]})
+        payload.update(entry)
+        out = tmp_path / "out"
+        assert run(["evolve", "--config", write_cfg(tmp_path, "e.json", payload),
+                    "--out", out]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("times", [40, "40", [-5.0], [None]],
                              ids=["number", "string", "negative", "null"])

@@ -194,7 +194,7 @@ class TestBarrierPropagate:
         # the early reflection of a smooth table lies at r < 0
         bar, p = _sech2_table(), 1.0
         r_hi, r_lo = _kernel_ranges(bar)
-        _, kr = kernel_by_quadrature(bar, p, np.linspace(r_lo, r_hi, 321), which="R")
+        _, kr = kernel_by_quadrature(bar, p, np.linspace(r_lo, r_hi, 321))
         assert kr.integrated() == pytest.approx(abs(bar.ba_ratio(p)) ** 2, rel=1e-4)
 
     @pytest.mark.parametrize("bar, r_lo", [

@@ -122,8 +122,7 @@ class TestQuadratureRoute:
         # 1.9e-7 for every tol from 1e-9 down
         bar = PoschlTellerBarrier(4.17 / 1.2, 1.2)
         with pytest.warns(RuntimeWarning) as record:
-            kt, _ = kernel_by_quadrature(bar, 1.666, [0.01, 0.02, 0.04, 0.06], tol=1e-9,
-                                         which="T")
+            kt, _ = kernel_by_quadrature(bar, 1.666, [0.01, 0.02, 0.04, 0.06], tol=1e-9)
         assert kt.error_estimate > 1e-7
         message = str(record[0].message)
         assert f"{kt.error_estimate:.3g}" in message and "1e-09" in message
@@ -154,8 +153,8 @@ class TestQuadratureRoute:
         c, p = 0.3, 1.0
         bar, shifted = sech2_table(), sech2_table(c)
         r = np.linspace(-4.0, 10.0, 281)
-        _, kr = kernel_by_quadrature(bar, p, r, which="R")
-        _, ks = kernel_by_quadrature(shifted, p, r + 2.0 * c, which="R")
+        _, kr = kernel_by_quadrature(bar, p, r)
+        _, ks = kernel_by_quadrature(shifted, p, r + 2.0 * c)
         assert np.max(np.abs(ks.density - kr.density)) < 1e-6
         total = abs(shifted.ba_ratio(p)) ** 2
         assert ks.integrated() == pytest.approx(total, rel=1e-4)
@@ -171,7 +170,7 @@ class TestQuadratureRoute:
         # the exact 1/sigma tail -2 i w of the integrand fixes T(0+) = -2 w
         w = bar.integral_strength()
         for p in (0.3, 1.0, 1.9):
-            kt, _ = kernel_by_quadrature(bar, p, [1e-12], which="T")
+            kt, _ = kernel_by_quadrature(bar, p, [1e-12])
             assert abs(kt.density[0] + 2.0 * w) < 1e-6
 
     @pytest.mark.parametrize("bar", [
@@ -198,6 +197,28 @@ class TestQuadratureRoute:
         t_d, r_d = kernel_row(bar, 1.0, r)
         assert t_d.tolist() == [0.0, 0.0, 0.0, -2.0 * bar.integral_strength()]
         assert np.all(np.isfinite(r_d)) and np.any(r_d[:3] != 0.0)
+
+    def test_table_row_is_one_quadrature(self):
+        # T and R of a table row share one node set: one kernel_by_quadrature
+        # call and one Fourier quadrature, whose T kernel_row keeps at r > 0
+        bar = NumericBarrier(np.linspace(-1.0, 1.0, 9),
+                             np.array([0.0, 0.8, 0.1, 1.4, 0.0, 0.6, 1.2, 0.3, 0.0]))
+        r = np.linspace(-2.0, 3.0, 21)
+        rows = []
+
+        def quad(*args):
+            rows.append(kernel_by_quadrature(*args))
+            return rows[-1]
+
+        with mock.patch.object(kernels, "kernel_by_quadrature", quad), \
+                mock.patch.object(kernels, "fourier_symmetric",
+                                  wraps=kernels.fourier_symmetric) as fourier:
+            t_d, r_d = kernel_row(bar, 1.0, r)
+        assert len(rows) == 1 and fourier.call_count == 1
+        (kt, kr), = rows
+        assert np.array_equal(r_d, kr.density)
+        assert np.array_equal(t_d[r > 0.0], kt.density[r > 0.0])
+        assert np.all(t_d[r < 0.0] == 0.0) and t_d[r == 0.0] == -2.0 * bar.integral_strength()
 
 
 class TestResidueRoute:
@@ -384,10 +405,14 @@ class TestPoschlTellerClosedForm:
         bar = PoschlTellerBarrier(4.38 / s, s)
         r = np.linspace(-6.0 * s, 12.0 * s, 61)
         _, r_row = kernel_row(bar, p, r)
-        _, kr = kernel_by_quadrature(bar, p, r, tol=1e-10, which="R")
+        # a quadrature of R's integrand alone: T's would cost seconds here
+        fs, sigma0 = kernels._sigma_scales(bar, p)
+        ref, _ = kernels.fourier_symmetric(
+            lambda sig: bar.reflection_lr(0.5 * sig + p) * bar.reflection_lr(0.5 * sig - p),
+            r, feature_scale=fs, c1=0.0, sigma0=sigma0, tol=1e-10)
         far = np.abs(r) >= 0.21
-        peak = np.max(np.abs(kr.density))
-        assert np.max(np.abs(r_row - kr.density)[far]) <= 1e-6 * peak
+        peak = np.max(np.abs(ref))
+        assert np.max(np.abs(r_row - ref)[far]) <= 1e-6 * peak
 
     def test_large_call_is_chunked(self):
         # near the band edge the series needs ~360 terms: 20 000 lags would

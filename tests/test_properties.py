@@ -3,6 +3,7 @@
 import cmath
 import math
 import pickle
+import warnings
 from unittest import mock
 
 import mpmath
@@ -147,19 +148,28 @@ def test_factorised_panel_sum_matches_direct_sum(sigma_hi, r_max, lags, feature_
     assert np.max(np.abs(vals - ref.real)) <= 1e-13 * scale
 
 
-@settings(derandomized, max_examples=8)
-@given(vs=strength, s=st.floats(0.2, 1.0), p=st.floats(0.3, 2.0))
-def test_one_kernel_quadrature_equals_two_kernel_call(vs, s, p):
-    bar = PoschlTellerBarrier(vs / s, s)
-    r = np.linspace(-0.05 * s, 0.05 * s, 5)
-    both_t, both_r = kernel_by_quadrature(bar, p, r)
-    only_t, none_r = kernel_by_quadrature(bar, p, r, which="T")
-    none_t, only_r = kernel_by_quadrature(bar, p, r, which="R")
-    assert none_r is None and none_t is None
-    for one, both in ((only_t, both_t), (only_r, both_r)):
-        assert np.array_equal(one.density, both.density)
-        assert one.error_estimate == both.error_estimate
-        assert one.singular_weight == both.singular_weight
+def test_component_keeps_its_own_quadrature():
+    # a component comes back bit for bit as from a call on it alone when it
+    # sets the shared cutoff (the stalled tail estimate of the first pair
+    # stops at once, the rational one falls to tol at 256) and when it
+    # converges in GL order before the other (the narrow bumps need order 32)
+    r = np.linspace(-1.0, 1.0, 9)
+
+    def stalled(s):
+        return 1e-3j * np.cos(s) * s / (1.0 + s * s)
+
+    def rational(s):
+        return 1.0 / (1.0 + s * s) ** 2
+
+    def bumps(s):
+        return np.exp(-((np.abs(s) - 5.0) / 0.08) ** 2)
+
+    kw = {"feature_scale": 4.0, "sigma0": 4.0, "tol": 1e-7}
+    for g, other in ((rational, stalled), (rational, bumps), (bumps, rational)):
+        vals, errs = quadrature.fourier_symmetric(
+            lambda s: np.stack([g(s), other(s)]), r, c1=[0.0, 0.0], **kw)
+        alone, alone_err = quadrature.fourier_symmetric(g, r, c1=0.0, **kw)
+        assert np.array_equal(vals[0], alone) and errs[0] == alone_err
 
 
 @settings(derandomized, max_examples=12)
@@ -176,12 +186,11 @@ def test_band_reflection_interpolates_quadrature(vs, s, p):
         row_t, _ = kernel_row(bar, p, np.linspace(1e-12, 20.0 * s, 801))
     assert quad.call_count == 0
     past = r > 0.0
-    ref_t, _ = kernel_by_quadrature(bar, p, r[past], tol=1e-11, which="T")
-    assert np.max(np.abs(band_t[past] - ref_t.density)) <= 2e-8 * np.max(np.abs(row_t))
+    ref_t, ref_r = kernel_by_quadrature(bar, p, r, tol=1e-11)
+    assert np.max(np.abs(band_t[past] - ref_t.density[past])) <= 2e-8 * np.max(np.abs(row_t))
     # the early-reflection sum behind R's nodes at r < 0 loses digits on
     # wide barriers (CHANGES.md), so R keeps its bound where it held before
     if vs <= 1.5:
-        _, ref_r = kernel_by_quadrature(bar, p, r, tol=1e-11, which="R")
         assert np.max(np.abs(band_r - ref_r.density)) < 1e-8
 
 
@@ -194,6 +203,53 @@ def _tables(cls):
 
 
 tables = _tables(NumericBarrier)
+
+
+def _check_shared_quadrature(bar, p, r, tol):
+    """T from kernel_by_quadrature's one quadrature of T and R against a
+    quadrature of T's integrand alone: never a larger error estimate, and
+    the same bits when R's tail estimate at T's own cutoff is below tol/2
+    (so R cannot move the shared cutoff)."""
+    fs, sigma0 = kernels._sigma_scales(bar, p)
+    w = bar.integral_strength()
+    grow, grown = quadrature._grow_cutoff, []
+
+    def spy(probe, *args):
+        out = grow(probe, *args)
+        grown.append((probe, out[0]))
+        return out
+
+    def g_t(sig):
+        return 1.0 / (bar.amplitude_a(0.5 * sig + p) * bar.amplitude_a(0.5 * sig - p)) - 1.0
+
+    with mock.patch.object(quadrature, "_grow_cutoff", spy), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kt, _ = kernel_by_quadrature(bar, p, r, tol=tol)
+        alone, alone_err = quadrature.fourier_symmetric(
+            g_t, r, feature_scale=fs, c1=-2j * w, sigma0=sigma0, tol=tol)
+    (probe_both, _), (_, own_cutoff) = grown
+    assert kt.error_estimate <= alone_err
+    _, _, tails = probe_both(own_cutoff)
+    if tails[1, 0] < 0.5 * tol:
+        assert np.array_equal(kt.density, alone) and kt.error_estimate == alone_err
+
+
+@settings(derandomized, max_examples=10)
+@given(vs=strength, s=st.floats(0.2, 2.0), p=st.floats(0.2, 1.9), band=st.booleans(),
+       tol=st.sampled_from([2e-7, 1e-9]))
+def test_shared_quadrature_keeps_pt_transmission(vs, s, p, band, tol):
+    r = (np.linspace(-0.05 * s, 0.05 * s, 9) if band
+         else np.linspace(-6.0 * s, 12.0 * s, 25))
+    _check_shared_quadrature(PoschlTellerBarrier(vs / s, s), p, r, tol)
+
+
+@settings(derandomized, max_examples=3)
+@given(bar=tables, p=st.floats(0.3, 1.9))
+def test_shared_quadrature_keeps_table_transmission(bar, p):
+    # R lags from the front edge's earliest reflection, as in evolve's rows
+    _check_shared_quadrature(bar, p, np.linspace(2.0 * bar.support()[0], 3.0, 7), 2e-7)
+
+
 real_kappas = st.lists(st.floats(0.2, 4.0), min_size=1, max_size=6, unique=True)
 # fractions of the Newton pole search's seed box: Re kappa in [-K, K],
 # Im kappa in [-depth, -depth/30]
