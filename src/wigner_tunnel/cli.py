@@ -41,6 +41,7 @@ from .barriers import _is_real
 from .errors import (
     BranchAmbiguityError,
     ConfigError,
+    GridCoverageError,
     MethodCompatibilityError,
     NonMeromorphicError,
     WignerTunnelError,
@@ -499,7 +500,15 @@ def cmd_evolve(cfg, out_dir, args):
             "evolve cannot close the mass accounting on an eikonal barrier: its b is "
             "identically 0 while |a|^-2 < 1 below the top, so the reflected sector is empty")
 
-    grid0 = ev.gaussian_to_grid(state, q_axis, p_axis)
+    try:
+        grid0 = ev.gaussian_to_grid(state, q_axis, p_axis)
+    except GridCoverageError as exc:
+        # a leak over 1e-6 leaves at least one axis short of its +-6 widths
+        short = [(name, lo, hi) for name, axis, (lo, hi) in
+                 (("q_axis", q_axis, exc.suggested_q), ("p_axis", p_axis, exc.suggested_p))
+                 if axis[0] > lo or axis[-1] < hi]
+        raise ConfigError(f"{', '.join(name for name, _, _ in short)}: {exc}; " + "; ".join(
+            f"{name} should cover [{lo:.6g}, {hi:.6g}]" for name, lo, hi in short)) from exc
     try:
         ev._check_incident(grid0)
     except ValueError as exc:

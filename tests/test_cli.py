@@ -677,6 +677,28 @@ class TestEvolveCommand:
         assert f"config error: {key}" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"q_axis": {"min": -45.0, "max": 110.0, "n": 200}},
+         "q_axis: state leaks 7.86e-02 of its mass off the grid; "
+         "q_axis should cover [-61.2132, -18.7868]"),
+        ({"p_axis": {"min": 0.9, "max": 1.9, "n": 41}},
+         "p_axis: state leaks 2.40e-01 of its mass off the grid; "
+         "p_axis should cover [0.151472, 1.84853]"),
+    ], ids=["q_axis", "p_axis"])
+    def test_axis_short_of_the_packet_is_config_error(self, tmp_path, capsys, entry, message):
+        # the packet (-40, 1, 25) spreads 6 widths to -40 +- 21.2 and 1 +- 0.85
+        payload = delta_cfg({
+            "state": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+            "q_axis": {"min": -150.0, "max": 110.0, "n": 200},
+            "p_axis": {"min": -1.9, "max": 1.9, "n": 41},
+            "times": [25.0]})
+        payload.update(entry)
+        out = tmp_path / "out"
+        assert run(["evolve", "--config", write_cfg(tmp_path, "e.json", payload),
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("times", [40, "40", [-5.0], [None]],
                              ids=["number", "string", "negative", "null"])
     def test_bad_times_is_config_error(self, tmp_path, capsys, times):

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from wigner_tunnel.barriers import DeltaBarrier, EikonalBarrier, NumericBarrier, PoschlTellerBarrier
-from wigner_tunnel.errors import AxisMismatchError, GridCoverageError
+from wigner_tunnel.errors import AxisMismatchError, GridCoverageError, QuadratureError
 from wigner_tunnel.evolution import (
     GaussianState,
     WignerGrid,
@@ -427,6 +427,19 @@ class _PhaseOnly(DeltaBarrier):
         return self.amplitude_b(kappa)
 
 
+class _Bump(_PhaseOnly):
+    """1/a = 1 - Lorentzian of half width ``width`` at kappa = 1.03, zero b."""
+
+    def __init__(self, width):
+        super().__init__(1.0)
+        self.width = width
+
+    def amplitude_a(self, kappa):
+        d2 = (np.asarray(kappa, dtype=complex) - 1.03) ** 2
+        out = 1.0 / (1.0 - 0.5 * self.width ** 2 / (d2 + self.width ** 2))
+        return complex(out) if out.ndim == 0 else out
+
+
 class TestGaussianDetection:
     def test_free_motion_peaks_at_arrival_time(self):
         bar = DeltaBarrier(1e-12)    # effectively free
@@ -520,6 +533,43 @@ class TestDetectionOverTimes:
             want = np.array([getattr(one, name) for one in singles])
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
+    def test_node_sets_span_two_pi_of_phase_per_panel(self):
+        # packets at -+40 with lam 25 (sig = 50^-1/2) at t = 40: the largest
+        # phase rate on center +- 14 sig is 80 + 80 (1 + 14 sig) for 1/a
+        # (center 1) and 80 (14 sig) for -conj(b)/a (center 0). Panels of at
+        # most 2 pi of phase: 201 and 100 of 12 + 24 nodes each, 4x below the
+        # 803 and 400 panels of pi/2 of phase
+        sig = 50.0 ** -0.5
+        new, old = [], []
+        for rate in (80.0 + 80.0 * (1.0 + 14.0 * sig), 80.0 * 14.0 * sig):
+            new.append(math.ceil(28.0 * sig / min(sig / 2.0, 2.0 * math.pi / rate)))
+            old.append(math.ceil(28.0 * sig / min(sig / 2.0, math.pi / (2.0 * rate))))
+        assert (new, old) == ([201, 100], [803, 400])
+        sizes = {"amplitude_a": [], "reflection_lr": []}
+
+        def spy(name):
+            method = getattr(DeltaBarrier, name)
+            return lambda bar, k: sizes[name].append(np.size(k)) or method(bar, k)
+
+        with mock.patch.object(DeltaBarrier, "amplitude_a", spy("amplitude_a")), \
+                mock.patch.object(DeltaBarrier, "reflection_lr", spy("reflection_lr")):
+            gaussian_detection(_incident(), GaussianState(40.0, 1.0, 25.0), DeltaBarrier(2.0),
+                               np.array([30.0, 40.0]))
+        assert sizes == {"amplitude_a": [12 * 201, 24 * 201],
+                         "reflection_lr": [12 * 100, 24 * 100]}
+
+    @pytest.mark.parametrize("width, settles", [(1e-4, False), (0.1, True)])
+    def test_narrow_feature_does_not_settle(self, width, settles):
+        # a dip in 1/a far narrower than a panel (about 0.02 here), away
+        # from every panel end: the 12- and 24-point sums part by more than
+        # 1e-6; the same dip 0.1 wide settles
+        args = (_incident(), GaussianState(40.0, 1.0, 25.0), _Bump(width), 40.0)
+        if settles:
+            gaussian_detection(*args)
+        else:
+            with pytest.raises(QuadratureError, match="did not settle"):
+                gaussian_detection(*args)
+
     def test_scalar_time_gives_numbers(self):
         res = gaussian_detection(_incident(), GaussianState(40.0, 1.0, 25.0),
                                  DeltaBarrier(2.0), 40.0)
@@ -528,7 +578,9 @@ class TestDetectionOverTimes:
     def test_eikonal_panels_end_at_the_barrier_top(self):
         # the eikonal 1/a has a kink at kappa = +-sqrt(max V) = +-1; panels
         # across it gave 0.712212945909 at t = 38. The pinned value is what the
-        # finer node sets sized for t = 84 and t = 336 give at t = 38.
+        # finer node sets sized for t = 84, 336 and 1344 give at t = 38, all
+        # within 2.3e-13 of it; t = 38's own node set, with panels of up to
+        # 2 pi of phase, gives a value 7.9e-13 above it.
         q = np.linspace(-2.0, 2.0, 41)
         bar = EikonalBarrier(q, 1.0 / np.cosh(q / 0.4) ** 2)
         w_t = gaussian_detection(_incident(), GaussianState(40.0, 1.0, 25.0), bar, 38.0).w_t

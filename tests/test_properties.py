@@ -16,16 +16,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import eikonal_action_piecewise, numeric_amplitudes_dop853, panel_fourier_direct
+from oracles import (
+    eikonal_action_piecewise,
+    gaussian_detection_direct,
+    numeric_amplitudes_dop853,
+    panel_fourier_direct,
+)
 from wigner_tunnel import cli, kernels, quadrature
 from wigner_tunnel.barriers import (
+    DeltaBarrier,
     EikonalBarrier,
     NumericBarrier,
     PoschlTellerBarrier,
     eikonal_action,
 )
 from wigner_tunnel.errors import GammaPoleError
-from wigner_tunnel.evolution import _NaturalSplines, _next_fast_len, fftconvolve
+from wigner_tunnel.evolution import (
+    GaussianState,
+    _NaturalSplines,
+    _next_fast_len,
+    fftconvolve,
+    gaussian_detection,
+)
 from wigner_tunnel.kernels import kernel_by_quadrature, kernel_row
 from wigner_tunnel.specfun import log_gamma_right
 
@@ -437,6 +449,33 @@ def test_eikonal_array_call_matches_scalar_calls(bar, ks):
         one = eikonal_action(bar, k)
         assert isinstance(one, complex)
         assert abs(got - one) <= 1e-14 * abs(one)
+
+
+detection_barriers = st.one_of(
+    st.builds(DeltaBarrier, st.floats(0.005, 5.0)),
+    st.builds(lambda vs, s: PoschlTellerBarrier(vs / s, s), strength, st.floats(0.2, 2.0)))
+_SECH2_TABLE = np.linspace(-2.0, 2.0, 41)
+
+
+@settings(derandomized, max_examples=60)
+@given(bar=detection_barriers, P=st.floats(0.5, 2.0), lam=st.floats(5.0, 50.0),
+       Q=st.floats(-60.0, -20.0), offsets=st.lists(st.floats(-3.0, 3.0), max_size=19))
+# the 41-row sech^2 table on [-2, 2], packets at -+8 as in the array-of-times test
+@example(bar=NumericBarrier(_SECH2_TABLE, 1.0 / np.cosh(_SECH2_TABLE / 0.4) ** 2),
+         P=1.0, lam=25.0, Q=-8.0, offsets=[-0.4, 0.2])
+def test_detection_matches_finer_node_set(bar, P, lam, Q, offsets):
+    # panels spanning 2 pi of phase against the pi/2 panels of the oracle,
+    # relative to the peak of w_total over times that include the free
+    # arrival -Q/P and reach 3 packet widths (sqrt(lam)/P in t) either side
+    init, det = GaussianState(Q, P, lam), GaussianState(-Q, P, lam)
+    times = -Q / P + math.sqrt(lam) / P * np.array([0.0] + offsets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # packets near a wide barrier
+        res = gaussian_detection(init, det, bar, times)
+        want = gaussian_detection_direct(init, det, bar, times)
+    peak = np.max(np.abs(want[0]))
+    for name, ref in zip(("w_total", "w_t", "w_r", "w_s"), want):
+        assert np.max(np.abs(getattr(res, name) - ref)) <= 1e-12 * peak, name
 
 
 def _grid_texts(x):
