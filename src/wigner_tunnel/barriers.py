@@ -38,16 +38,7 @@ from .errors import (
     SupportError,
 )
 # gamma_cx has no caller here: perfbench/tracing.py wraps it by this name
-from .specfun import gamma_cx, log_gamma_right
-
-
-def _log_sinh(z):
-    """log sinh(z) up to 2 pi i, stable for large |Re z|."""
-    z = np.asarray(z, dtype=complex)
-    flip = z.real < 0
-    zz = np.where(flip, -z, z)
-    out = zz - math.log(2.0) + np.log(-np.expm1(-2.0 * zz))
-    return np.where(flip, out + 1j * np.pi, out)
+from .specfun import _log_sinh, gamma_cx, log_gamma_right
 
 
 def _pi_reduced(y):
@@ -68,6 +59,7 @@ __all__ = [
     "eikonal_action",
     "tunneling_integral",
     "find_poles",
+    "residue_factors",
     "barrier_from_dict",
 ]
 
@@ -83,8 +75,7 @@ class PoleData:
         exp[2 i r (p - kappa_n)] in the pole expansion of the transmission
         kernel; the normalization is pinned so that the single-pole delta
         barrier reproduces its closed form exactly."""
-        kn, bar = self.kappa, self.barrier
-        return 4j / (bar.amplitude_a_prime(kn) * bar.amplitude_a(kn - 2.0 * p))
+        return complex(residue_factors(self.barrier, [self.kappa], p)[0])
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,8 @@ class Barrier:
 
     def amplitude_a_prime(self, kappa):
         """Complex derivative of a by central difference (a is analytic)."""
-        h = 1e-6 * max(abs(complex(kappa)), self.kappa_scale())
+        kappa = np.asarray(kappa, dtype=complex)
+        h = 1e-6 * np.maximum(np.hypot(kappa.real, kappa.imag), self.kappa_scale())
         return (self.amplitude_a(kappa + h) - self.amplitude_a(kappa - h)) / (2.0 * h)
 
     def s_matrix(self, kappa):
@@ -187,7 +179,9 @@ class DeltaBarrier(Barrier):
         return complex(out) if out.ndim == 0 else out
 
     def amplitude_a_prime(self, kappa):
-        return -0.5j * self.v0 / complex(kappa) ** 2
+        kappa = np.asarray(kappa, dtype=complex)
+        out = -0.5j * self.v0 / kappa ** 2
+        return complex(out) if out.ndim == 0 else out
 
     def kappa_scale(self):
         return 0.5 * self.v0
@@ -228,10 +222,14 @@ class PoschlTellerBarrier(Barrier):
         self.s = float(s)
         self.omega = complex(cmath.sqrt(0.25 - (v0 * s) ** 2))
 
-    def _gamma_args(self, kappa):
+    def _log_gammas(self, kappa):
+        """x = s kappa, and log Gamma at 1 - ix, 1/2 + w - ix and 1/2 - w - ix
+        stacked on a leading axis, from one call computed in place."""
         x = self.s * np.asarray(kappa, dtype=complex)
-        w = self.omega
-        return x, 1.0 - 1j * x, 0.5 + w - 1j * x, 0.5 - w - 1j * x
+        lg = np.empty((3,) + x.shape, dtype=complex)
+        for i, c in enumerate((1.0, 0.5 + self.omega, 0.5 - self.omega)):
+            lg[i] = c - 1j * x
+        return x, log_gamma_right(lg, out=lg)
 
     def amplitude_a(self, kappa):
         """a(kappa) = i Gamma(1-is k)^2 / (s k Gamma(1/2+w-is k) Gamma(1/2-w-is k)).
@@ -244,9 +242,8 @@ class PoschlTellerBarrier(Barrier):
         kappa = np.asarray(kappa, dtype=complex)
         if np.any(kappa == 0):
             raise ZeroDivisionError("amplitudes undefined at kappa = 0")
-        x, g1, g2, g3 = self._gamma_args(kappa)
-        lg = (2.0 * log_gamma_right(g1) - log_gamma_right(g2)
-              - log_gamma_right(g3) - np.log(x))
+        x, (lg1, lg2, lg3) = self._log_gammas(kappa)
+        lg = 2.0 * lg1 - lg2 - lg3 - np.log(x)
         with np.errstate(over="ignore"):
             out = 1j * np.exp(lg)
         return complex(out) if out.ndim == 0 else out
@@ -275,9 +272,9 @@ class PoschlTellerBarrier(Barrier):
         / (sinh(pi s k) Gamma(1-is k)^2), as one log-Gamma quotient; its
         limit at kappa = 0 is exactly -1. sinh is taken as in amplitude_b."""
         kappa = np.asarray(kappa, dtype=complex)
-        x, g1, g2, g3 = self._gamma_args(kappa)
+        x, (lg1, lg2, lg3) = self._log_gammas(kappa)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            lg = (log_gamma_right(g2) + log_gamma_right(g3) - 2.0 * log_gamma_right(g1)
+            lg = (lg2 + lg3 - 2.0 * lg1
                   + np.log(x) - _log_sinh(np.pi * x.real + 1j * _pi_reduced(x.imag)))
             out = np.where(x == 0, -1.0, -np.cos(np.pi * self.omega) * np.exp(lg))
         return complex(out) if out.ndim == 0 else out
@@ -782,6 +779,13 @@ def _newton_pole_search(barrier):
         if not any(abs(zn - zf) < 1e-6 * max(1.0, K) for zf in found):
             found.append(complex(zn))
     return sorted(found, key=lambda z: (abs(z.imag), z.real))
+
+
+def residue_factors(barrier, kappa, p):
+    """``PoleData.residue_factor`` at each zero kappa_n of a in the sequence
+    ``kappa``, from one a' call and one a call on all of them."""
+    kappa = np.asarray(kappa, dtype=complex)
+    return 4j / (barrier.amplitude_a_prime(kappa) * barrier.amplitude_a(kappa - 2.0 * p))
 
 
 def find_poles(barrier, count):

@@ -515,7 +515,8 @@ def cmd_evolve(cfg, out_dir, args):
         raise ConfigError(f"state: {exc}") from exc
     marg = grid0.momentum_marginal()
     pos = p_axis > 0
-    t_of_p = np.array([_k.total_probabilities(barrier, pp)[0] for pp in p_axis[pos]])
+    a = barrier.amplitude_a(p_axis[pos])
+    t_of_p = 1.0 / np.hypot(a.real, a.imag) ** 2      # |a|^-2, as total_probabilities
     pred_t = float(np.trapezoid(t_of_p * marg[pos], p_axis[pos]))
     initial = grid0.mass()
 

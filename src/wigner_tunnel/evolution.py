@@ -586,8 +586,10 @@ def _oscillatory_gauss_quad(amp, center, lam_sum, q_shift, times, kinks, strengt
     time-free factor base = (node weight) amp(k) e^{-lam_sum (k-center)^2/2
     - ik q_shift} is formed once; per time, the sum of base e^{-ik^2 t} is two real
     products of cos(t k^2) and sin(t k^2) with base's real and imaginary
-    parts. A time whose two orders differ by more than 1e-6 (relative)
-    raises.
+    parts. A time whose two orders differ by more than 1e-6 of the
+    integrand's envelope, the 24-point sum of |base|, raises: the envelope
+    bounds the integral at every time, and scales with amp, so an opaque
+    barrier's narrow features are held to the same relative standard.
     """
     sig = math.sqrt(1.0 / lam_sum)
     lo, hi = center - 14.0 * sig, center + 14.0 * sig
@@ -609,8 +611,9 @@ def _oscillatory_gauss_quad(amp, center, lam_sum, q_shift, times, kinks, strengt
             (c_re, c_im), (s_re, s_im) = np.cos(t * k2) @ parts, np.sin(t * k2) @ parts
             val[i] = complex(c_re + s_im, c_im - s_re)
         sums.append(val)
+    envelope = float(np.sum(np.abs(base)))
     coarse, val = sums
-    if np.any(np.abs(val - coarse) > 1e-6 * np.maximum(1.0, np.abs(val))):
+    if np.any(np.abs(val - coarse) > 1e-6 * envelope):
         raise QuadratureError("detection amplitude quadrature did not settle")
     return val
 

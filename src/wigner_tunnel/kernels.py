@@ -173,17 +173,17 @@ def kernel_by_residues(barrier, p, r_grid, n_poles):
     """
     if n_poles < 1:
         raise ValueError("n_poles must be >= 1")
-    poles = _b.find_poles(barrier, n_poles + 1)
+    kappa = np.array([pd.kappa for pd in _b.find_poles(barrier, n_poles + 1)])
+    # the summed poles and the first omitted one, if found, in one batch
+    amps = _b.residue_factors(barrier, kappa, p)
     r_grid = np.asarray(r_grid, dtype=float)
     pos = r_grid >= 0.0
     density = np.zeros_like(r_grid)
-    for pd in poles[:n_poles]:
-        amp = pd.residue_factor(p)
-        density[pos] -= (amp * np.exp(2j * r_grid[pos] * (p - pd.kappa))).real
+    for kn, amp in zip(kappa[:n_poles], amps[:n_poles]):
+        density[pos] -= (amp * np.exp(2j * r_grid[pos] * (p - kn))).real
     trunc = np.zeros_like(r_grid)
-    if len(poles) > n_poles:
-        trunc[pos] = abs(poles[n_poles].residue_factor(p)) * np.exp(
-            2.0 * poles[n_poles].kappa.imag * r_grid[pos])
+    if len(kappa) > n_poles:
+        trunc[pos] = abs(amps[n_poles]) * np.exp(2.0 * kappa[n_poles].imag * r_grid[pos])
     elif not isinstance(barrier, _b.DeltaBarrier):
         trunc[pos] = np.inf
     return KernelDensity(r_grid, density, 1.0, "residues",
@@ -265,27 +265,36 @@ def _pt_series(prefs, rate, xi, lam, z, lag):
             for name, pref in prefs.items()]
 
 
-def _pt_late(s, nu, om, weight, r):
-    """(T, R) at lags r > 0 from the weighted (nu_b, omega_b) branches; the
-    kernels share each branch's 4F3 series and differ only in the prefactor."""
-    g = gamma_cx
+def _pt_late_args(nu, om):
+    """The arguments of _pt_late's nine Gamma factors, one row per factor."""
+    return np.stack([2 * om, 1j * nu, 1j * nu + 2 * om,
+                     -0.5 + om, 0.5 + om, -0.5 + 1j * nu + om,
+                     0.5 + 1j * nu + om, 0.5 - 1j * nu - om, 0.5 - om])
+
+
+def _pt_late(s, nu, om, weight, g, r):
+    """(T, R) at lags r > 0 from the weighted (nu_b, omega_b) branches, g
+    the Gamma function at _pt_late_args(nu, om); the kernels share each
+    branch's 4F3 series and differ only in the prefactor."""
     xi = (1.5 - om, 0.5 - om, 1.5 - 1j * nu - om, 0.5 - 1j * nu - om)
     lam = (1 - 2 * om, 1 - 1j * nu, 1 - 1j * nu - 2 * om)
-    g_half = g(0.5 + om)
-    head = (2.0 * weight * g(2 * om) * g(1j * nu) * g(1j * nu + 2 * om)
-            / (s * g(-0.5 + om) * g_half * g(-0.5 + 1j * nu + om)))
-    t_pref = head / g(0.5 + 1j * nu + om)
-    r_pref = head * g(0.5 - 1j * nu - om) / (g_half * g(0.5 - om))
+    head = 2.0 * weight * g[0] * g[1] * g[2] / (s * g[3] * g[4] * g[5])
+    t_pref = head / g[6]
+    r_pref = head * g[7] / (g[4] * g[8])
     return _pt_series({"T": t_pref, "R": r_pref}, (1j * nu + 2 * om - 1) / s, xi, lam,
                       np.exp(-2.0 * r / s), r)
 
 
-def _pt_early(v0, s, nu, om, r):
-    """R at lags r < 0 from the (nu_b, omega_b) branches, resummed over the poles of b."""
-    g = gamma_cx
-    pref = (2j * v0 ** 2 * s * np.cos(np.pi * om) * (1 + 1j * nu)
-            * g(1.5 + 1j * nu + om) * g(1.5 + 1j * nu - om)
-            / (np.sinh(np.pi * nu) * g(2 + 1j * nu) ** 2))
+def _pt_early_args(nu, om):
+    """The arguments of _pt_early's three Gamma factors, one row per factor."""
+    return np.stack([1.5 + 1j * nu + om, 1.5 + 1j * nu - om, 2 + 1j * nu])
+
+
+def _pt_early(v0, s, nu, om, g, r):
+    """R at lags r < 0 from the (nu_b, omega_b) branches, resummed over the
+    poles of b; g the Gamma function at _pt_early_args(nu, om)."""
+    pref = (2j * v0 ** 2 * s * np.cos(np.pi * om) * (1 + 1j * nu) * g[0] * g[1]
+            / (np.sinh(np.pi * nu) * g[2] ** 2))
     xi = (1.5 + om, 1.5 - om, 1.5 + 1j * nu + om, 1.5 + 1j * nu - om)
     lam = (2, 1 + 1j * nu, 2 + 1j * nu)
     return _pt_series({"early-reflection": pref}, (1j * nu + 2) / s, xi, lam,
@@ -325,39 +334,53 @@ def pt_kernels(v0, s, p, r):
     pos = r > 0
     neg = r < 0
 
-    if np.any(pos):
-        oms, weight = (om,), np.ones(4)
-        if abs(om) < _PT_OMEGA_MIN:
-            # linear in omega^2 between the branches at +-_PT_OMEGA_MIN^2
-            x = (0.25 - (v0 * s) ** 2) / _PT_OMEGA_MIN ** 2   # omega^2, in (-1, 1)
-            oms = (_PT_OMEGA_MIN, 1j * _PT_OMEGA_MIN)
-            weight = np.repeat([0.5 * (1.0 + x), 0.5 * (1.0 - x)], 4)
-        om_b = np.array([sign * w for w in oms for sign in (1, -1, 1, -1)])
-        nu_b = np.tile([nu, nu, -nu, -nu], len(oms))
-        t_dens[pos], r_dens[pos] = _pt_late(s, nu_b, om_b, weight, r[pos])
+    oms, weight = (om,), np.ones(4)
+    if abs(om) < _PT_OMEGA_MIN:
+        # linear in omega^2 between the branches at +-_PT_OMEGA_MIN^2
+        x = (0.25 - (v0 * s) ** 2) / _PT_OMEGA_MIN ** 2   # omega^2, in (-1, 1)
+        oms = (_PT_OMEGA_MIN, 1j * _PT_OMEGA_MIN)
+        weight = np.repeat([0.5 * (1.0 + x), 0.5 * (1.0 - x)], 4)
+    late_om = np.array([sign * w for w in oms for sign in (1, -1, 1, -1)])
+    late_nu = np.tile([nu, nu, -nu, -nu], len(oms))
+    early_nu, early_om = np.array([nu, -nu]), np.array([om, -om])
+    late_args = _pt_late_args(late_nu, late_om)
+    early_args = _pt_early_args(early_nu, early_om)
+    # every Gamma factor of both lag signs from one array call
+    g = gamma_cx(np.concatenate([late_args.ravel(), early_args.ravel()]))
+    g_late = g[:late_args.size].reshape(late_args.shape)
+    g_early = g[late_args.size:].reshape(early_args.shape)
 
+    if np.any(pos):
+        t_dens[pos], r_dens[pos] = _pt_late(s, late_nu, late_om, weight, g_late, r[pos])
     # transmission is strictly causal: zeros of a are all below the axis
     if np.any(neg):
-        r_dens[neg] = _pt_early(v0, s, np.array([nu, -nu]), np.array([om, -om]), r[neg])
+        r_dens[neg] = _pt_early(v0, s, early_nu, early_om, g_early, r[neg])
 
     if scalar:
         return float(t_dens[0]), float(r_dens[0])
     return t_dens, r_dens
 
 
+def _modulus(x):
+    """|x| of a number or an array; an array entry's is abs() of the Python
+    complex (hypot) bit for bit, which np.abs is not."""
+    return np.hypot(x.real, x.imag) if np.ndim(x) else abs(x)
+
+
 def total_probabilities(barrier, p, a=None, ratio=None):
     """(T, R) at momentum p, directly from the amplitudes: T = |a|^-2, R = |b/a|^2.
 
-    A caller that already holds a(p) or b(p)/a(p) passes it as ``a`` or
-    ``ratio``.
+    p is a number, giving floats, or an array, giving arrays equal entry by
+    entry to the scalar calls. A caller that already holds a(p) or
+    b(p)/a(p) passes it as ``a`` or ``ratio``.
     """
-    if p == 0:
+    if np.any(np.asarray(p) == 0):
         raise ZeroDivisionError("total probabilities undefined at p = 0")
     if a is None:
         a = barrier.amplitude_a(p)
     if ratio is None:
         ratio = barrier.ba_ratio(p)
-    return 1.0 / abs(a) ** 2, abs(ratio) ** 2
+    return 1.0 / _modulus(a) ** 2, _modulus(ratio) ** 2
 
 
 def _band_fit(x_nodes, y_nodes, x):

@@ -232,24 +232,22 @@ def test_delta_commands_load_no_scipy(tmp_path, command, cfg, extra):
     assert scipy_modules_after(args) == set()
 
 
-def test_pt_amplitudes_load_only_scipy_special(tmp_path):
-    cfg = write_cfg(tmp_path, "a.json", {
-        "barrier": {"kind": "poschl_teller", "v0": 1.0, "s": 0.4},
-        "kappa_grid": {"min": 0.05, "max": 5.0, "n": 20}})
-    loaded = scipy_modules_after(["amplitudes", "--config", str(cfg),
-                                  "--out", str(tmp_path / "out")])
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.interpolate", "scipy.fft"}
+PT_BARRIER = {"kind": "poschl_teller", "v0": 1.0, "s": 0.4}
 
 
-def test_pt_evolve_loads_only_scipy_special(tmp_path):
-    # the Gamma functions of the Poschl-Teller kernels, and no spline or FFT
-    cfg = write_cfg(tmp_path, "e.json", {
-        **FLAG_CONFIGS["evolve"], "barrier": {"kind": "poschl_teller", "v0": 1.0, "s": 0.4}})
-    loaded = scipy_modules_after(["evolve", "--config", str(cfg),
-                                  "--out", str(tmp_path / "out")])
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.interpolate", "scipy.fft"}
+@pytest.mark.parametrize("command, cfg, extra", [
+    ("amplitudes", {"barrier": PT_BARRIER, "kappa_grid": {"min": 0.05, "max": 5.0, "n": 20}},
+     []),
+    ("kernel", {**KERNEL_CFG, "barrier": PT_BARRIER}, ["--method", "closed"]),
+    ("probe", {**FLAG_CONFIGS["probe"], "barrier": PT_BARRIER}, []),
+    ("evolve", {**FLAG_CONFIGS["evolve"], "barrier": PT_BARRIER}, []),
+], ids=["pt_amplitudes", "pt_kernel_closed", "pt_probe", "pt_evolve"])
+def test_pt_commands_load_no_scipy(tmp_path, command, cfg, extra):
+    # the Poschl-Teller amplitudes and kernels take their Gamma functions
+    # from specfun's numpy log-Gamma, and no route of these calls scipy
+    args = [command, "--config", str(write_cfg(tmp_path, "c.json", cfg)),
+            "--out", str(tmp_path / "out"), *extra]
+    assert scipy_modules_after(args) == set()
 
 
 class TestAmplitudesCommand:

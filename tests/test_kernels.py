@@ -274,6 +274,26 @@ class TestResidueRoute:
                           * np.exp(2.0 * omitted.kappa.imag * r), 0.0)
         assert np.array_equal(pt.truncation_error, expect)
 
+    def test_residue_factors_from_one_batch(self):
+        # a'(kappa_n) and a(kappa_n - 2p) of the 10 summed poles and the
+        # omitted one come from one amplitude_a_prime call and one
+        # amplitude_a call (a' takes a at kappa_n +- h in two more)
+        bar = PoschlTellerBarrier(1.0, 0.4)
+        r = np.linspace(0.25, 3.0, 12)
+        with mock.patch.object(PoschlTellerBarrier, "amplitude_a_prime", autospec=True,
+                               side_effect=PoschlTellerBarrier.amplitude_a_prime) as a_prime, \
+                mock.patch.object(PoschlTellerBarrier, "amplitude_a", autospec=True,
+                                  side_effect=PoschlTellerBarrier.amplitude_a) as amp:
+            kd = kernel_by_residues(bar, 0.6, r, 10)
+        assert a_prime.call_count == 1 and amp.call_count == 3
+        assert all(np.shape(call.args[1]) == (11,)
+                   for call in a_prime.call_args_list + amp.call_args_list)
+        # the same sum as one residue_factor per pole
+        expect = np.zeros_like(r)
+        for pd in find_poles(bar, 10):
+            expect -= (pd.residue_factor(0.6) * np.exp(2j * r * (0.6 - pd.kappa))).real
+        assert np.array_equal(kd.density, expect)
+
     def test_eikonal_rejected(self):
         bar = EikonalBarrier.from_callable(
             lambda q: 1.0 / np.cosh(q / 0.4) ** 2, -6.8, 6.8, 801)
@@ -378,16 +398,17 @@ class TestPoschlTellerClosedForm:
 
     @pytest.mark.parametrize("v0", [1.0, 0.5])
     def test_one_series_per_lag_sign(self, v0):
-        # all the branches of one lag sign share one coefficient build and
-        # one array Gamma call per factor, four branches or, at v0 s = 1/2,
-        # the eight of the merged-pole limit
+        # all the branches of one lag sign share one coefficient build, four
+        # branches or, at v0 s = 1/2, the eight of the merged-pole limit;
+        # one array Gamma call serves every factor of both lag signs
         with mock.patch.object(kernels, "hyp4f3_coefficients",
                                wraps=kernels.hyp4f3_coefficients) as coeff, \
                 mock.patch.object(kernels, "gamma_cx", wraps=kernels.gamma_cx) as gam:
             pt_kernels(v0, 1.0, 0.6, np.array([-1.5, -0.3, 0.3, 1.5]))
         assert coeff.call_count == 2
-        assert gam.call_count == 12
-        assert all(np.ndim(call.args[0]) == 1 for call in gam.call_args_list)
+        assert gam.call_count == 1
+        branches = 8 if v0 == 0.5 else 4
+        assert np.shape(gam.call_args.args[0]) == (9 * branches + 3 * 2,)
 
     def test_decay_at_large_lag(self):
         t_far, r_far = pt_kernels(1.0, 0.4, 0.6, 12.0)
@@ -467,6 +488,17 @@ class TestTotalProbabilities:
     def test_high_energy_transparency(self):
         t_tot, _ = total_probabilities(PoschlTellerBarrier(1.0, 0.4), 300.0)
         assert t_tot == pytest.approx(1.0, abs=1e-4)
+
+    def test_array_call_equals_scalar_calls(self):
+        ps = np.linspace(0.05, 3.0, 37)
+        for bar in (DeltaBarrier(2.0), PoschlTellerBarrier(1.0, 0.4)):
+            t_arr, r_arr = total_probabilities(bar, ps)
+            for p, t, r in zip(ps, t_arr, r_arr):
+                t_one, r_one = total_probabilities(bar, float(p))
+                assert type(t_one) is float and type(r_one) is float
+                assert (t_one, r_one) == (t, r)
+        with pytest.raises(ZeroDivisionError):
+            total_probabilities(DeltaBarrier(2.0), np.array([0.5, 0.0]))
 
 
 class _PhaseOnlyBarrier(DeltaBarrier):

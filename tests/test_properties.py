@@ -134,6 +134,28 @@ def test_log_gamma_right_matches_mpmath(x, y):
     assert abs(diff) <= 1e-13 * max(1.0, abs(ref))
 
 
+# one group of points per log-Gamma rule: the shift (|z| < 12, Re z > -1),
+# the Stirling series alone (|z| >= 12, Re z >= 0) and the reflection
+# (Re z < -1), with |Im z| up to 3e3
+_shifted_z = st.builds(complex, st.floats(-1.0, 8.0, exclude_min=True), st.floats(-8.0, 8.0))
+_series_z = st.builds(complex, st.floats(12.0, 1e3), st.floats(-3e3, 3e3))
+_reflected_z = st.builds(complex, st.floats(-50.0, -1.0, exclude_max=True),
+                         st.one_of(st.floats(-3.0, 3.0), st.floats(-3e3, 3e3)))
+
+
+@settings(derandomized, max_examples=100)
+@given(groups=st.tuples(*(st.lists(z, min_size=1, max_size=12)
+                          for z in (_shifted_z, _series_z, _reflected_z))),
+       seed=st.integers(0, 2**32 - 1))
+def test_log_gamma_array_call_matches_scalar_calls(groups, seed):
+    # each entry's bits are the same alone as in any mixed array
+    z = np.array([v for group in groups for v in group])
+    z = z[(z.imag != 0.0) | (z.real != np.floor(z.real))]     # no poles
+    np.random.default_rng(seed).shuffle(z)
+    for zk, v in zip(z, log_gamma_right(z)):
+        assert np.asarray(log_gamma_right(zk)).tobytes() == v.tobytes()
+
+
 # sigma_hi * max|r| <= 200 keeps the rounding of sigma r, the one difference
 # between the factorised and the direct phases, below 1e-13 even in the worst case
 @settings(derandomized, max_examples=60)

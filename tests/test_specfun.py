@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from wigner_tunnel import specfun
 from wigner_tunnel.errors import GammaPoleError, SeriesConvergenceError
 from wigner_tunnel.specfun import (
     airy_ai,
@@ -76,6 +77,38 @@ class TestGamma:
         assert vals.shape == (3,)
         for z, v in zip(zs, vals):
             assert abs(v - oracles.gamma(z)) <= 1e-12 * abs(v)
+
+    def test_off_each_pole_against_high_precision(self):
+        # 1e-12 from each pole -1 .. -50, along the real line and across it:
+        # the reflection keeps the zero of sin(pi z) sharp at odd poles too
+        for n in range(1, 51):
+            for eps in (1e-12, -1e-12, 1e-12j, -1e-12j):
+                z = complex(-n + eps)
+                ref = oracles.gamma(z)
+                assert abs(gamma_cx(z) - ref) <= 1e-12 * abs(ref)
+
+    def test_poschl_teller_band_against_high_precision(self):
+        # 0 < Re z < 1/2 is where 1/2 - omega - i s kappa lies for a narrow
+        # barrier; one array call, each entry against mpmath
+        rng = np.random.default_rng(19)
+        zs = rng.uniform(0.0, 0.5, 200) + 1j * rng.uniform(-40.0, 40.0, 200)
+        for z, v in zip(zs, gamma_cx(zs)):
+            ref = oracles.gamma(z)
+            assert abs(v - ref) <= 1e-12 * abs(ref)
+
+    def test_array_across_blocks_gives_scalar_values(self):
+        # log_gamma_right works through long arrays a block at a time; the
+        # entries on each side of a block edge keep their scalar values
+        rng = np.random.default_rng(23)
+        n = specfun._GAMMA_BLOCK + 40
+        zs = rng.uniform(-30.0, 30.0, n) + 1j * rng.uniform(-30.0, 30.0, n)
+        vals = log_gamma_right(zs.reshape(2, -1)).ravel()
+        for i in [0, 1, n // 2, specfun._GAMMA_BLOCK - 1, specfun._GAMMA_BLOCK, n - 1]:
+            assert np.asarray(log_gamma_right(zs[i])).tobytes() == vals[i].tobytes()
+        # written over its own argument, block by block, it gives the same array
+        in_place = zs.copy()
+        log_gamma_right(in_place, out=in_place)
+        assert np.array_equal(in_place, vals)
 
 
 class TestFaddeeva:
