@@ -39,6 +39,7 @@ from .errors import (
 )
 # gamma_cx has no caller here: perfbench/tracing.py wraps it by this name
 from .specfun import _log_sinh, gamma_cx, log_gamma_right
+from .splines import NaturalSplines
 
 
 def _pi_reduced(y):
@@ -326,11 +327,15 @@ class PoschlTellerBarrier(Barrier):
 
 
 class _TabulatedPotential:
-    """Piecewise-cubic potential over a finite support; exactly 0 outside."""
+    """Piecewise-cubic potential over a finite support; exactly 0 outside.
+
+    V is the natural spline through the table, clipped at 0. ``edges``
+    splits the support where V is smooth: its ends, the knots and the clip's
+    kinks at the spline's roots. ``monotone_edges`` adds the spline's
+    critical points, so V is smooth and monotone between them.
+    """
 
     def __init__(self, q, v, q_min=None, q_max=None):
-        from scipy.interpolate import CubicSpline
-
         q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
         if q.ndim != 1 or q.shape != v.shape or len(q) < 4:
@@ -339,15 +344,13 @@ class _TabulatedPotential:
             raise ValueError("potential table abscissae must be strictly increasing")
         if np.any(v < -1e-12 * max(1.0, float(np.max(np.abs(v))))):
             raise ValueError("potential must satisfy V(q) >= 0 (no bound states)")
-        self.q_min = float(q[0]) if q_min is None else float(q_min)
-        self.q_max = float(q[-1]) if q_max is None else float(q_max)
+        self.q_min = lo = float(q[0]) if q_min is None else float(q_min)
+        self.q_max = hi = float(q[-1]) if q_max is None else float(q_max)
         if self.q_min > q[0] or self.q_max < q[-1]:
             raise SupportError("table extends outside the stated support")
-        self._spline = CubicSpline(q, np.clip(v, 0.0, None), bc_type="natural")
-        # V is smooth between edges: support ends, knots, and the clip's kinks at zeros
-        roots = self._spline.roots()
-        roots = roots[(roots > self.q_min) & (roots < self.q_max)]
-        self.edges = np.unique(np.concatenate([[self.q_min, self.q_max], q, roots]))
+        self._spline = NaturalSplines(q, np.clip(v, 0.0, None)[:, None])
+        self.edges = np.unique(np.concatenate([[lo, hi], q, self._spline.roots(lo, hi)]))
+        self.monotone_edges = np.union1d(self.edges, self._spline.roots(lo, hi, deriv=True))
         dense = self(np.linspace(self.q_min, self.q_max, 4001))
         self.v_max = float(np.max(dense))
         self.strength = float(np.trapezoid(dense,
@@ -355,10 +358,9 @@ class _TabulatedPotential:
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
-        inside = (q >= self.q_min) & (q <= self.q_max)
-        out = np.zeros_like(q, dtype=float)
-        if np.any(inside):
-            out[inside] = np.clip(self._spline(q[inside]), 0.0, None)
+        # clamped into the support, where the end pieces' cubics stay finite
+        v = np.maximum(self._spline(np.minimum(np.maximum(q, self.q_min), self.q_max)), 0.0)
+        out = np.where((q >= self.q_min) & (q <= self.q_max), v, 0.0)
         return out if out.ndim else float(out)
 
 
@@ -443,7 +445,7 @@ class NumericBarrier(_TabulatedBarrier):
         self._vbar = 0.5 * (v1 + v2)
 
     def _solve(self, kappa):
-        """(a, b) for a scalar kappa, or two arrays of kappa's shape."""
+        """(a, b) as two arrays of kappa's shape, 0-d for a scalar kappa."""
         shape = np.shape(kappa)
         k = np.asarray(kappa, dtype=complex).ravel()
         if np.any(k == 0):
@@ -455,8 +457,6 @@ class NumericBarrier(_TabulatedBarrier):
             a[real], b[real] = self._solve_real(k.real[real])
         if not np.all(real):
             a[~real], b[~real] = self._solve_ordered(k[~real])
-        if not shape:
-            return complex(a[0]), complex(b[0])
         return a.reshape(shape), b.reshape(shape)
 
     def _solve_real(self, kappa):
@@ -535,25 +535,32 @@ class NumericBarrier(_TabulatedBarrier):
         b = (1j * k * y + yp) * np.exp(-1j * k * qb) / (2j * k)
         return a, b
 
+    # each value is formed in numpy, a scalar kappa's too, and only then
+    # becomes a Python complex: a scalar call gives an array call's bits
     def amplitude_a(self, kappa):
-        return self._solve(kappa)[0]
+        return _complex_if_0d(self._solve(kappa)[0])
 
     def amplitude_b(self, kappa):
-        return self._solve(kappa)[1]
+        return _complex_if_0d(self._solve(kappa)[1])
 
     def amplitudes(self, kappa):
-        return self._solve(kappa)
+        a, b = self._solve(kappa)
+        return _complex_if_0d(a), _complex_if_0d(b)
 
     def ba_ratio(self, kappa):
         a, b = self._solve(kappa)
-        return b / a
+        return _complex_if_0d(b / a)
 
     def reflection_lr(self, kappa):
-        a, b = self.amplitudes(kappa)
-        return -b.conjugate() / a
+        a, b = self._solve(kappa)
+        return _complex_if_0d(-b.conjugate() / a)
 
     def poles(self, count):
         return _newton_pole_search(self)
+
+
+def _complex_if_0d(out):
+    return complex(out) if out.ndim == 0 else out
 
 
 class EikonalBarrier(_TabulatedBarrier):
@@ -641,9 +648,7 @@ def _action_pieces(potential):
                 potential.max_potential())
     table = (potential if isinstance(potential, _TabulatedBarrier)
              else _as_numeric_barrier(potential)).table
-    crit = table._spline.derivative().roots()
-    crit = crit[np.isfinite(crit) & (crit > table.q_min) & (crit < table.q_max)]
-    return table, np.union1d(table.edges, crit), table.v_max
+    return table, table.monotone_edges, table.v_max
 
 
 def _rule(lo, hi, anchor=None):

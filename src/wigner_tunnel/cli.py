@@ -15,10 +15,12 @@ the fallback for the values the numpy digits cannot decide. Warnings of
 
 Importing this module loads numpy and no scipy module: the package
 imports each scipy function inside the function that calls it. A command
-then loads only the scipy subpackages its barrier and route use, and a
-short command does not wait for the ones it never calls (importing
-``scipy.interpolate`` alone takes longer than a delta ``kernel`` or
-``probe`` run).
+then loads only the scipy subpackages its route uses, and a short command
+does not wait for the ones it never calls. ``amplitudes``, ``probe``,
+``evolve`` and ``kernel`` load none for any barrier kind, but for
+``kernel --method semiclassical``, whose spline of the eikonal action is
+``scipy.interpolate``'s (importing it alone takes longer than a delta
+``kernel`` or ``probe`` run).
 """
 
 from __future__ import annotations
@@ -370,10 +372,10 @@ def _state_from_config(cfg, path):
 
 def cmd_amplitudes(cfg, out_dir, args):
     _check_keys(cfg, ["barrier", "kappa_grid"], [], "config")
-    barrier = _barrier_from_config(cfg["barrier"])
     ks = _grid_from_config(cfg["kappa_grid"], "kappa_grid")
     if np.any(ks == 0):
         raise ConfigError("kappa_grid: kappa = 0 is not evaluable")
+    barrier = _barrier_from_config(cfg["barrier"])
 
     # Python complex, not numpy: |a|^2 must raise OverflowError, not give inf
     def one(k, a, b, ratio):
@@ -435,7 +437,6 @@ def _kernel_one_method(barrier, method, p, r_grid, n_poles, tol):
 def cmd_kernel(cfg, out_dir, args):
     _check_keys(cfg, ["barrier", "p", "r_grid"],
                 ["method", "n_poles", "tol"], "config")
-    barrier = _barrier_from_config(cfg["barrier"])
     p = cfg["p"]
     if not (_is_real(p) and p > 0):
         raise ConfigError(f"p: expected a finite number > 0 (incident from the left), "
@@ -450,6 +451,7 @@ def cmd_kernel(cfg, out_dir, args):
     if not (_is_real(tol) and tol > 0):
         raise ConfigError(f"tol: expected a finite number > 0, got {tol!r}")
     tol = float(tol)
+    barrier = _barrier_from_config(cfg["barrier"])
 
     methods = ["quadrature", "residues", "closed"] if method == "all" else [method]
     for m in methods:
@@ -482,7 +484,6 @@ def cmd_kernel(cfg, out_dir, args):
 def cmd_evolve(cfg, out_dir, args):
     _check_keys(cfg, ["barrier", "state", "q_axis", "p_axis", "times"],
                 ["include_interference"], "config")
-    barrier = _barrier_from_config(cfg["barrier"])
     state = _state_from_config(cfg["state"], "state")
     q_axis = _grid_from_config(cfg["q_axis"], "q_axis", n_min=8)
     p_axis = _grid_from_config(cfg["p_axis"], "p_axis", n_min=8)
@@ -495,11 +496,6 @@ def cmd_evolve(cfg, out_dir, args):
     interference = cfg.get("include_interference", False)
     if not isinstance(interference, bool):
         raise ConfigError("include_interference: expected true or false")
-    if isinstance(barrier, _b.EikonalBarrier):
-        raise MethodCompatibilityError(
-            "evolve cannot close the mass accounting on an eikonal barrier: its b is "
-            "identically 0 while |a|^-2 < 1 below the top, so the reflected sector is empty")
-
     try:
         grid0 = ev.gaussian_to_grid(state, q_axis, p_axis)
     except GridCoverageError as exc:
@@ -513,6 +509,12 @@ def cmd_evolve(cfg, out_dir, args):
         ev._check_incident(grid0)
     except ValueError as exc:
         raise ConfigError(f"state: {exc}") from exc
+    barrier = _barrier_from_config(cfg["barrier"])
+    if isinstance(barrier, _b.EikonalBarrier):
+        raise MethodCompatibilityError(
+            "evolve cannot close the mass accounting on an eikonal barrier: its b is "
+            "identically 0 while |a|^-2 < 1 below the top, so the reflected sector is empty")
+
     marg = grid0.momentum_marginal()
     pos = p_axis > 0
     a = barrier.amplitude_a(p_axis[pos])
@@ -546,12 +548,12 @@ def cmd_evolve(cfg, out_dir, args):
 
 def cmd_probe(cfg, out_dir, args):
     _check_keys(cfg, ["barrier", "init", "detector", "times"], [], "config")
-    barrier = _barrier_from_config(cfg["barrier"])
     init = _state_from_config(cfg["init"], "init")
     det = _state_from_config(cfg["detector"], "detector")
     times = _grid_from_config(cfg["times"], "times")
     if np.any(times < 0):
         raise ConfigError("times: expected finite numbers >= 0")
+    barrier = _barrier_from_config(cfg["barrier"])
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

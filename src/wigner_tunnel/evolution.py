@@ -12,10 +12,10 @@ the shear 2pt. So one momentum walk serves every time of a call: one pole
 search for the lag ranges (``_kernel_ranges``), and per momentum p > 0,
 forward or adjoint, one lag lattice and one ``kernel_row`` call for (T, R)
 (``_kernel_rows``). One batched natural-spline fit per call covers every
-source row (``_NaturalSplines``). Per momentum and term, every time's
+source row (``NaturalSplines``). Per momentum and term, every time's
 resampled source row is FFT-correlated with the weighted kernel row in
 one call (``_lag_convolve``). The module imports no scipy: the splines
-are its own and the FFT is numpy's.
+are the package's own and the FFT is numpy's.
 
 Gaussian packets follow the unnormalized convention
 rho = exp[-(q-Q)^2/lambda - lambda (p-P)^2] of mass pi; all detection
@@ -36,6 +36,7 @@ from . import barriers as _b
 from . import kernels as _k
 from .errors import AxisMismatchError, GridCoverageError, QuadratureError
 from .quadrature import _gl
+from .splines import NaturalSplines
 
 __all__ = [
     "WignerGrid",
@@ -161,64 +162,9 @@ def gaussian_to_grid(state, q_axis, p_axis):
     return WignerGrid(q_axis, p_axis, vals)
 
 
-class _NaturalSplines:
-    """Natural cubic splines through every column of ys on the shared knots x.
-
-    One Thomas sweep over the knots, vectorised across columns, gives each
-    column's second derivatives M, zero at both ends (de Boor, *A Practical
-    Guide to Splines*, ch. IV). On [x_i, x_i+1], with d = x - x_i, a column
-    is y_i + d (s_i + d (M_i / 2 + d (M_i+1 - M_i) / (6 h_i))), where s_i is
-    the slope at x_i.
-    """
-
-    def __init__(self, x, ys):
-        self.x = x = np.asarray(x, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        h = np.diff(x)[:, None]
-        chord = np.diff(ys, axis=0) / h
-        # interior knot k: h_k-1 M_k-1 + 2 (h_k-1 + h_k) M_k + h_k M_k+1 = rhs_k,
-        # solved in place in the interior rows of m
-        m = np.zeros_like(ys)
-        rhs = m[1:-1]
-        np.multiply(np.diff(chord, axis=0), 6.0, out=rhs)
-        hs = h[:, 0].tolist()
-        diag = [2.0 * (a + b) for a, b in zip(hs[:-1], hs[1:])]
-        for k in range(1, len(diag)):
-            w = hs[k] / diag[k - 1]
-            diag[k] -= w * hs[k]
-            rhs[k] -= w * rhs[k - 1]
-        rhs /= np.array(diag)[:, None]
-        for k in range(len(diag) - 2, -1, -1):
-            rhs[k] -= (hs[k + 1] / diag[k]) * rhs[k + 1]
-        # coef[col] = (y, slope, M/2, dM/6h), each over the intervals
-        self.coef = coef = np.empty((ys.shape[1], 4, len(h)))
-        coef[:, 0] = ys[:-1].T
-        coef[:, 1] = (chord - h * (2.0 * m[:-1] + m[1:]) / 6.0).T
-        coef[:, 2] = 0.5 * m[:-1].T
-        coef[:, 3] = (np.diff(m, axis=0) / (6.0 * h)).T
-        self.dx = (x[-1] - x[0]) / (len(x) - 1)   # the mean knot spacing
-
-    def sample(self, col, starts, step, n):
-        """Column col at starts[k] + m step, m < n, one row per start; 0 off [x0, x_end]."""
-        x = self.x
-        pts = np.asarray(starts, dtype=float)[:, None] + step * np.arange(n)
-        # interval floor((pts - x0) / dx), clipped into range before the
-        # cast, which truncates as floor does on what is left
-        u = np.minimum((pts - x[0]) / self.dx, len(x) - 2)
-        i = np.maximum(u, 0.0, out=u).astype(np.intp)
-        d = pts - x[:-1].take(i)
-        y, slope, half_m, dm = self.coef[col]
-        vals = dm.take(i)
-        for c in (half_m, slope, y):
-            vals *= d
-            vals += c.take(i)
-        np.copyto(vals, 0.0, where=(pts < x[0]) | (pts > x[-1]))
-        return vals
-
-
 def _resample_rows(grid, shifts):
     """Cubic resample of each momentum row at q - shift_j, zero outside."""
-    fit = _NaturalSplines(grid.q, grid.values)
+    fit = NaturalSplines(grid.q, grid.values)
     return np.column_stack([fit.sample(j, [grid.q[0] - shift], grid.dq, len(grid.q))[0]
                             for j, shift in enumerate(shifts)])
 
@@ -307,7 +253,7 @@ def _propagate_rows(grid, barrier, times, adjoint):
 
     Returns one value array per time. A first pass collects each momentum
     p > 0's terms and the distinct source rows they read, and one
-    ``_NaturalSplines`` call fits them all. The second pass makes one
+    ``NaturalSplines`` call fits them all. The second pass makes one
     kernel row (T, R) per momentum and, per term, every time's row at once.
     Forward, the row at +p transmits into column +p and reflects into
     column -p; adjoint, column +p gathers the row at +p through T and the
@@ -338,7 +284,7 @@ def _propagate_rows(grid, barrier, times, adjoint):
             walk[-1][1].append((len(sources) - 1, j, transmitted))
     if not walk:
         return list(outs)
-    fit = _NaturalSplines(grid.q, np.column_stack(sources))
+    fit = NaturalSplines(grid.q, np.column_stack(sources))
     ranges = _kernel_ranges(barrier)
     t_max = float(np.max(times))
     for p, terms in walk:

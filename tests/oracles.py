@@ -222,7 +222,8 @@ def eikonal_action_piecewise(barrier, kappa, dps=20):
         k2 = k * k
         total = mp.mpc(0)
         for i in range(len(sp.x) - 1):
-            c = [mp.mpf(float(v)) for v in sp.c[:, i]]   # c0 t^3 + c1 t^2 + c2 t + c3
+            # c0 t^3 + c1 t^2 + c2 t + c3: the fit's (y, slope, M/2, dM/6h), reversed
+            c = [mp.mpf(float(v)) for v in sp.coef[0, ::-1, i]]
             width = mp.mpf(float(sp.x[i + 1])) - mp.mpf(float(sp.x[i]))
             cuts = {mp.mpf(0), width}
             for poly in (c, [3 * c[0], 2 * c[1], c[2]], c[:3] + [c[3] - k2]):

@@ -250,6 +250,42 @@ def test_pt_commands_load_no_scipy(tmp_path, command, cfg, extra):
     assert scipy_modules_after(args) == set()
 
 
+TABLE = json.loads(TABLE_WITH % 1)
+
+
+@pytest.mark.parametrize("kind", ["numeric", "eikonal"])
+@pytest.mark.parametrize("command, cfg", [
+    ("amplitudes", {"kappa_grid": {"min": 0.2, "max": 3.0, "n": 10}}),
+    ("probe", FLAG_CONFIGS["probe"]),
+], ids=["amplitudes", "probe"])
+def test_table_commands_load_no_scipy(tmp_path, command, cfg, kind):
+    # a table's spline, with its roots and critical points, is the package's own
+    cfg = {**cfg, "barrier": {"kind": kind, "table": TABLE}}
+    args = [command, "--config", str(write_cfg(tmp_path, "c.json", cfg)),
+            "--out", str(tmp_path / "out")]
+    assert scipy_modules_after(args) == set()
+
+
+@pytest.mark.parametrize("command, entry, key", [
+    ("amplitudes", {"kappa_grid": {"min": 0.5, "max": 1.0, "n": 1}}, "kappa_grid.n"),
+    ("kernel", {"r_grid": {"min": 2.0, "max": 0.5, "n": 4}}, "r_grid"),
+    ("evolve", {"times": [None]}, "times"),
+    ("probe", {"times": {"min": 38.0, "max": 42.0}}, "times"),
+])
+def test_config_error_fits_no_table(tmp_path, capsys, command, entry, key):
+    # every other key is checked before the barrier is built
+    from wigner_tunnel import barriers
+
+    base = {"kernel": KERNEL_CFG}.get(command) or FLAG_CONFIGS[command]
+    cfg = {**base, "barrier": {"kind": "numeric", "table": TABLE}, **entry}
+    with mock.patch.object(barriers, "_TabulatedPotential",
+                           wraps=barriers._TabulatedPotential) as table:
+        assert run([command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                    "--out", tmp_path / "out"]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert table.call_count == 0
+
+
 class TestAmplitudesCommand:
     def test_unitarity_column(self, tmp_path):
         cfg = write_cfg(tmp_path, "a.json", delta_cfg(

@@ -235,8 +235,8 @@ class TestBarrierPropagate:
             g = gaussian_to_grid(_incident(), q, p)
             floor = 1e-10 * np.max(np.abs(g.values))
             sources = np.sum((p > 1e-9 * g.dp) & (np.max(np.abs(g.values), axis=0) > floor))
-            with mock.patch.object(evolution, "_NaturalSplines",
-                                   wraps=evolution._NaturalSplines) as fit:
+            with mock.patch.object(evolution, "NaturalSplines",
+                                   wraps=evolution.NaturalSplines) as fit:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     barrier_propagate(g, DeltaBarrier(2.0), 25.0)
@@ -319,8 +319,8 @@ class TestBarrierPropagate:
         sources = p[(p > 1e-9 * g.dp) & (np.max(np.abs(g.values), axis=0) > floor)]
         with mock.patch.object(barriers, "find_poles", wraps=barriers.find_poles) as poles, \
                 mock.patch.object(kernels, "kernel_row", wraps=kernels.kernel_row) as row, \
-                mock.patch.object(evolution, "_NaturalSplines",
-                                  wraps=evolution._NaturalSplines) as fit, \
+                mock.patch.object(evolution, "NaturalSplines",
+                                  wraps=evolution.NaturalSplines) as fit, \
                 mock.patch.object(evolution, "fftconvolve", wraps=evolution.fftconvolve) as fft:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

@@ -491,7 +491,7 @@ class TestTotalProbabilities:
 
     def test_array_call_equals_scalar_calls(self):
         ps = np.linspace(0.05, 3.0, 37)
-        for bar in (DeltaBarrier(2.0), PoschlTellerBarrier(1.0, 0.4)):
+        for bar in (DeltaBarrier(2.0), PoschlTellerBarrier(1.0, 0.4), sech2_table()):
             t_arr, r_arr = total_probabilities(bar, ps)
             for p, t, r in zip(ps, t_arr, r_arr):
                 t_one, r_one = total_probabilities(bar, float(p))

@@ -33,13 +33,13 @@ from wigner_tunnel.barriers import (
 from wigner_tunnel.errors import GammaPoleError
 from wigner_tunnel.evolution import (
     GaussianState,
-    _NaturalSplines,
     _next_fast_len,
     fftconvolve,
     gaussian_detection,
 )
 from wigner_tunnel.kernels import kernel_by_quadrature, kernel_row
 from wigner_tunnel.specfun import log_gamma_right
+from wigner_tunnel.splines import NaturalSplines
 
 # derandomized, so a CI failure reproduces locally
 derandomized = settings(deadline=None, derandomize=True)
@@ -228,15 +228,44 @@ def test_band_reflection_interpolates_quadrature(vs, s, p):
         assert np.max(np.abs(band_r - ref_r.density)) < 1e-8
 
 
+# small non-negative tables (q, V): 4 to 41 rows on [-L, L], heights up to 1.5
+table_rows = st.builds(
+    lambda half, v: (np.linspace(-half, half, len(v)), np.array(v)),
+    st.floats(0.5, 2.0),
+    st.lists(st.floats(0.0, 1.5), min_size=4, max_size=41))
+
+
 def _tables(cls):
-    """Small non-negative tables: 4 to 41 rows on [-L, L], heights up to 1.5."""
-    return st.builds(
-        lambda half, v: cls(np.linspace(-half, half, len(v)), np.array(v)),
-        st.floats(0.5, 2.0),
-        st.lists(st.floats(0.0, 1.5), min_size=4, max_size=41))
+    return table_rows.map(lambda rows: cls(*rows))
 
 
 tables = _tables(NumericBarrier)
+_SINE_KNOTS = np.linspace(-3.0, 3.0, 31)
+
+
+@settings(derandomized, max_examples=100)
+@given(rows=table_rows)
+# zeros on knots, where the spline crosses 0 at the knot itself
+@example(rows=(_SINE_KNOTS, np.clip(1.2 * np.sin(3.0 * _SINE_KNOTS), 0.0, None)))
+def test_table_edges_match_scipy_roots(rows):
+    # the table's clip kinks and critical points against scipy's roots() and
+    # derivative().roots() of its natural spline through the same rows, in
+    # count and to 1e-12. scipy can report a zero on a knot a second time,
+    # an ulp off the knot, so its points closer than 1e-12 count once; NaN
+    # marks a piece that is identically 0
+    q, v = rows
+    table = NumericBarrier(q, v).table
+    spline = scipy.interpolate.CubicSpline(q, v, bc_type="natural")
+
+    def inside(r):
+        return r[np.isfinite(r) & (r > q[0]) & (r < q[-1])]
+
+    edges = np.unique(np.concatenate([q, inside(spline.roots())]))
+    monotone = np.union1d(edges, inside(spline.derivative().roots()))
+    for got, want in ((table.edges, edges), (table.monotone_edges, monotone)):
+        want = want[np.concatenate([[True], np.diff(want) > 1e-12])]
+        assert len(got) == len(want)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _check_shared_quadrature(bar, p, r, tol):
@@ -407,10 +436,16 @@ def test_next_fast_len_matches_scipy(n):
 def test_natural_splines_match_scipy_cubic_spline(n, refine, before, x0, h, scale, seed):
     # lattices of step h / refine from off the left end, from the first
     # knot (at refine 1, the knots themselves, bit for bit) and from the
-    # last knot, each past the right end, where the samples are 0
+    # last knot, each past the right end, where the samples are 0; then, on
+    # knots 0.2 h to 1.8 h apart, the knots and arbitrary points from h
+    # before the first to h past the last, where the end pieces continue
+    rng = np.random.default_rng(seed)
     x = x0 + h * np.arange(n)
-    ys = scale * np.random.default_rng(seed).normal(size=(n, 3))
-    fit = _NaturalSplines(x, ys)
+    ys = scale * rng.normal(size=(n, 3))
+    fit = NaturalSplines(x, ys)
+    knots = x0 + h * np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, n - 1))])
+    at = np.concatenate([knots, rng.uniform(knots[0] - h, knots[-1] + h, 200)])
+    uneven = NaturalSplines(knots, ys)
     step = h / refine
     starts = np.array([x[0] - before * step, x[0], x[-1]])
     n_pts = (n - 1) * refine + 2 * before + 3
@@ -423,6 +458,8 @@ def test_natural_splines_match_scipy_cubic_spline(n, refine, before, x0, h, scal
         ref = np.where(inside, spline(pts), 0.0)
         got = fit.sample(col, starts, step, n_pts)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ys[:, col]))
+        spline = scipy.interpolate.CubicSpline(knots, ys[:, col], bc_type="natural")
+        assert np.max(np.abs(uneven(at, col) - spline(at))) <= 1e-13 * np.max(np.abs(ys[:, col]))
 
 
 # jagged eikonal tables: 4 to 41 rows on [-L, L], heights up to 1.5, 40% of them 0
