@@ -5,15 +5,11 @@ from .barriers import (
     DeltaBarrier,
     EikonalBarrier,
     NumericBarrier,
-    PoleData,
     PoschlTellerBarrier,
-    SMatrix,
     barrier_from_dict,
-    delta_amplitudes,
     eikonal_action,
     find_poles,
-    numeric_amplitudes,
-    pt_amplitudes,
+    residue_factors,
     tunneling_integral,
 )
 from .evolution import (

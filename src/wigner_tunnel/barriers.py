@@ -1,4 +1,4 @@
-"""Scattering amplitudes a(kappa), b(kappa) and S-matrix data for 1D barriers.
+"""Scattering amplitudes a(kappa), b(kappa) and S-matrix zeros for 1D barriers.
 
 Conventions (hbar = 1, 2m = 1): the stationary equation is
 p^2 y + V(q) y = kappa^2 y, with the left-transmitted solution behaving as
@@ -10,32 +10,32 @@ with -conj(b)/a (``Barrier.reflection_lr``), which is b/a for an even
 barrier. All zeros of a for V >= 0 lie in the lower half-plane; they drive
 the exponential tails of the kernels. Each kind lists its zeros with
 ``poles`` (closed forms for delta and Poschl-Teller, a Newton search for a
-table), and ``find_poles`` is the one path that checks them and attaches
-their residue factors.
+table), ``find_poles`` is the one path that checks them, and
+``residue_factors`` gives the kernel coefficient at each, from the kind's
+own ``slope_at_zeros``.
 
 Supported barriers: delta spike, modified Poschl-Teller v0^2/cosh^2(q/s)
 (one log-Gamma quotient on the whole plane), tabulated numeric potentials
-(solved by a transfer-matrix product), and the eikonal approximation
-exp(i S(kappa)) of a numeric potential, whose action is a fixed
-Gauss-Legendre sum over the pieces where V is monotone, split at the
-turning points and evaluated for every kappa of a call at once.
+(solved by a transfer-matrix product over the table's own rows), and the
+eikonal approximation exp(i S(kappa)) of a numeric potential, whose action
+is a fixed Gauss-Legendre sum over the pieces where V is monotone, split at
+the turning points and evaluated for every kappa of a call at once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BranchAmbiguityError,
     GammaPoleError,
+    MethodCompatibilityError,
     NoBarrierError,
     NonMeromorphicError,
     PoleSearchError,
-    SupportError,
 )
 # gamma_cx has no caller here: perfbench/tracing.py wraps it by this name
 from .specfun import _log_sinh, gamma_cx, log_gamma_right
@@ -52,42 +52,12 @@ __all__ = [
     "PoschlTellerBarrier",
     "NumericBarrier",
     "EikonalBarrier",
-    "PoleData",
-    "SMatrix",
-    "delta_amplitudes",
-    "pt_amplitudes",
-    "numeric_amplitudes",
     "eikonal_action",
     "tunneling_integral",
     "find_poles",
     "residue_factors",
     "barrier_from_dict",
 ]
-
-
-@dataclass(frozen=True)
-class PoleData:
-    """A zero kappa_n of a(kappa) of ``barrier``, with its kernel residue factor."""
-    kappa: complex
-    barrier: Barrier
-
-    def residue_factor(self, p):
-        """The coefficient A_n(p) = 4i / (a'(kappa_n) a(kappa_n - 2p)) multiplying
-        exp[2 i r (p - kappa_n)] in the pole expansion of the transmission
-        kernel; the normalization is pinned so that the single-pole delta
-        barrier reproduces its closed form exactly."""
-        return complex(residue_factors(self.barrier, [self.kappa], p)[0])
-
-
-@dataclass(frozen=True)
-class SMatrix:
-    transmission: complex        # 1/a
-    reflection_lr: complex       # -conj(b)/a  (incident from the left)
-    reflection_rl: complex       # b/a         (incident from the right)
-
-    def as_matrix(self):
-        return np.array([[self.transmission, self.reflection_rl],
-                         [self.reflection_lr, self.transmission]])
 
 
 class Barrier:
@@ -117,15 +87,12 @@ class Barrier:
         """
         return self.ba_ratio(kappa)
 
-    def amplitude_a_prime(self, kappa):
-        """Complex derivative of a by central difference (a is analytic)."""
+    def slope_at_zeros(self, kappa):
+        """a'(kappa_n) at zeros kappa_n of a, for ``residue_factors``: here a
+        central difference (a is analytic), which holds at any kappa."""
         kappa = np.asarray(kappa, dtype=complex)
         h = 1e-6 * np.maximum(np.hypot(kappa.real, kappa.imag), self.kappa_scale())
         return (self.amplitude_a(kappa + h) - self.amplitude_a(kappa - h)) / (2.0 * h)
-
-    def s_matrix(self, kappa):
-        a, b = self.amplitudes(kappa)
-        return SMatrix(1.0 / a, -np.conj(b) / a, b / a)
 
     def kappa_scale(self):
         """Characteristic momentum scale of the barrier."""
@@ -179,7 +146,8 @@ class DeltaBarrier(Barrier):
         out = -1j * self.v0 / (2.0 * kappa + 1j * self.v0)
         return complex(out) if out.ndim == 0 else out
 
-    def amplitude_a_prime(self, kappa):
+    def slope_at_zeros(self, kappa):
+        """a' = -i v0 / (2 kappa^2), which holds at any kappa."""
         kappa = np.asarray(kappa, dtype=complex)
         out = -0.5j * self.v0 / kappa ** 2
         return complex(out) if out.ndim == 0 else out
@@ -280,15 +248,32 @@ class PoschlTellerBarrier(Barrier):
             out = np.where(x == 0, -1.0, -np.cos(np.pi * self.omega) * np.exp(lg))
         return complex(out) if out.ndim == 0 else out
 
-    def amplitude_a_prime(self, kappa):
-        """Central difference with step 1e-7/s. Near v0 s = 1/2 each pole
-        pair merges into a double zero, where a' vanishes and the residues
-        are ill-conditioned: PoleSearchError."""
+    def slope_at_zeros(self, kappa):
+        """a'(kappa_n) at zeros s kappa_n = -i(n + 1/2 + sigma w), sigma = +-1,
+        exact to rounding. 1/Gamma(1/2 + sigma w - i s kappa) vanishes there
+        with slope (-1)^n n! in its argument (DLMF 5.2(i)), so
+        a' = (-1)^n n! Gamma(1/2 - n - sigma w)^2 / (kappa_n Gamma(-n - 2 sigma w)),
+        taken in log space. Raises ValueError at a kappa that is not a zero
+        of a, and PoleSearchError near v0 s = 1/2, where each pole pair
+        merges into a double zero and the residues are ill-conditioned.
+        """
         if abs(self.omega) < 1e-4:
             raise PoleSearchError("pole pair nearly degenerate (v0*s ~ 1/2); "
                                   "residues ill-conditioned")
-        h = 1e-7 / self.s
-        return (self.amplitude_a(kappa + h) - self.amplitude_a(kappa - h)) / (2.0 * h)
+        kappa = np.asarray(kappa, dtype=complex)
+        x = self.s * kappa
+        # n + sigma w = i x - 1/2: the n of sigma = +1 in row 0, of -1 in row 1
+        shifted = np.stack([1j * x - 0.5 - self.omega, 1j * x - 0.5 + self.omega])
+        n = np.round(shifted.real)
+        hit = (np.abs(shifted - n) <= 1e-9 * np.maximum(1.0, np.abs(x))) & (n >= 0.0)
+        if not np.all(hit[0] | hit[1]):
+            raise ValueError("slope_at_zeros: kappa is not a zero of a")
+        n = np.where(hit[0], n[0], n[1])
+        sw = np.where(hit[0], self.omega, -self.omega)
+        lg = np.stack([0.5 - n - sw, -n - 2.0 * sw, n + 1.0])
+        lg1, lg2, lg3 = log_gamma_right(lg, out=lg)
+        out = (1.0 - 2.0 * (n % 2)) * np.exp(2.0 * lg1 - lg2 + lg3) / kappa
+        return complex(out) if out.ndim == 0 else out
 
     def kappa_scale(self):
         return max(self.v0, 1.0 / self.s)
@@ -327,15 +312,16 @@ class PoschlTellerBarrier(Barrier):
 
 
 class _TabulatedPotential:
-    """Piecewise-cubic potential over a finite support; exactly 0 outside.
+    """Piecewise-cubic potential on the table's rows; exactly 0 outside.
 
-    V is the natural spline through the table, clipped at 0. ``edges``
-    splits the support where V is smooth: its ends, the knots and the clip's
-    kinks at the spline's roots. ``monotone_edges`` adds the spline's
-    critical points, so V is smooth and monotone between them.
+    V is the natural spline through the table, clipped at 0, and its
+    support runs from the first row to the last. ``edges`` splits the
+    support where V is smooth: the knots and the clip's kinks at the
+    spline's roots. ``monotone_edges`` adds the spline's critical points,
+    so V is smooth and monotone between them.
     """
 
-    def __init__(self, q, v, q_min=None, q_max=None):
+    def __init__(self, q, v):
         q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
         if q.ndim != 1 or q.shape != v.shape or len(q) < 4:
@@ -344,39 +330,38 @@ class _TabulatedPotential:
             raise ValueError("potential table abscissae must be strictly increasing")
         if np.any(v < -1e-12 * max(1.0, float(np.max(np.abs(v))))):
             raise ValueError("potential must satisfy V(q) >= 0 (no bound states)")
-        self.q_min = lo = float(q[0]) if q_min is None else float(q_min)
-        self.q_max = hi = float(q[-1]) if q_max is None else float(q_max)
-        if self.q_min > q[0] or self.q_max < q[-1]:
-            raise SupportError("table extends outside the stated support")
+        self.support = lo, hi = float(q[0]), float(q[-1])
         self._spline = NaturalSplines(q, np.clip(v, 0.0, None)[:, None])
-        self.edges = np.unique(np.concatenate([[lo, hi], q, self._spline.roots(lo, hi)]))
-        self.monotone_edges = np.union1d(self.edges, self._spline.roots(lo, hi, deriv=True))
-        dense = self(np.linspace(self.q_min, self.q_max, 4001))
+        self.edges = np.unique(np.concatenate([q, self._spline.roots()]))
+        self.monotone_edges = np.union1d(self.edges, self._spline.roots(deriv=True))
+        dense = self(np.linspace(lo, hi, 4001))
         self.v_max = float(np.max(dense))
-        self.strength = float(np.trapezoid(dense,
-                                           np.linspace(self.q_min, self.q_max, 4001)))
+        self.strength = float(np.trapezoid(dense, np.linspace(lo, hi, 4001)))
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
+        lo, hi = self.support
         # clamped into the support, where the end pieces' cubics stay finite
-        v = np.maximum(self._spline(np.minimum(np.maximum(q, self.q_min), self.q_max)), 0.0)
-        out = np.where((q >= self.q_min) & (q <= self.q_max), v, 0.0)
+        v = np.maximum(self._spline(np.minimum(np.maximum(q, lo), hi)), 0.0)
+        out = np.where((q >= lo) & (q <= hi), v, 0.0)
         return out if out.ndim else float(out)
 
 
 class _TabulatedBarrier(Barrier):
     """A barrier given by a tabulated potential; ``kind`` names the model."""
 
-    def __init__(self, q, v, q_min=None, q_max=None):
-        self.table = _TabulatedPotential(q, v, q_min, q_max)
+    def __init__(self, q, v):
+        self.table = _TabulatedPotential(q, v)
 
     @classmethod
-    def from_callable(cls, fn, q_min, q_max, n=1201):
-        q = np.linspace(q_min, q_max, n)
-        return cls(q, np.asarray(fn(q), dtype=float), q_min, q_max)
+    def from_callable(cls, fn, lo, hi, n=1201):
+        """The barrier of fn sampled at n equally spaced rows on [lo, hi]."""
+        q = np.linspace(lo, hi, n)
+        return cls(q, np.asarray(fn(q), dtype=float))
 
     def kappa_scale(self):
-        return max(math.sqrt(self.table.v_max), 1.0 / (self.table.q_max - self.table.q_min))
+        lo, hi = self.table.support
+        return max(math.sqrt(self.table.v_max), 1.0 / (hi - lo))
 
     def integral_strength(self):
         return self.table.strength
@@ -388,10 +373,10 @@ class _TabulatedBarrier(Barrier):
         return self.table.v_max
 
     def support(self):
-        return self.table.q_min, self.table.q_max
+        return self.table.support
 
     def descriptor(self):
-        qs = np.linspace(self.table.q_min, self.table.q_max, 257)
+        qs = np.linspace(*self.table.support, 257)
         return {"kind": self.kind, "table": [[float(q), float(v)]
                                              for q, v in zip(qs, self.table(qs))]}
 
@@ -406,12 +391,12 @@ _PRODUCT_ENTRIES = 1 << 15
 class NumericBarrier(_TabulatedBarrier):
     """Arbitrary tabulated barrier; amplitudes from a transfer-matrix product.
 
-    (y, y') starts at q_min on the exp(-i kappa q) branch and is carried to
-    q_max by a fourth-order Magnus product: each fixed step is the
-    closed-form exponential of a traceless 2x2 matrix from V at two Gauss
-    points, and the knots and clip kinks are step edges (Blanes, Casas, Oteo
-    & Ros, Phys. Rep. 470 (2009) 151). (a, b) follow from y and y'
-    together, with no differencing noise.
+    (y, y') starts at the first row on the exp(-i kappa q) branch and is
+    carried to the last by a fourth-order Magnus product: each fixed step is
+    the closed-form exponential of a traceless 2x2 matrix from V at two
+    Gauss points, and the knots and clip kinks are step edges (Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151). (a, b) follow from y and
+    y' together, with no differencing noise.
 
     The product is formed in one of two ways, chosen for each kappa alone,
     so no kappa's result depends on the rest of the call:
@@ -431,12 +416,12 @@ class NumericBarrier(_TabulatedBarrier):
 
     kind = "numeric"
 
-    def __init__(self, q, v, q_min=None, q_max=None):
-        super().__init__(q, v, q_min, q_max)
+    def __init__(self, q, v):
+        super().__init__(q, v)
         lengths = np.diff(self.table.edges)
         n = np.ceil(lengths * math.sqrt(max(self.table.v_max, 1.0)) / MAGNUS_STEP).astype(int)
         h = np.repeat(lengths / n, n)
-        q0 = self.table.q_min + np.concatenate([[0.0], np.cumsum(h)[:-1]])
+        q0 = self.table.support[0] + np.concatenate([[0.0], np.cumsum(h)[:-1]])
         g = math.sqrt(3.0) / 6.0   # Gauss points at 1/2 -+ g of each step
         v1, v2 = self.table(q0 + (0.5 - g) * h), self.table(q0 + (0.5 + g) * h)
         # per step: length h, commutator term c and Gauss-mean potential
@@ -490,7 +475,7 @@ class NumericBarrier(_TabulatedBarrier):
             prod[..., i:i + j] = mb[..., lo]
         (m11, m12), (m21, m22) = prod
         # (y, y') = M (1, -ik) e^{-ik qa} = a e^{-ik q} (1, -ik) + b e^{ik q} (1, ik) at qb
-        qa, qb = self.table.q_min, self.table.q_max
+        qa, qb = self.table.support
         a = (0.5 * (m11 + m22) - 0.5j * (k * m12 - m21 / k)) * np.exp(1j * k * (qb - qa))
         b = (0.5 * (m11 - m22) - 0.5j * (k * m12 + m21 / k)) * np.exp(-1j * k * (qa + qb))
         # a(-kappa) = conj a(kappa) on the real axis, bit for bit
@@ -520,7 +505,7 @@ class NumericBarrier(_TabulatedBarrier):
 
     def _solve_ordered(self, k):
         """(a, b) at any kappa, stepping (y, y') through the steps in order."""
-        qa, qb = self.table.q_min, self.table.q_max
+        qa, qb = self.table.support
         k2 = k * k
         y = np.exp(-1j * k * qa)
         yp = -1j * k * y
@@ -574,11 +559,8 @@ class EikonalBarrier(_TabulatedBarrier):
     kind = "eikonal"
     is_meromorphic = False
 
-    def action(self, kappa):
-        return eikonal_action(self, kappa)
-
     def amplitude_a(self, kappa):
-        return np.exp(1j * self.action(kappa))
+        return np.exp(1j * eikonal_action(self, kappa))
 
     def amplitude_b(self, kappa):
         if np.ndim(kappa) == 0:
@@ -587,43 +569,6 @@ class EikonalBarrier(_TabulatedBarrier):
 
     # b is identically 0, so b/a needs no action integral
     ba_ratio = amplitude_b
-
-
-# ---------------------------------------------------------------------------
-# Free functions (the operation surface)
-# ---------------------------------------------------------------------------
-
-def delta_amplitudes(v0, kappa):
-    """Closed-form (a, b) for the delta barrier."""
-    bar = DeltaBarrier(v0)
-    return bar.amplitude_a(kappa), bar.amplitude_b(kappa)
-
-
-def pt_amplitudes(v0, s, kappa):
-    """Closed-form (a, b) for the Poschl-Teller barrier."""
-    bar = PoschlTellerBarrier(v0, s)
-    return bar.amplitude_a(kappa), bar.amplitude_b(kappa)
-
-
-def numeric_amplitudes(potential, kappa, q_min=None, q_max=None):
-    """(a, b) for a tabulated potential by a transfer-matrix product.
-
-    ``potential`` is a NumericBarrier, an (q, V) pair of arrays, or a
-    list of [q, V] rows.
-    """
-    return _as_numeric_barrier(potential, q_min, q_max).amplitudes(kappa)
-
-
-def _as_numeric_barrier(potential, q_min=None, q_max=None):
-    if isinstance(potential, NumericBarrier):
-        return potential
-    if isinstance(potential, (tuple, list)) and len(potential) == 2 \
-            and np.ndim(potential[0]) == 1:
-        return NumericBarrier(potential[0], potential[1], q_min, q_max)
-    rows = np.asarray(potential, dtype=float)
-    if rows.ndim == 2 and rows.shape[1] == 2:
-        return NumericBarrier(rows[:, 0], rows[:, 1], q_min, q_max)
-    raise ValueError("cannot interpret potential table")
 
 
 # The action sums one Gauss-Legendre rule per piece of the support where V
@@ -639,15 +584,16 @@ _ACTION_X = -np.cos(0.5 * np.pi * (1.0 + _gl_x))
 _ACTION_W = 0.5 * np.pi * _gl_w * np.sin(0.5 * np.pi * (1.0 + _gl_x))
 
 
-def _action_pieces(potential):
+def _action_pieces(barrier):
     """(V, edges, max V) with V smooth and monotone between edges: a table's
     own edges plus its spline's critical points, or Poschl-Teller's panels."""
-    if isinstance(potential, PoschlTellerBarrier):
-        half = 17.0 * potential.s
-        return (potential.potential, np.linspace(-half, half, _PT_ACTION_PANELS + 1),
-                potential.max_potential())
-    table = (potential if isinstance(potential, _TabulatedBarrier)
-             else _as_numeric_barrier(potential)).table
+    if isinstance(barrier, PoschlTellerBarrier):
+        half = 17.0 * barrier.s
+        return (barrier.potential, np.linspace(-half, half, _PT_ACTION_PANELS + 1),
+                barrier.max_potential())
+    if not isinstance(barrier, _TabulatedBarrier):
+        raise MethodCompatibilityError(f"no eikonal action for a {barrier.kind} barrier")
+    table = barrier.table
     return table, table.monotone_edges, table.v_max
 
 
@@ -672,8 +618,9 @@ def _action_sums(v, weights, k2):
     return (ratio / (1.0 + np.sqrt(1.0 - ratio)) * weights).sum(axis=-1)
 
 
-def eikonal_action(potential, kappa):
-    """Semiclassical action S(kappa) = kappa * integral [1 - sqrt(1 - V/kappa^2)] dq.
+def eikonal_action(barrier, kappa):
+    """Semiclassical action S(kappa) = kappa * integral [1 - sqrt(1 - V/kappa^2)] dq
+    of a tabulated or Poschl-Teller barrier.
 
     The square-root branch is continuous from the high-energy limit
     (sqrt -> 1 as kappa -> infinity); on the real axis below the barrier
@@ -688,7 +635,7 @@ def eikonal_action(potential, kappa):
     u = sqrt(|q - q_t|) replace its sum, split at q_t, and that of each
     neighbour longer than its gap to q_t.
     """
-    vfun, edges, v_max = _action_pieces(potential)
+    vfun, edges, v_max = _action_pieces(barrier)
     kappa = np.asarray(kappa, dtype=complex)
     k = kappa.ravel()
     mirror = (k.imag == 0.0) & (k.real < 0.0)
@@ -735,17 +682,18 @@ def eikonal_action(potential, kappa):
     return complex(out[0]) if kappa.ndim == 0 else out.reshape(kappa.shape)
 
 
-def tunneling_integral(potential, p):
-    """Deep-tunneling action I = integral of sqrt(V(q) - p^2) over V > p^2.
+def tunneling_integral(barrier, p):
+    """Deep-tunneling action I = integral of sqrt(V(q) - p^2) over V > p^2
+    for a tabulated or Poschl-Teller barrier.
 
     This is -Im S(|p|) of the eikonal action, whose turning-point split
     rules it shares; like the action, it is undefined at p = 0.
     """
-    v_max = _action_pieces(potential)[2]
+    v_max = _action_pieces(barrier)[2]
     p = abs(float(p))
     if p * p >= v_max:
         raise NoBarrierError(f"p^2 = {p*p} is not below max V = {v_max}")
-    return -eikonal_action(potential, p).imag
+    return -eikonal_action(barrier, p).imag
 
 
 def _newton_pole_search(barrier):
@@ -787,21 +735,25 @@ def _newton_pole_search(barrier):
 
 
 def residue_factors(barrier, kappa, p):
-    """``PoleData.residue_factor`` at each zero kappa_n of a in the sequence
-    ``kappa``, from one a' call and one a call on all of them."""
+    """A_n(p) = 4i / (a'(kappa_n) a(kappa_n - 2p)) at each zero kappa_n of a
+    in the sequence ``kappa``, from one ``slope_at_zeros`` call and one a
+    call on all of them. A_n multiplies exp[2 i r (p - kappa_n)] in the pole
+    expansion of the transmission kernel; the normalization is pinned so
+    that the single-pole delta barrier reproduces its closed form exactly."""
     kappa = np.asarray(kappa, dtype=complex)
-    return 4j / (barrier.amplitude_a_prime(kappa) * barrier.amplitude_a(kappa - 2.0 * p))
+    return 4j / (barrier.slope_at_zeros(kappa) * barrier.amplitude_a(kappa - 2.0 * p))
 
 
 def find_poles(barrier, count):
-    """Up to ``count`` S-matrix poles (zeros of a), by ascending |Im kappa|.
+    """Up to ``count`` S-matrix poles (zeros of a) as a complex array, by
+    ascending |Im kappa|.
 
     The one pole path for every kind: the kind's ``poles`` lists its zeros,
-    and each comes back as a PoleData whose ``residue_factor(p)`` uses the
-    kind's own a'. Fewer than ``count`` come back when fewer exist (delta
-    has one) or a Newton search finds fewer in its window. Raises
-    NonMeromorphicError for an eikonal barrier, and PoleSearchError when
-    no zero is found or one lies on or above the real axis.
+    and ``residue_factors`` gives their kernel coefficients. Fewer than
+    ``count`` come back when fewer exist (delta has one) or a Newton search
+    finds fewer in its window. Raises NonMeromorphicError for an eikonal
+    barrier, and PoleSearchError when no zero is found or one lies on or
+    above the real axis.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -813,7 +765,7 @@ def find_poles(barrier, count):
     for kn in zeros:
         if kn.imag >= 0:
             raise PoleSearchError(f"pole {kn} not in the lower half-plane")
-    return [PoleData(kn, barrier) for kn in zeros]
+    return np.array(zeros, dtype=complex)
 
 
 def _is_real(v):

@@ -41,10 +41,6 @@ class NonMeromorphicError(WignerTunnelError):
     """Operation requires meromorphic amplitudes (not available for eikonal)."""
 
 
-class SupportError(WignerTunnelError):
-    """Potential support is not contained in the stated interval."""
-
-
 class AxisMismatchError(WignerTunnelError):
     """Phase-space grids do not share axes."""
 

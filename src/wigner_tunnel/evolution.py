@@ -200,8 +200,7 @@ def _kernel_ranges(barrier):
     They depend on the barrier alone, so one pole search serves every row
     and every time of a propagation call.
     """
-    poles = _b.find_poles(barrier, 1)
-    decay = 1.0 / (2.0 * abs(poles[0].kappa.imag))
+    decay = 1.0 / (2.0 * abs(_b.find_poles(barrier, 1)[0].imag))
     r_hi = 12.0 * decay
     if isinstance(barrier, _b.PoschlTellerBarrier):
         r_lo = barrier.support()[0]   # early reflection from the smooth tail

@@ -173,7 +173,7 @@ def kernel_by_residues(barrier, p, r_grid, n_poles):
     """
     if n_poles < 1:
         raise ValueError("n_poles must be >= 1")
-    kappa = np.array([pd.kappa for pd in _b.find_poles(barrier, n_poles + 1)])
+    kappa = _b.find_poles(barrier, n_poles + 1)
     # the summed poles and the first omitted one, if found, in one batch
     amps = _b.residue_factors(barrier, kappa, p)
     r_grid = np.asarray(r_grid, dtype=float)

@@ -1,8 +1,8 @@
 """Natural cubic splines: the package's one spline fit.
 
 ``evolve`` fits every source row of a grid at once and samples the fits on
-lag lattices; a tabulated barrier fits its potential once and reads values,
-roots (the clip's kinks) and critical points from that fit.
+lag lattices; a tabulated barrier fits its potential once, as one column,
+and reads values, roots (the clip's kinks) and critical points from that fit.
 """
 
 from __future__ import annotations
@@ -75,24 +75,22 @@ class NaturalSplines:
         np.copyto(vals, 0.0, where=(pts < x[0]) | (pts > x[-1]))
         return vals
 
-    def __call__(self, pts, col=0):
-        """Column col at the points pts, on any knots."""
+    def __call__(self, pts):
+        """The first column at the points pts, on any knots."""
         pts = np.asarray(pts, dtype=float)
         i = np.searchsorted(self.x[1:-1], pts, side="right")
-        return self._horner(col, i, pts - self.x.take(i))
+        return self._horner(0, i, pts - self.x.take(i))
 
-    def roots(self, lo, hi, col=0, deriv=False):
-        """Sorted distinct real roots on [lo, hi] of column col, or of its
-        derivative, the end pieces reaching out to lo and hi: companion-matrix
-        eigenvalues of each piece that can vanish there, polished by one Newton
-        step. A root within 1e-12 of a piece's width of a knot is that knot."""
+    def roots(self, deriv=False):
+        """Sorted distinct real roots on [x_0, x_end] of the first column, or
+        of its derivative: companion-matrix eigenvalues of each piece that can
+        vanish on its interval, polished by one Newton step. A root within
+        1e-12 of a piece's width of a knot is that knot."""
         x, width = self.x, np.diff(self.x)
-        c = self.coef[col, 1:] * np.array([[1.0], [2.0], [3.0]]) if deriv else self.coef[col]
-        start, stop = np.zeros_like(width), width.copy()
-        start[0], stop[-1] = min(lo - x[0], 0.0), max(hi - x[-2], width[-1])
-        # |p(d) - p(0)| < sum_k |c_k| |d|^k where p can vanish, and an
-        # identically zero piece has no root to report
-        span = sum(np.abs(ck) * np.maximum(-start, stop) ** k for k, ck in enumerate(c[1:], 1))
+        c = self.coef[0, 1:] * np.array([[1.0], [2.0], [3.0]]) if deriv else self.coef[0]
+        # |p(d) - p(0)| < sum_k |c_k| d^k where p can vanish on [0, width],
+        # and an identically zero piece has no root to report
+        span = sum(np.abs(ck) * width ** k for k, ck in enumerate(c[1:], 1))
         pieces = np.nonzero(np.abs(c[0]) < span)[0]
         degree = len(c) - 1 - np.argmax(c[:0:-1, pieces] != 0.0, axis=0)
         d, i = [np.empty(0)], [np.empty(0, dtype=np.intp)]
@@ -113,4 +111,4 @@ class NaturalSplines:
         tol = 1e-12 * width[i]
         q = np.where(np.abs(d) <= tol, x[i],
                      np.where(np.abs(d - width[i]) <= tol, x[i + 1], x[i] + d))
-        return np.unique(q[(d >= start[i] - tol) & (d <= stop[i] + tol) & (q >= lo) & (q <= hi)])
+        return np.unique(q[(d >= -tol) & (d <= width[i] + tol) & (q >= x[0]) & (q <= x[-1])])

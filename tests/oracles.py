@@ -100,6 +100,24 @@ def pt_amplitudes(v0, s, k):
     return complex(a), complex(b)
 
 
+def pt_zero_slopes(v0, s, n_max, dps=40):
+    """[(kappa_n, a'(kappa_n))] at the 2 (n_max + 1) zeros of the Poschl-Teller
+    a, s kappa_n = -i(n + 1/2 +- w), by numerical differentiation of the
+    closed form at each exact zero."""
+    with mp.workdps(dps):
+        v0, s = mp.mpf(v0), mp.mpf(s)
+        w = mp.sqrt(mp.mpf(1) / 4 - v0 ** 2 * s ** 2)
+
+        def a(k):
+            x = s * k
+            return 1j * mp.gamma(1 - 1j * x) ** 2 / (
+                x * mp.gamma(mp.mpf(1) / 2 + w - 1j * x) * mp.gamma(mp.mpf(1) / 2 - w - 1j * x))
+
+        zeros = [-1j * (n + mp.mpf(1) / 2 + sign * w) / s
+                 for n in range(n_max + 1) for sign in (1, -1)]
+        return [(complex(k), complex(mp.diff(a, k))) for k in zeros]
+
+
 def pt_kernel_quadrature(v0, s, p, r):
     """(T density, R density) for Poschl-Teller by direct quadrature."""
     v0, s, p, r = mp.mpf(v0), mp.mpf(s), mp.mpf(p), mp.mpf(r)

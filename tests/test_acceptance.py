@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 import oracles
-from wigner_tunnel.barriers import DeltaBarrier, NumericBarrier, delta_amplitudes, pt_amplitudes
+from wigner_tunnel.barriers import DeltaBarrier, NumericBarrier, PoschlTellerBarrier
 from wigner_tunnel.evolution import GaussianState, arrival_time_estimate, gaussian_detection
 from wigner_tunnel.kernels import semiclassical_kernel
 from wigner_tunnel.validate import SUITES
@@ -135,13 +135,13 @@ def test_criterion_06_ode_amplitudes():
         lambda q: 1.0 / np.cosh(q / s) ** 2, -12 * s, 12 * s, 1601)
     ks = np.linspace(0.1, 5.0, 30)
     a_num, b_num = bar.amplitudes(ks)
-    a_pt, b_pt = pt_amplitudes(1.0, s, ks)
+    a_pt, b_pt = PoschlTellerBarrier(1.0, s).amplitudes(ks)
     dev = max(float(np.max(np.abs(a_num - a_pt))),
               float(np.max(np.abs(b_num - b_pt))))
     report(6, "truncated sech^2 vs closed amplitudes", dev, 1e-6)
 
     weight, k = 1.5, 0.8
-    a_d, b_d = delta_amplitudes(weight, k)
+    a_d, b_d = DeltaBarrier(weight).amplitudes(k)
     errs = []
     widths = (0.2, 0.1, 0.05)
     for width in widths:

@@ -238,13 +238,14 @@ PT_BARRIER = {"kind": "poschl_teller", "v0": 1.0, "s": 0.4}
 @pytest.mark.parametrize("command, cfg, extra", [
     ("amplitudes", {"barrier": PT_BARRIER, "kappa_grid": {"min": 0.05, "max": 5.0, "n": 20}},
      []),
-    ("kernel", {**KERNEL_CFG, "barrier": PT_BARRIER}, ["--method", "closed"]),
+    ("kernel", {**KERNEL_CFG, "barrier": PT_BARRIER}, ["--method", "all"]),
     ("probe", {**FLAG_CONFIGS["probe"], "barrier": PT_BARRIER}, []),
     ("evolve", {**FLAG_CONFIGS["evolve"], "barrier": PT_BARRIER}, []),
-], ids=["pt_amplitudes", "pt_kernel_closed", "pt_probe", "pt_evolve"])
+], ids=["pt_amplitudes", "pt_kernel_all", "pt_probe", "pt_evolve"])
 def test_pt_commands_load_no_scipy(tmp_path, command, cfg, extra):
     # the Poschl-Teller amplitudes and kernels take their Gamma functions
-    # from specfun's numpy log-Gamma, and no route of these calls scipy
+    # from specfun's numpy log-Gamma, and no route of these calls scipy:
+    # kernel --method all runs the closed series, quadrature and residues
     args = [command, "--config", str(write_cfg(tmp_path, "c.json", cfg)),
             "--out", str(tmp_path / "out"), *extra]
     assert scipy_modules_after(args) == set()

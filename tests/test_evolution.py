@@ -204,7 +204,7 @@ class TestBarrierPropagate:
     def test_kernel_ranges_per_kind(self, bar, r_lo):
         # R lags start at 0 for delta, at the smooth tail -6 s for
         # Poschl-Teller and at twice a table's front edge
-        decay = 1.0 / (2.0 * abs(barriers.find_poles(bar, 1)[0].kappa.imag))
+        decay = 1.0 / (2.0 * abs(barriers.find_poles(bar, 1)[0].imag))
         assert _kernel_ranges(bar) == (12.0 * decay, r_lo)
 
     def test_rounded_zero_momentum_node_is_zero(self):

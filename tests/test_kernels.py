@@ -14,6 +14,7 @@ from wigner_tunnel.barriers import (
     NumericBarrier,
     PoschlTellerBarrier,
     find_poles,
+    residue_factors,
 )
 from wigner_tunnel.errors import (
     ConvergenceRegionError,
@@ -239,8 +240,8 @@ class TestResidueRoute:
         bar = PoschlTellerBarrier(1.0, 0.4)
         p = 0.9
         poles = find_poles(bar, 1)
-        kap0 = poles[0].kappa
-        phase0 = np.angle(poles[0].residue_factor(p))
+        kap0 = poles[0]
+        phase0 = np.angle(residue_factors(bar, poles, p)[0])
         peaks = np.array([(k * np.pi - phase0) / (2 * p) for k in range(1, 16)])
         peaks = peaks[(peaks > 1.2) & (peaks < 9.0)]
         assert len(peaks) >= 4
@@ -268,30 +269,31 @@ class TestResidueRoute:
         assert np.all(delta.truncation_error == 0.0) and delta.error_estimate == 0.0
         # Poschl-Teller finds the pole past those summed and bounds with it
         bar = PoschlTellerBarrier(1.0, 0.4)
-        omitted = find_poles(bar, 11)[10]
+        omitted = find_poles(bar, 11)[10:]
         pt = kernel_by_residues(bar, 1.0, r, 10)
-        expect = np.where(r >= 0.0, abs(omitted.residue_factor(1.0))
-                          * np.exp(2.0 * omitted.kappa.imag * r), 0.0)
+        expect = np.where(r >= 0.0, abs(residue_factors(bar, omitted, 1.0)[0])
+                          * np.exp(2.0 * omitted[0].imag * r), 0.0)
         assert np.array_equal(pt.truncation_error, expect)
 
     def test_residue_factors_from_one_batch(self):
         # a'(kappa_n) and a(kappa_n - 2p) of the 10 summed poles and the
-        # omitted one come from one amplitude_a_prime call and one
-        # amplitude_a call (a' takes a at kappa_n +- h in two more)
+        # omitted one come from one slope_at_zeros call and one
+        # amplitude_a call (Poschl-Teller's a' is closed-form, with no a call)
         bar = PoschlTellerBarrier(1.0, 0.4)
         r = np.linspace(0.25, 3.0, 12)
-        with mock.patch.object(PoschlTellerBarrier, "amplitude_a_prime", autospec=True,
-                               side_effect=PoschlTellerBarrier.amplitude_a_prime) as a_prime, \
+        with mock.patch.object(PoschlTellerBarrier, "slope_at_zeros", autospec=True,
+                               side_effect=PoschlTellerBarrier.slope_at_zeros) as a_prime, \
                 mock.patch.object(PoschlTellerBarrier, "amplitude_a", autospec=True,
                                   side_effect=PoschlTellerBarrier.amplitude_a) as amp:
             kd = kernel_by_residues(bar, 0.6, r, 10)
-        assert a_prime.call_count == 1 and amp.call_count == 3
+        assert a_prime.call_count == 1 and amp.call_count == 1
         assert all(np.shape(call.args[1]) == (11,)
                    for call in a_prime.call_args_list + amp.call_args_list)
-        # the same sum as one residue_factor per pole
+        # the same sum as one residue factor per pole
         expect = np.zeros_like(r)
-        for pd in find_poles(bar, 10):
-            expect -= (pd.residue_factor(0.6) * np.exp(2j * r * (0.6 - pd.kappa))).real
+        for kn in find_poles(bar, 10):
+            a_n = residue_factors(bar, [kn], 0.6)[0]
+            expect -= (a_n * np.exp(2j * r * (0.6 - kn))).real
         assert np.array_equal(kd.density, expect)
 
     def test_eikonal_rejected(self):

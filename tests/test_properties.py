@@ -436,16 +436,16 @@ def test_next_fast_len_matches_scipy(n):
 def test_natural_splines_match_scipy_cubic_spline(n, refine, before, x0, h, scale, seed):
     # lattices of step h / refine from off the left end, from the first
     # knot (at refine 1, the knots themselves, bit for bit) and from the
-    # last knot, each past the right end, where the samples are 0; then, on
-    # knots 0.2 h to 1.8 h apart, the knots and arbitrary points from h
-    # before the first to h past the last, where the end pieces continue
+    # last knot, each past the right end, where the samples are 0; then,
+    # each column fit alone as a table's is, on knots 0.2 h to 1.8 h apart,
+    # the knots and arbitrary points from h before the first to h past the
+    # last, where the end pieces continue
     rng = np.random.default_rng(seed)
     x = x0 + h * np.arange(n)
     ys = scale * rng.normal(size=(n, 3))
     fit = NaturalSplines(x, ys)
     knots = x0 + h * np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, n - 1))])
     at = np.concatenate([knots, rng.uniform(knots[0] - h, knots[-1] + h, 200)])
-    uneven = NaturalSplines(knots, ys)
     step = h / refine
     starts = np.array([x[0] - before * step, x[0], x[-1]])
     n_pts = (n - 1) * refine + 2 * before + 3
@@ -459,7 +459,8 @@ def test_natural_splines_match_scipy_cubic_spline(n, refine, before, x0, h, scal
         got = fit.sample(col, starts, step, n_pts)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ys[:, col]))
         spline = scipy.interpolate.CubicSpline(knots, ys[:, col], bc_type="natural")
-        assert np.max(np.abs(uneven(at, col) - spline(at))) <= 1e-13 * np.max(np.abs(ys[:, col]))
+        one = NaturalSplines(knots, ys[:, col:col + 1])
+        assert np.max(np.abs(one(at) - spline(at))) <= 1e-13 * np.max(np.abs(ys[:, col]))
 
 
 # jagged eikonal tables: 4 to 41 rows on [-L, L], heights up to 1.5, 40% of them 0
