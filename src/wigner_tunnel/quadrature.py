@@ -5,8 +5,8 @@ naive adaptive rule stalls. One routine, ``fourier_symmetric``, serves the
 exact and the semiclassical kernels: it subtracts rational functions
 carrying the known 1/sigma and fitted 1/sigma^2 and 1/sigma^3 tails (their
 Fourier transforms are closed forms), integrates the remainder over panels
-no longer than a half oscillation with Gauss-Legendre rules, and bounds
-what is left beyond the cutoff by the measured residual decay.
+of at most 2 pi of phase at the largest lag with Gauss-Legendre rules, and
+bounds what is left beyond the cutoff by the measured residual decay.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ _PHASE_BLOCK = 4_000_000
 
 # Gauss-Legendre orders of the Fourier quadrature's refinement
 _ORDERS = (8, 16, 32)
+
+# the most phase s r a panel spans at the largest |r|
+_PANEL_PHASE = 2.0 * np.pi
 
 
 def _panels(a, b, n_panels):
@@ -61,9 +64,18 @@ def _refined_panels(fun, sigma_hi, r_grid, feature_scale, tol):
     with the number of lags; when the whole panel-phase table fits in one
     block it is built once and shared by every order. A component keeps the
     first order within tol of the last, and refinement stops when all have.
+
+    A panel spans at most _PANEL_PHASE = 2 pi of the phase s r at the
+    largest |r|, and at most feature_scale / 4. On a panel of 2 pi of phase
+    the 8-point rule integrates e^{i pi x} over [-1, 1] to about 1.7e-10 and
+    the 16-point rule to rounding (Davis & Rabinowitz, *Methods of Numerical
+    Integration*, 2nd ed., 1984, sec. 2.7). The phase bound is the narrower
+    one only past |r| = 8 pi / feature_scale; on the benchmark's ``spectra``
+    kernels (lags to 9.95, feature scale about 2 for delta and 1.6 for
+    Poschl-Teller) feature_scale / 4 sets the width.
     """
     r_max = max(float(np.max(np.abs(r_grid))), 1e-12)
-    panel_len = min(np.pi / (2.0 * r_max), feature_scale / 4.0)
+    panel_len = min(_PANEL_PHASE / r_max, feature_scale / 4.0)
     n_panels = max(8, int(np.ceil(sigma_hi / panel_len)))
     mids, half = _panels(0.0, sigma_hi, n_panels)
     step = max(1, _PHASE_BLOCK // len(r_grid))

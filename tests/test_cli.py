@@ -555,6 +555,24 @@ class TestEvolveCommand:
                             r"barrier by t = 25; the asymptotic propagator is approximate here",
                             report["warnings"][0])
 
+    def test_numeric_table_evolves(self, tmp_path):
+        # the 41-row sech^2 table on [-2, 2] as a numeric barrier: each of the
+        # 5 kernel rows (p > 0) is one Fourier quadrature of ODE-solved
+        # amplitudes; at t = 40 the packet has cleared the barrier
+        q = np.linspace(-2.0, 2.0, 41)
+        table = [[float(x), float(1.0 / np.cosh(x / 0.4) ** 2)] for x in q]
+        cfg = write_cfg(tmp_path, "e.json", {
+            "barrier": {"kind": "numeric", "table": table},
+            "state": {"Q": -40.0, "P": 1.0, "lambda": 25.0},
+            "q_axis": {"min": -150.0, "max": 110.0, "n": 200},
+            "p_axis": {"min": -1.9, "max": 1.9, "n": 11}, "times": [40.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--config", cfg, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "mass_accounting.json").read_text())
+        assert report["warnings"] == []
+        assert report["times"][0]["accounting_error"] < 1e-4
+
     @pytest.mark.parametrize("offset", [-10.0, 10.0], ids=["before", "after"])
     def test_not_cleared_warning_measures_the_share_behind(self, tmp_path, offset):
         # the share of |rho| on p > 0 whose free path q + 2pt is short of the

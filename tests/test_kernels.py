@@ -7,7 +7,7 @@ import pytest
 import scipy.interpolate
 
 import oracles
-from wigner_tunnel import kernels
+from wigner_tunnel import kernels, quadrature
 from wigner_tunnel.barriers import (
     DeltaBarrier,
     EikonalBarrier,
@@ -102,6 +102,37 @@ class TestQuadratureRoute:
             assert np.max(np.abs(kr.density - r_c)) < 1e-6
             assert kt.singular_weight == 1.0
             assert kr.singular_weight == 0.0
+
+    def test_phase_limited_panels_match_closed_form(self):
+        # at lags out to 120 a panel of 2 pi of phase is narrower than a
+        # quarter of the feature scale, so the phase sets the panel width
+        bar, p = DeltaBarrier(0.2), 1.0
+        r = np.linspace(-0.95, 119.05, 61)
+        fs, _ = kernels._sigma_scales(bar, p)
+        assert 2.0 * np.pi / np.max(np.abs(r)) < fs / 4.0
+        kt, kr = kernel_by_quadrature(bar, p, r)
+        t_c, r_c = delta_kernels(bar.v0, p, r)
+        peak = max(np.max(np.abs(t_c)), np.max(np.abs(r_c)))
+        miss_t, miss_r = np.max(np.abs(kt.density - t_c)), np.max(np.abs(kr.density - r_c))
+        assert max(miss_t, miss_r) < 1e-8 * peak
+        assert miss_t <= kt.error_estimate and miss_r <= kr.error_estimate
+
+    def test_spectra_delta_kernel_node_count(self):
+        # the benchmark's spectra delta kernel at seed 5: panels of up to 2 pi
+        # of phase leave fs/4 to set the width, 1024 panels x (8 + 16) nodes
+        # (80 232 on panels of pi/2 of phase), besides 5 per cutoff probe
+        sizes = []
+
+        def counting(gfun, r_grid, **kwargs):
+            def g(s):
+                sizes.append(np.size(s))
+                return gfun(s)
+            return quadrature.fourier_symmetric(g, r_grid, **kwargs)
+
+        with mock.patch.object(kernels, "fourier_symmetric", counting):
+            kernel_by_quadrature(DeltaBarrier(2.061001), 1.018476, np.linspace(-1.95, 9.95, 60))
+        probes = sizes.count(5)
+        assert probes >= 1 and sum(sizes) <= 24_576 + 5 * probes
 
     def test_memory_does_not_grow_with_lag_count(self):
         # the panel and node phases are built in bounded blocks; a phase per
