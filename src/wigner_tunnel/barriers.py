@@ -560,7 +560,7 @@ class EikonalBarrier(_TabulatedBarrier):
     is_meromorphic = False
 
     def amplitude_a(self, kappa):
-        return np.exp(1j * eikonal_action(self, kappa))
+        return _complex_if_0d(np.exp(1j * eikonal_action(self, kappa)))
 
     def amplitude_b(self, kappa):
         if np.ndim(kappa) == 0:
@@ -680,6 +680,19 @@ def eikonal_action(barrier, kappa):
         out[start:start + step] = kc * sums.sum(axis=1)
     out = np.where(mirror, -out.conj(), out)
     return complex(out[0]) if kappa.ndim == 0 else out.reshape(kappa.shape)
+
+
+def eikonal_kinks(barrier):
+    """The real kappa at which the eikonal action is not smooth: 0, where
+    Re S ~ kappa log kappa, and the barrier top, kappa = +-sqrt(max V)."""
+    top = math.sqrt(barrier.max_potential())
+    return (-top, 0.0, top)
+
+
+def amplitude_kinks(barrier):
+    """The real kappa at which a is not smooth: an eikonal barrier's
+    a = e^{iS} has the action's kinks, every other kind's a has none."""
+    return () if barrier.is_meromorphic else eikonal_kinks(barrier)
 
 
 def tunneling_integral(barrier, p):

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import barriers as _b
 from . import kernels as _k
-from .errors import AxisMismatchError, GridCoverageError, QuadratureError
-from .quadrature import _gl
+from .errors import AxisMismatchError, GridCoverageError
+from .quadrature import oscillatory_gauss_quad
 from .splines import NaturalSplines
 
 __all__ = [
@@ -493,76 +493,6 @@ class DetectionResult:
     amplitude_r: complex
 
 
-def _panel_edges(lo, hi, panel, kinks, strength):
-    """Panel edges of [lo, hi] for ``_oscillatory_gauss_quad``.
-
-    Panels end at every kink inside the range, each piece cut into at least
-    8 equal panels no wider than ``panel``. Near kappa = 0 the amplitudes
-    of a weak barrier vary on the scale of its strength w = integral of V:
-    the zero of a nearest the real axis sits near -iw/2 (exactly there for
-    the delta barrier). So where the range holds 0 and 0 < w < panel,
-    panels halve toward 0, edges at 0, +-w, +-2w, ... below the panel
-    width; the panel on [0, w] keeps the zero at its half width, where the
-    24-point rule is good to about 1e-22.
-    """
-    cuts = [lo] + sorted(x for x in kinks if lo < x < hi) + [hi]
-    edges = np.concatenate([np.linspace(a, b, max(8, int(math.ceil((b - a) / panel))) + 1)[:-1]
-                            for a, b in zip(cuts[:-1], cuts[1:])] + [[hi]])
-    if lo < 0.0 < hi and 0.0 < strength < panel:
-        graded = strength * 2.0 ** np.arange(int(math.ceil(math.log2(panel / strength))))
-        graded = np.concatenate([-graded, [0.0], graded])
-        edges = np.union1d(edges[(np.abs(edges) > graded[-1]) | np.isin(edges, cuts)],
-                           graded[(graded > lo) & (graded < hi)])
-    return edges
-
-
-def _oscillatory_gauss_quad(amp, center, lam_sum, q_shift, times, kinks, strength):
-    """Per time t: integral of amp(k) e^{-lam_sum (k-center)^2/2 - ik(q_shift+kt)}.
-
-    The range is center +- 14 sig, sig = lam_sum^-1/2, on panels no wider
-    than sig/2 and than 2 pi / rate, rate = |q_shift| + 2 |t| (|center| +
-    14 sig) at the largest |t|, the largest phase rate on the range. So a
-    panel spans at most 2 pi of phase, one node set per Gauss order (12,
-    24) serves every time and amp is evaluated once on each. On such a
-    panel the 12-point rule integrates e^{i pi x} over [-1, 1] to about
-    2.5e-19 (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd
-    ed., 1984, sec. 2.7). ``_panel_edges`` ends panels at amp's kinks and grades them
-    toward kappa = 0 for a barrier of small ``strength``. Per order, the
-    time-free factor base = (node weight) amp(k) e^{-lam_sum (k-center)^2/2
-    - ik q_shift} is formed once; per time, the sum of base e^{-ik^2 t} is two real
-    products of cos(t k^2) and sin(t k^2) with base's real and imaginary
-    parts. A time whose two orders differ by more than 1e-6 of the
-    integrand's envelope, the 24-point sum of |base|, raises: the envelope
-    bounds the integral at every time, and scales with amp, so an opaque
-    barrier's narrow features are held to the same relative standard.
-    """
-    sig = math.sqrt(1.0 / lam_sum)
-    lo, hi = center - 14.0 * sig, center + 14.0 * sig
-    rate = abs(q_shift) + 2.0 * float(np.max(np.abs(times))) * (abs(center) + 14.0 * sig)
-    panel = min(sig / 2.0, 2.0 * math.pi / max(rate, 1e-12))
-    edges = _panel_edges(lo, hi, panel, kinks, strength)
-    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    sums = []
-    for order in (12, 24):
-        x, w = _gl(order)
-        k = (mids + half * x).ravel()
-        base = (half * w).ravel() * amp(k) * np.exp(-0.5 * lam_sum * (k - center) ** 2
-                                                    - 1j * q_shift * k)
-        parts = np.column_stack([base.real, base.imag])
-        k2 = k * k
-        val = np.empty(len(times), dtype=complex)
-        for i, t in enumerate(times):
-            (c_re, c_im), (s_re, s_im) = np.cos(t * k2) @ parts, np.sin(t * k2) @ parts
-            val[i] = complex(c_re + s_im, c_im - s_re)
-        sums.append(val)
-    envelope = float(np.sum(np.abs(base)))
-    coarse, val = sums
-    if np.any(np.abs(val - coarse) > 1e-6 * envelope):
-        raise QuadratureError("detection amplitude quadrature did not settle")
-    return val
-
-
 def gaussian_detection(init, det, barrier, t):
     """Closed-form detection probability for Gaussian state and detector.
 
@@ -587,16 +517,11 @@ def gaussian_detection(init, det, barrier, t):
     _warn_if_barrier_overlap(init, det, barrier)
 
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    kinks = ()
-    if not barrier.is_meromorphic:
-        # the eikonal a has a kink at the barrier top, kappa^2 = max V; its b,
-        # and so B's integrand, is 0
-        top = math.sqrt(barrier.max_potential())
-        kinks = (-top, top)
     w = barrier.integral_strength()
-    A = _oscillatory_gauss_quad(lambda k: 1.0 / barrier.amplitude_a(k), P_plus,
-                                lam_sum, Q_minus, times, kinks, w)
-    B = _oscillatory_gauss_quad(barrier.reflection_lr, P_minus, lam_sum, Q_plus, times, (), w)
+    A = oscillatory_gauss_quad(lambda k: 1.0 / barrier.amplitude_a(k), P_plus,
+                               lam_sum, Q_minus, times, _b.amplitude_kinks(barrier), w)
+    # no kinks: an eikonal barrier's b, and so B's integrand, is 0
+    B = oscillatory_gauss_quad(barrier.reflection_lr, P_minus, lam_sum, Q_plus, times, (), w)
 
     base = 0.5 * math.sqrt(l0 * ld)
     ex = l0 * ld / lam_sum

@@ -85,6 +85,9 @@ _PT_IMAG_TOL = 1e-8
 _EIKONAL_SPLINE_NODES = 1200
 _EIKONAL_TAIL_NODES = 200
 
+# the target for the semiclassical quadrature's error estimate
+_SEMICLASSICAL_TOL = 5e-6
+
 # Gamma(2 omega) has a pole at omega = 0 that cancels between the
 # +-omega terms. Below this |omega| the late-branch sum, analytic in
 # omega^2, is interpolated linearly in omega^2 between +-_PT_OMEGA_MIN^2.
@@ -123,6 +126,11 @@ def _sigma_scales(barrier, p):
     return fs, max(64.0 * fs, 16.0 * p + 32.0 * barrier.kappa_scale())
 
 
+def _sigma_kinks(kinks, p):
+    """The sigma at which sigma/2 + p or sigma/2 - p meets a kink in kappa."""
+    return [2.0 * abs(k + sign * p) for k in kinks for sign in (1.0, -1.0)]
+
+
 def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7):
     """Transmission and reflection kernels by one oscillatory quadrature.
 
@@ -132,8 +140,10 @@ def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7):
     the free delta spike exactly. The reflection integrand is
     rho(sigma/2 + p) rho(sigma/2 - p) with rho = -conj(b)/a, the amplitude
     of a wave incident from the left (``Barrier.reflection_lr``), so even
-    and asymmetric barriers share one route. A kernel whose error estimate
-    exceeds ``tol`` comes back with a RuntimeWarning naming both numbers.
+    and asymmetric barriers share one route. Panels end where sigma/2 +- p
+    meets a kink of a (``barriers.amplitude_kinks``). A kernel whose error
+    estimate exceeds ``tol`` comes back with a RuntimeWarning naming both
+    numbers.
     """
     if p <= 0:
         raise ValueError("kernel quadrature requires p > 0")
@@ -149,8 +159,9 @@ def kernel_by_quadrature(barrier, p, r_grid, tol=2e-7):
     # b falls off at least like 1/sigma, so R's integrand has no 1/sigma tail;
     # rho(-kappa) = conj(rho(kappa)) keeps it reflection-symmetric
     vals, errs = fourier_symmetric(g, r_grid, feature_scale=fs,
-                                   c1=[-2j * barrier.integral_strength(), 0.0],
-                                   tol=tol, sigma0=sigma0)
+                                   c1=[-2j * barrier.integral_strength(), 0.0], tol=tol,
+                                   kinks=_sigma_kinks(_b.amplitude_kinks(barrier), p),
+                                   sigma0=sigma0)
     kd_t = KernelDensity(r_grid, vals[0], 1.0, "quadrature", float(errs[0]))
     kd_r = KernelDensity(r_grid, vals[1], 0.0, "quadrature", float(errs[1]))
     for name, kd in (("T", kd_t), ("R", kd_r)):
@@ -502,14 +513,15 @@ def _eikonal_spline(barrier, kappa_max, kappa_reach):
     return S
 
 
-def semiclassical_kernel(barrier, p, r, mode="quadrature", tol=5e-6):
+def semiclassical_kernel(barrier, p, r, mode="quadrature"):
     """Semiclassical transmission kernel density at lag r.
 
     Modes: 'quadrature' evaluates the stationary-phase integral built on
     the eikonal action (any barrier exposing a potential) as a whole-line
-    Fourier transform by ``fourier_symmetric``; ``tol`` is the target for
-    its error estimate on the returned kernel, which comes back as
-    ``error_estimate``; 'small_r' is the
+    Fourier transform by ``fourier_symmetric``, on panels that end at the
+    action's kinks (``barriers.eikonal_kinks``); _SEMICLASSICAL_TOL is the
+    target for its error estimate on the returned kernel, which comes back
+    as ``error_estimate``; 'small_r' is the
     high-energy small-lag asymptotic driven by the potential area w;
     'airy' is the deep-tunneling Airy form, Poschl-Teller only. Regime
     checks are reported, never enforced: the value is computed anyway.
@@ -558,12 +570,14 @@ def semiclassical_kernel(barrier, p, r, mode="quadrature", tol=5e-6):
             return np.exp(-1j * (S(0.5 * sig + p) + S(0.5 * sig - p))) - 1.0
 
         # tol / pi: (1/pi) Re of the half-line integral is what comes back
-        vals, err = fourier_symmetric(h, r_arr, feature_scale=fs, c1=-2j * w,
-                                      tol=tol / math.pi, sigma0=sigma_hint, sigma_cap=sigma_cap)
+        (vals,), (err,) = fourier_symmetric(h, r_arr, feature_scale=fs, c1=[-2j * w],
+                                            tol=_SEMICLASSICAL_TOL / math.pi,
+                                            kinks=_sigma_kinks(_b.eikonal_kinks(barrier), p),
+                                            sigma0=sigma_hint, sigma_cap=sigma_cap)
     else:
         raise ValueError(f"unknown semiclassical mode {mode!r}")
     out = float(vals[0]) if scalar else vals
-    return SemiclassicalValue(out, not violations, violations, err)
+    return SemiclassicalValue(out, not violations, violations, float(err))
 
 
 @dataclass(frozen=True)

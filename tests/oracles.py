@@ -262,16 +262,20 @@ def eikonal_action_piecewise(barrier, kappa, dps=20):
         return complex(k * total)
 
 
-def panel_fourier_direct(fun, sigma_hi, n_panels, order, r):
+def panel_fourier_direct(fun, pieces, order, r):
     """(sum_k w_k g_k e^{-i sigma_k r}, sum_k |w_k g_k|) over Gauss-Legendre
-    rules of the given order on n_panels equal panels of [0, sigma_hi]: one
-    exponential per node and lag, the sum the Fourier quadrature factorises."""
+    rules of the given order on the equal panels of each piece (an array of
+    its panel edges): one exponential per node and lag, the sum the Fourier
+    quadrature factorises."""
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, sigma_hi, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mids[:, None] + half * x[None, :]).ravel()
-    wg = np.tile(half * w, n_panels) * fun(nodes)
+    nodes, weights = [], []
+    for edges in pieces:
+        half = 0.5 * (edges[1] - edges[0])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        nodes.append((mids[:, None] + half * x[None, :]).ravel())
+        weights.append(np.tile(half * w, len(mids)))
+    nodes = np.concatenate(nodes)
+    wg = np.concatenate(weights) * fun(nodes)
     phases = np.exp(-1j * np.outer(nodes, np.asarray(r, dtype=float)))
     return wg @ phases, float(np.sum(np.abs(wg)))
 

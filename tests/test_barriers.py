@@ -208,6 +208,9 @@ class TestEikonal:
         s_val = eikonal_action(self.bar, 1.5)   # kappa^2 = 2.25 > max V = 1
         assert abs(s_val.imag) < 1e-9
         assert abs(abs(self.bar.amplitude_a(1.5)) - 1.0) < 1e-8
+        # a scalar kappa gives Python complex numbers, as every other kind does
+        assert type(self.bar.amplitude_a(1.5)) is complex
+        assert all(type(v) is complex for v in self.bar.amplitudes(1.5))
 
     def test_high_energy_limit(self):
         w = self.bar.integral_strength()

@@ -580,11 +580,11 @@ class TestDetectionOverTimes:
         assert type(res.w_total) is float and type(res.amplitude_t) is complex
 
     def test_eikonal_panels_end_at_the_barrier_top(self):
-        # the eikonal 1/a has a kink at kappa = +-sqrt(max V) = +-1; panels
-        # across it gave 0.712212945909 at t = 38. The pinned value is what the
-        # finer node sets sized for t = 84, 336 and 1344 give at t = 38, all
-        # within 2.3e-13 of it; t = 38's own node set, with panels of up to
-        # 2 pi of phase, gives a value 7.9e-13 above it.
+        # the eikonal 1/a has kinks at kappa = 0 and +-sqrt(max V) = +-1;
+        # panels across the top gave 0.712212945909 at t = 38. The pinned value
+        # is what the finer node sets sized for t = 84, 336 and 1344 give at
+        # t = 38, all within 8.9e-13 of it; t = 38's own node set, with panels
+        # of up to 2 pi of phase, gives a value 7.2e-13 above it.
         q = np.linspace(-2.0, 2.0, 41)
         bar = EikonalBarrier(q, 1.0 / np.cosh(q / 0.4) ** 2)
         w_t = gaussian_detection(_incident(), GaussianState(40.0, 1.0, 25.0), bar, 38.0).w_t

@@ -117,6 +117,30 @@ class TestQuadratureRoute:
         assert max(miss_t, miss_r) < 1e-8 * peak
         assert miss_t <= kt.error_estimate and miss_r <= kr.error_estimate
 
+    # the eikonal T on the 41-row sech^2 table at p = 1.1 and 0.6, 12 lags on
+    # [0.1, 6], from panels of an eighth of the feature scale at tol 1e-10 with
+    # the same edges (estimates 2.1e-8 and 9.0e-9; minutes per run)
+    @pytest.mark.parametrize("p, ref", [
+        (1.1, [-1.4337775940726942, 0.022773368032862784, 0.5302879894344841,
+               0.10752616989682551, 0.039719377933099764, 0.10512702835023902,
+               0.012620297611862341, 0.03094671977351915, 0.05029759161632086,
+               -0.0008228592098742382, 0.009751829819407476, 0.013455310606703463]),
+        (0.6, [-1.4593312795289402, -0.5034008848546367, 0.146372805835993,
+               0.17809407938952493, -0.010496502293705134, -0.044351495037223465,
+               0.018890719492945962, 0.01269715845837549, -0.030166437268250412,
+               -0.021493748946868507, 0.007490057078475942, 0.00344423589980547]),
+    ], ids=["p1.1", "p0.6"])
+    @pytest.mark.filterwarnings("ignore:T kernel error estimate")
+    def test_eikonal_panels_end_at_the_kinks(self, p, ref):
+        # the eikonal a has kinks at kappa = 0 and +-sqrt(max V) = +-1, so T's
+        # integrand has them at sigma = 2p, 2|1 - p| and 2(1 + p); panels
+        # across them left estimates of 3.1e-5 and 2.4e-5
+        q = np.linspace(-2.0, 2.0, 41)
+        bar = EikonalBarrier(q, 1.0 / np.cosh(q / 0.4) ** 2)
+        kt, _ = kernel_by_quadrature(bar, p, np.linspace(0.1, 6.0, 12))
+        assert kt.error_estimate <= 1e-6
+        assert np.max(np.abs(kt.density - ref)) <= kt.error_estimate
+
     def test_spectra_delta_kernel_node_count(self):
         # the benchmark's spectra delta kernel at seed 5: panels of up to 2 pi
         # of phase leave fs/4 to set the width, 1024 panels x (8 + 16) nodes
@@ -461,9 +485,9 @@ class TestPoschlTellerClosedForm:
         _, r_row = kernel_row(bar, p, r)
         # a quadrature of R's integrand alone: T's would cost seconds here
         fs, sigma0 = kernels._sigma_scales(bar, p)
-        ref, _ = kernels.fourier_symmetric(
+        (ref,), _ = kernels.fourier_symmetric(
             lambda sig: bar.reflection_lr(0.5 * sig + p) * bar.reflection_lr(0.5 * sig - p),
-            r, feature_scale=fs, c1=0.0, sigma0=sigma0, tol=1e-10)
+            r, feature_scale=fs, c1=[0.0], sigma0=sigma0, tol=1e-10, kinks=())
         far = np.abs(r) >= 0.21
         peak = np.max(np.abs(ref))
         assert np.max(np.abs(r_row - ref)[far]) <= 1e-6 * peak
@@ -671,11 +695,32 @@ class TestSemiclassical:
         semiclassical_kernel(bar, p, np.array([0.1, 0.5, 0.9, 1.3]), mode="quadrature")
         assert fits and all(top <= last for last, top in fits)
 
+    @pytest.mark.parametrize("bar, p", [
+        (EikonalBarrier.from_callable(lambda q: 1.0 / np.cosh(q / 0.4) ** 2,
+                                      -6.8, 6.8, 1201), 1.6),
+        (PoschlTellerBarrier(1.0, 0.4), 1.0),
+        (PoschlTellerBarrier(1.0, 0.4), 1.3),
+    ], ids=["sech2_table", "pt_p1", "pt_p1.3"])
+    def test_quadrature_mode_meets_its_target(self, bar, p):
+        # panels end at the action's kinks, sigma = 2p (kappa = 0) and
+        # 2|sqrt(max V) -+ p|; panels across them left estimates of 8.3e-6,
+        # 8.1e-6 and 4.0e-5. The estimate bounds the shift to a run on panels
+        # of half the feature scale at tol 1e-10
+        r = np.linspace(-1.95, 9.95, 60)
+        res = semiclassical_kernel(bar, p, r, mode="quadrature")
+        assert res.error_estimate < kernels._SEMICLASSICAL_TOL / math.pi
+        scales = kernels._sigma_scales
+        with mock.patch.object(kernels, "_sigma_scales",
+                               lambda b, p: (0.5 * scales(b, p)[0], scales(b, p)[1])), \
+                mock.patch.object(kernels, "_SEMICLASSICAL_TOL", 1e-10):
+            ref = semiclassical_kernel(bar, p, r, mode="quadrature")
+        assert np.max(np.abs(res.value - ref.value)) <= res.error_estimate
+
     def test_quadrature_mode_converges_on_a_wide_table(self, monkeypatch):
         # against the whole-line transform of the same spline integrand at a
         # 64 sigma0 cutoff and tol 1e-10, the spline's action extended past
         # its reach; a cutoff that models only the 1/sigma tail misses by 4e-2
-        from wigner_tunnel.barriers import eikonal_action
+        from wigner_tunnel.barriers import eikonal_action, eikonal_kinks
         from wigner_tunnel.quadrature import fourier_symmetric
         s, p = 3.0, 2.5
         bar = EikonalBarrier.from_callable(
@@ -703,8 +748,9 @@ class TestSemiclassical:
         def h(sig):
             return np.exp(-1j * (S(0.5 * sig + p) + S(0.5 * sig - p))) - 1.0
 
-        ref, _ = fourier_symmetric(h, r, feature_scale=fs, c1=-2j * bar.integral_strength(),
-                                   tol=1e-10, sigma0=sigma0, sigma_cap=64 * sigma0)
+        (ref,), _ = fourier_symmetric(h, r, feature_scale=fs, c1=[-2j * bar.integral_strength()],
+                                      tol=1e-10, kinks=kernels._sigma_kinks(eikonal_kinks(bar), p),
+                                      sigma0=sigma0, sigma_cap=64 * sigma0)
         assert np.max(np.abs(res.value - ref)) <= 2e-6
         assert res.error_estimate >= np.max(np.abs(res.value - ref))
 

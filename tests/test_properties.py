@@ -163,22 +163,30 @@ def test_log_gamma_array_call_matches_scalar_calls(groups, seed):
        lags=st.lists(st.floats(-1.0, 1.0), max_size=12),
        feature_scale=st.floats(0.5, 4.0), per_block=st.integers(1, 40),
        spare=st.integers(0, 100), order=st.sampled_from(quadrature._ORDERS),
-       c=st.floats(-3.0, 3.0), lam=st.floats(0.2, 5.0))
+       c=st.floats(-3.0, 3.0), lam=st.floats(0.2, 5.0),
+       kinks=st.lists(st.floats(0.0, 45.0), max_size=3))
 def test_factorised_panel_sum_matches_direct_sum(sigma_hi, r_max, lags, feature_scale,
-                                                 per_block, spare, order, c, lam):
+                                                 per_block, spare, order, c, lam, kinks):
     # r = 0 and a negative lag always; blocks of per_block panels, which need
-    # not divide the panel count (at 40 or more panels' worth, one shared block)
+    # not divide a piece's panel count (at 40 or more panels' worth, one
+    # shared block per piece); kinks at 0, past sigma_hi or repeated end no piece
     r = np.concatenate([[0.0, -r_max, r_max], r_max * np.array(lags)])
-    seen = []
+    placed, panel_pieces = [], quadrature._panel_pieces
+
+    def place(*args):
+        placed.append(panel_pieces(*args))
+        return placed[-1]
 
     def g(s):
-        seen.append(s.size)
         return (1.0 + 1j * c * s) * np.exp(1j * c * s) / (1.0 + (s / lam) ** 2)
 
     with mock.patch.object(quadrature, "_ORDERS", (order,)), \
-            mock.patch.object(quadrature, "_PHASE_BLOCK", per_block * len(r) + spare % len(r)):
-        vals, _ = quadrature._refined_panels(g, sigma_hi, r, feature_scale, tol=0.0)
-    ref, scale = panel_fourier_direct(g, sigma_hi, seen[0] // order, order, r)
+            mock.patch.object(quadrature, "_PHASE_BLOCK", per_block * len(r) + spare % len(r)), \
+            mock.patch.object(quadrature, "_panel_pieces", place):
+        vals, _ = quadrature._refined_panels(g, sigma_hi, r, feature_scale, 0.0, kinks)
+    (pieces,) = placed
+    assert [e[0] for e in pieces[1:]] == sorted({k for k in kinks if 0.0 < k < sigma_hi})
+    ref, scale = panel_fourier_direct(g, pieces, order, r)
     assert np.max(np.abs(vals - ref.real)) <= 1e-13 * scale
 
 
@@ -198,11 +206,11 @@ def test_component_keeps_its_own_quadrature():
     def bumps(s):
         return np.exp(-((np.abs(s) - 5.0) / 0.08) ** 2)
 
-    kw = {"feature_scale": 4.0, "sigma0": 4.0, "tol": 1e-7}
+    kw = {"feature_scale": 4.0, "sigma0": 4.0, "tol": 1e-7, "kinks": ()}
     for g, other in ((rational, stalled), (rational, bumps), (bumps, rational)):
         vals, errs = quadrature.fourier_symmetric(
             lambda s: np.stack([g(s), other(s)]), r, c1=[0.0, 0.0], **kw)
-        alone, alone_err = quadrature.fourier_symmetric(g, r, c1=0.0, **kw)
+        (alone,), (alone_err,) = quadrature.fourier_symmetric(g, r, c1=[0.0], **kw)
         assert np.array_equal(vals[0], alone) and errs[0] == alone_err
 
 
@@ -288,8 +296,8 @@ def _check_shared_quadrature(bar, p, r, tol):
     with mock.patch.object(quadrature, "_grow_cutoff", spy), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         kt, _ = kernel_by_quadrature(bar, p, r, tol=tol)
-        alone, alone_err = quadrature.fourier_symmetric(
-            g_t, r, feature_scale=fs, c1=-2j * w, sigma0=sigma0, tol=tol)
+        (alone,), (alone_err,) = quadrature.fourier_symmetric(
+            g_t, r, feature_scale=fs, c1=[-2j * w], sigma0=sigma0, tol=tol, kinks=())
     (probe_both, _), (_, own_cutoff) = grown
     assert kt.error_estimate <= alone_err
     _, _, tails = probe_both(own_cutoff)
